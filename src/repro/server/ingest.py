@@ -261,11 +261,30 @@ class SocketSource:
     def finished(self) -> bool:
         return self._finished.is_set()
 
+    def finish(self) -> None:
+        """Finish the source now (listener close), never blocking.
+
+        A full queue means the merge has stopped reading or is about to
+        drain it; either way the end marker is not needed there, because
+        the iterator also ends at an empty queue once ``finished`` is
+        set -- after every queued item.
+        """
+        self._finished.set()
+        try:
+            self.queue.put_nowait(_END)
+        except queue.Full:
+            pass
+
     # -- merge side ----------------------------------------------------
 
     def __iter__(self) -> Iterator:
         while True:
-            entry = self.queue.get()
+            try:
+                entry = self.queue.get_nowait()
+            except queue.Empty:
+                if self._finished.is_set():
+                    return
+                entry = self.queue.get()
             if entry is _END:
                 return
             seq, item = entry
@@ -405,13 +424,18 @@ class SocketListener:
             return
         self._closed.set()
         try:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the accept thread exits.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._sock.close()
         except OSError:
             pass
         for source in self._sources.values():
             if not source.finished:
-                source._finished.set()
-                source.queue.put(_END)
+                source.finish()
 
     def __enter__(self) -> "SocketListener":
         return self

@@ -97,7 +97,7 @@ from typing import Union
 
 import numpy as np
 
-from ..stream.batch import EventBatch
+from ..stream.batch import EventBatch, pack_strings
 from ..stream.events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
                              StreamEvent)
 from ..traces.schema import AppAccessRecord, JobRecord, PublicationRecord
@@ -358,6 +358,13 @@ def decode_event(obj: dict) -> StreamEvent:
         if not isinstance(path, str):
             raise ValueError(f"access path must be a string, "
                              f"got {type(path).__name__}")
+        try:
+            # JSON can smuggle in a lone surrogate ("\ud800"), which
+            # the v2 codec and the checkpoint catalog cannot encode.
+            path.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"access path is not valid UTF-8: "
+                             f"{exc.reason} at {exc.start}") from None
         rec = AppAccessRecord(int(obj["ts"]), int(obj["uid"]), path,
                               str(obj["op"]))
         return StreamEvent(rec.ts, EVENT_ACCESS, rec)
@@ -383,14 +390,10 @@ _SEQ = struct.Struct("<Q")
 
 def _batch_columns(batch: EventBatch) -> bytes:
     """The packed column body of ``batch`` (uncompressed form)."""
-    pool = [p.encode("utf-8") for p in batch.pool()]
-    blob = b"".join(pool)
-    pool_off = np.zeros(len(pool) + 1, np.uint32)
-    if pool:
-        np.cumsum([len(p) for p in pool], out=pool_off[1:])
+    pool_off, blob = pack_strings(batch.pool())
     parts = [
         _HEADER.pack(batch.n, batch.n_jobs, batch.n_pubs, batch.n_acc,
-                     batch.pub_auth.size, len(pool), len(blob)),
+                     batch.pub_auth.size, pool_off.size - 1, len(blob)),
         batch.kinds.tobytes(), batch.ts.tobytes(),
         batch.job_id.tobytes(), batch.job_uid.tobytes(),
         batch.job_start.tobytes(), batch.job_end.tobytes(),
@@ -399,7 +402,7 @@ def _batch_columns(batch: EventBatch) -> bytes:
         batch.pub_auth_off.tobytes(), batch.pub_auth.tobytes(),
         batch.acc_uid.tobytes(), batch.acc_op.tobytes(),
         batch.acc_path.tobytes(),
-        pool_off.tobytes(), blob,
+        pool_off.astype(np.uint32).tobytes(), blob,
     ]
     return b"".join(parts)
 

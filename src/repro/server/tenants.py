@@ -36,7 +36,7 @@ a donor tenant (its scratch *as that tenant retained it*) and
 participates from the admission boundary on.
 
 Checkpoints pack every tenant into one digest-verified link of the
-existing chain (format ``repro-server-checkpoint/1``): shared arrays
+existing chain (format ``repro-server-checkpoint/2``): shared arrays
 (catalog, activeness history) stored once, per-tenant arrays under a
 ``t<i>__`` namespace prefix, per-tenant config fingerprints cross-checked
 on resume.
@@ -65,6 +65,7 @@ from ..vfs.file_meta import DAY_SECONDS
 from ..vfs.filesystem import VirtualFileSystem
 from ..stream.checkpoint import (SERVER_CHECKPOINT_FORMAT, CheckpointManager,
                                  activeness_from_arrays, activeness_to_arrays,
+                                 catalog_from_arrays, catalog_to_arrays,
                                  load_checkpoint, metrics_from_arrays,
                                  metrics_to_arrays, reports_from_jsonable,
                                  reports_to_jsonable)
@@ -1168,10 +1169,7 @@ class MultiTenantService:
             manifest.update(self.manifest_extra())
         if extra:
             manifest.update(extra)
-        arrays: dict[str, np.ndarray] = {
-            "paths": np.asarray(self.catalog.paths, dtype=np.str_),
-            "snap_size": self.catalog.snap_size.copy(),
-        }
+        arrays = catalog_to_arrays(self.catalog)
         arrays.update(act_arrays)
         for i, tenant in enumerate(self.tenants):
             manifest["tenants"].append({
@@ -1189,10 +1187,11 @@ class MultiTenantService:
             for row, counts in enumerate(tenant.group_count_history):
                 ghist[row] = [counts[cls] for cls in counts]
             prefix = f"t{i}__"
-            arrays[prefix + "live"] = tenant.state.live.copy()
-            arrays[prefix + "atime"] = tenant.state.atime.copy()
-            arrays[prefix + "size"] = tenant.state.size.copy()
-            arrays[prefix + "owner"] = tenant.state.owner.copy()
+            # Views, not copies: the write is synchronous.
+            arrays[prefix + "live"] = tenant.state.live
+            arrays[prefix + "atime"] = tenant.state.atime
+            arrays[prefix + "size"] = tenant.state.size
+            arrays[prefix + "owner"] = tenant.state.owner
             arrays[prefix + "class_uids"] = np.fromiter(
                 tenant.classes.keys(), np.int64, len(tenant.classes))
             arrays[prefix + "class_codes"] = np.fromiter(
@@ -1268,7 +1267,8 @@ class MultiTenantService:
         ``skip_stream_items`` counts binary batch runs by row width).
         """
         manifest, arrays = load_checkpoint(checkpoint_path)
-        if manifest.get("format") != SERVER_CHECKPOINT_FORMAT:
+        if not str(manifest.get("format")).startswith(
+                "repro-server-checkpoint/"):
             raise ValueError(
                 f"{checkpoint_path} is a {manifest.get('format')!r} "
                 f"checkpoint, not a multi-tenant server checkpoint "
@@ -1289,9 +1289,7 @@ class MultiTenantService:
                       policy_factory=policy_factory,
                       metrics_history=metrics_history, wall=wall)
 
-        snap_size = np.asarray(arrays["snap_size"], dtype=np.int64)
-        for i, path in enumerate(arrays["paths"].tolist()):
-            service.catalog.intern(path, snap_size=int(snap_size[i]))
+        service.catalog = catalog_from_arrays(arrays)
         n = service.catalog.n_paths
         for i, (tenant, stored) in enumerate(zip(service.tenants,
                                                  manifest["tenants"])):

@@ -42,6 +42,7 @@ from .events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION, StreamEvent)
 __all__ = ["KIND_JOB_CODE", "KIND_PUB_CODE", "KIND_ACC_CODE",
            "KIND_BY_CODE", "OP_BY_CODE", "OP_CODES",
            "EventBatch", "BatchBuilder", "BatchRun",
+           "pack_strings", "unpack_strings",
            "merge_stream_items", "skip_stream_items"]
 
 #: Row kind codes, in activity-before-access tie-break order.
@@ -60,6 +61,29 @@ _I64 = np.int64
 _EMPTY_I64 = np.zeros(0, _I64)
 _EMPTY_U8 = np.zeros(0, np.uint8)
 _EMPTY_U32 = np.zeros(0, np.uint32)
+
+
+def pack_strings(strings: Iterable[str]) -> tuple[np.ndarray, bytes]:
+    """``(offsets, blob)``: the strings as one UTF-8 blob plus offsets.
+
+    String ``i`` is ``blob[offsets[i]:offsets[i + 1]]``; the int64
+    offsets start at 0 and end at ``len(blob)``.  This is the one
+    string-pool layout of the v2 wire codec, :class:`EventBatch` and the
+    checkpoint path catalog; :func:`unpack_strings` inverts it.  A
+    string that does not encode as UTF-8 (a lone surrogate) raises
+    ``UnicodeEncodeError``.
+    """
+    encoded = [s.encode("utf-8") for s in strings]
+    offsets = np.zeros(len(encoded) + 1, _I64)
+    np.cumsum(np.fromiter(map(len, encoded), _I64, len(encoded)),
+              out=offsets[1:])
+    return offsets, b"".join(encoded)
+
+
+def unpack_strings(offsets, blob: bytes) -> list[str]:
+    """The strings :func:`pack_strings` packed into ``(offsets, blob)``."""
+    offs = offsets.tolist()
+    return [blob[lo:hi].decode("utf-8") for lo, hi in zip(offs, offs[1:])]
 
 
 class EventBatch:
@@ -171,14 +195,8 @@ class EventBatch:
     def pool(self) -> list[str]:
         """The materialized string pool (cached after first decode)."""
         if self._pool is None:
-            off = self._pool_off
-            blob = self._pool_blob
-            if off is None:
-                self._pool = []
-            else:
-                offs = off.tolist()
-                self._pool = [blob[offs[i]:offs[i + 1]].decode("utf-8")
-                              for i in range(len(offs) - 1)]
+            self._pool = ([] if self._pool_off is None else
+                          unpack_strings(self._pool_off, self._pool_blob))
         return self._pool
 
     def kpos(self):

@@ -1,14 +1,19 @@
 """Crash-safe, self-verifying checkpoint chains for the retention service.
 
-A checkpoint is one compressed ``.npz`` written atomically and durably
-(tmp sibling + fsync + ``os.replace`` + directory fsync): either the old
-checkpoint or the new one exists, never a torn file.  Inside, a single
-JSON *manifest* entry carries the scalars -- resume cursor, boundary
-position, counters, config fingerprint -- and the bulk state travels as
-native NumPy arrays:
+A checkpoint is one ``.npz`` written atomically and durably (tmp sibling
++ fsync + ``os.replace`` + directory fsync): either the old checkpoint
+or the new one exists, never a torn file.  The container is a plain
+zip of ``.npy`` members, deflated at level 1 -- what
+``np.savez_compressed`` writes, minus its default level 6, which costs
+about four times the CPU for a few percent smaller int64 columns -- so
+``np.load(path, allow_pickle=False)`` still opens it.  Inside, a single
+JSON *manifest* entry, stored as UTF-8 bytes (a ``uint8`` array),
+carries the scalars -- resume cursor, boundary position, counters,
+config fingerprint -- and the bulk state travels as native NumPy arrays:
 
 * the path catalog (paths + snapshot sizes, in intern order -- pids are
-  positional, so order *is* identity),
+  positional, so order *is* identity), the paths packed as one UTF-8
+  blob plus byte offsets (:func:`catalog_to_arrays`),
 * the replay state columns (live/atime/size/owner),
 * the daily metrics and group-count history,
 * the current user classification (kept verbatim: it cannot be
@@ -20,6 +25,17 @@ Everything round-trips exactly: ints and bools verbatim, floats through
 JSON's shortest-round-trip repr or float64 arrays, sets as sorted lists.
 That exactness is what lets a resumed service continue bit-identically
 (pinned by ``tests/test_stream_checkpoint.py``).
+
+Formats
+-------
+Writers stamp :data:`CHECKPOINT_FORMAT` (``repro-stream-checkpoint/3``)
+or :data:`SERVER_CHECKPOINT_FORMAT` (``repro-server-checkpoint/2``).
+The previous layouts -- stream ``/2`` and server ``/1`` -- stored the
+manifest as a 0-d fixed-width UCS4 (``<U``) string and the catalog as a
+``<U`` ``paths`` array, four bytes per character before compression.
+They still load: :func:`load_checkpoint` and :func:`catalog_from_arrays`
+are the only two places that decode them, so a running chain survives
+the upgrade and its next link is written in the new layout.
 
 Durability and verification
 ---------------------------
@@ -44,6 +60,7 @@ import hashlib
 import json
 import os
 import re
+import zipfile
 import zlib
 from typing import IO, Any, Callable, Mapping
 
@@ -54,6 +71,8 @@ from ..core.classification import UserClass
 from ..core.report import GroupTally, RetentionReport
 from ..emulation.metrics import DailyMetrics
 from ..traces.io import fsync_directory
+from .batch import pack_strings, unpack_strings
+from .state import PathCatalog
 
 __all__ = ["CHECKPOINT_FORMAT", "SERVER_CHECKPOINT_FORMAT",
            "CheckpointCorruption",
@@ -61,18 +80,21 @@ __all__ = ["CHECKPOINT_FORMAT", "SERVER_CHECKPOINT_FORMAT",
            "reports_to_jsonable", "reports_from_jsonable",
            "metrics_to_arrays", "metrics_from_arrays",
            "activeness_to_arrays", "activeness_from_arrays",
+           "catalog_to_arrays", "catalog_from_arrays",
            "ingest_cursors", "CheckpointManager"]
 
-CHECKPOINT_FORMAT = "repro-stream-checkpoint/2"
+CHECKPOINT_FORMAT = "repro-stream-checkpoint/3"
 
 #: The multi-tenant server checkpoint: same container (atomic npz link,
 #: per-array digests), different payload schema (shared arrays once,
 #: per-tenant arrays under a ``t<i>__`` prefix, a ``tenants`` manifest).
-SERVER_CHECKPOINT_FORMAT = "repro-server-checkpoint/1"
+SERVER_CHECKPOINT_FORMAT = "repro-server-checkpoint/2"
 
-#: Formats this reader still accepts; /1 predates per-array digests.
-_ACCEPTED_FORMATS = (CHECKPOINT_FORMAT, "repro-stream-checkpoint/1",
-                     SERVER_CHECKPOINT_FORMAT)
+#: Formats this reader still accepts: stream /1 predates per-array
+#: digests; stream /2 and server /1 are the ``<U`` layouts (module doc).
+_ACCEPTED_FORMATS = (CHECKPOINT_FORMAT, "repro-stream-checkpoint/2",
+                     "repro-stream-checkpoint/1",
+                     SERVER_CHECKPOINT_FORMAT, "repro-server-checkpoint/1")
 
 _MANIFEST_KEY = "__manifest__"
 _DIGESTS_KEY = "array_digests"
@@ -103,13 +125,24 @@ class CheckpointCorruption(ValueError):
 
 def _array_digest(arr: np.ndarray) -> dict:
     contiguous = np.ascontiguousarray(arr)
-    raw = contiguous.tobytes()
+    raw = memoryview(contiguous)  # the array's bytes, not a copy of them
     return {
         "dtype": contiguous.dtype.str,
         "shape": list(contiguous.shape),
         "crc32": zlib.crc32(raw),
         "sha256": hashlib.sha256(raw).hexdigest(),
     }
+
+
+def _write_npz(fh: IO[bytes], arrays: Mapping[str, np.ndarray]) -> None:
+    """What ``np.savez_compressed`` writes, deflated at level 1."""
+    with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_DEFLATED,
+                         compresslevel=1, allowZip64=True) as archive:
+        for name, arr in arrays.items():
+            with archive.open(f"{name}.npy", mode="w",
+                              force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(arr),
+                                          allow_pickle=False)
 
 
 def atomic_write_npz(path: str, manifest: Mapping[str, Any],
@@ -124,7 +157,9 @@ def atomic_write_npz(path: str, manifest: Mapping[str, Any],
     complete new one, and the survivor is durable across power loss.
 
     The manifest is augmented with per-array CRC32/SHA-256 digests so
-    readers can verify every array byte for byte.  ``opener`` replaces
+    readers can verify every array byte for byte, and stored as UTF-8
+    JSON bytes.  The arrays are written as they are, without a copy, so
+    the caller must not mutate them until this returns.  ``opener`` replaces
     the tmp-file ``open`` -- the hook the fault-injection harness uses
     to script torn writes, ``EIO``, and mid-write kills.
     """
@@ -134,11 +169,12 @@ def atomic_write_npz(path: str, manifest: Mapping[str, Any],
     manifest[_DIGESTS_KEY] = {name: _array_digest(arr)
                               for name, arr in arrays.items()}
     payload = dict(arrays)
-    payload[_MANIFEST_KEY] = np.asarray(json.dumps(manifest))
+    payload[_MANIFEST_KEY] = np.frombuffer(
+        json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
     tmp = f"{path}.tmp"
     try:
         with (opener(tmp) if opener is not None else open(tmp, "wb")) as fh:
-            np.savez_compressed(fh, **payload)
+            _write_npz(fh, payload)
             fh.flush()
             os.fsync(fh.fileno())
     except BaseException:
@@ -159,14 +195,12 @@ def load_checkpoint(path: str, verify: bool = True,
     compared; any container damage or digest mismatch raises
     :class:`CheckpointCorruption` naming the failure.
     """
-    import zipfile
-
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files if k != _MANIFEST_KEY}
-            manifest = json.loads(str(data[_MANIFEST_KEY])) \
+            manifest = _decode_manifest(data[_MANIFEST_KEY]) \
                 if _MANIFEST_KEY in data.files else None
-    except (zipfile.BadZipFile, EOFError, OSError, KeyError,
+    except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError,
             zlib.error) as exc:
         raise CheckpointCorruption(
             path, f"unreadable npz ({type(exc).__name__}: {exc})") from exc
@@ -180,6 +214,12 @@ def load_checkpoint(path: str, verify: bool = True,
     if verify:
         _verify_digests(path, manifest, arrays)
     return manifest, arrays
+
+
+def _decode_manifest(stored: np.ndarray) -> Any:
+    if stored.dtype.kind == "U":  # stream /2, server /1: a 0-d UCS4 string
+        return json.loads(str(stored))
+    return json.loads(stored.tobytes().decode("utf-8"))
 
 
 def _verify_digests(path: str, manifest: Mapping[str, Any],
@@ -328,6 +368,36 @@ def activeness_from_arrays(table: list[dict],
                       np.asarray(arrays[f"act_{i}_ts"], dtype=np.int64),
                       np.asarray(arrays[f"act_{i}_imp"], dtype=np.float64))
     return out
+
+
+# ---------------------------------------------------------------------------
+# path catalog
+
+
+def catalog_to_arrays(catalog: PathCatalog) -> dict[str, np.ndarray]:
+    """The catalog's paths (UTF-8 blob + offsets) and snapshot sizes.
+
+    Paths are stored in intern order: pids are positional, so the order
+    is the identity a resumed service must reproduce.
+    """
+    offsets, blob = pack_strings(catalog.paths)
+    return {"path_offsets": offsets,
+            "path_blob": np.frombuffer(blob, dtype=np.uint8),
+            "snap_size": catalog.snap_size}
+
+
+def catalog_from_arrays(arrays: Mapping[str, np.ndarray]) -> PathCatalog:
+    """Re-intern a stored catalog, in its stored order."""
+    if "paths" in arrays:  # stream /2, server /1: a ``<U`` array
+        paths = arrays["paths"].tolist()
+    else:
+        paths = unpack_strings(arrays["path_offsets"],
+                               arrays["path_blob"].tobytes())
+    catalog = PathCatalog()
+    snap_size = np.asarray(arrays["snap_size"], dtype=np.int64).tolist()
+    for path, size in zip(paths, snap_size, strict=True):
+        catalog.intern(path, snap_size=size)
+    return catalog
 
 
 def ingest_cursors(manifest: Mapping[str, Any]) -> dict[str, int]:

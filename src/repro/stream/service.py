@@ -70,6 +70,7 @@ from ..vfs.file_meta import DAY_SECONDS
 from ..vfs.filesystem import VirtualFileSystem
 from .checkpoint import (CHECKPOINT_FORMAT, CheckpointManager,
                          activeness_from_arrays, activeness_to_arrays,
+                         catalog_from_arrays, catalog_to_arrays,
                          load_checkpoint, metrics_from_arrays,
                          metrics_to_arrays, reports_from_jsonable,
                          reports_to_jsonable)
@@ -408,17 +409,17 @@ class OnlineRetentionService:
             "activity_types": act_table,
             "stats": {k: v for k, v in self.stats.items()},
         }
-        arrays = {
-            "paths": np.asarray(self.catalog.paths, dtype=np.str_),
-            "snap_size": self.catalog.snap_size.copy(),
-            "live": self.state.live.copy(),
-            "atime": self.state.atime.copy(),
-            "size": self.state.size.copy(),
-            "owner": self.state.owner.copy(),
+        arrays = catalog_to_arrays(self.catalog)
+        arrays.update({
+            # Views, not copies: the write is synchronous.
+            "live": self.state.live,
+            "atime": self.state.atime,
+            "size": self.state.size,
+            "owner": self.state.owner,
             "class_uids": class_uids,
             "class_codes": class_codes,
             "group_count_history": ghist,
-        }
+        })
         arrays.update(metrics_to_arrays(self.metrics))
         arrays.update(act_arrays)
         path = self.checkpoints.save(manifest, arrays)
@@ -473,9 +474,7 @@ class OnlineRetentionService:
                 f"checkpoint fingerprint mismatch (stored vs supplied): "
                 f"{diff}")
 
-        snap_size = np.asarray(arrays["snap_size"], dtype=np.int64)
-        for i, path in enumerate(arrays["paths"].tolist()):
-            service.catalog.intern(path, snap_size=int(snap_size[i]))
+        service.catalog = catalog_from_arrays(arrays)
         n = service.catalog.n_paths
         service.state.ensure(n)
         service.state.live[:] = np.asarray(arrays["live"], dtype=np.bool_)

@@ -44,14 +44,19 @@ from repro.server.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
                                    decode_event, encode_event, encode_frame,
                                    format_address, parse_address,
                                    write_frame)
-from repro.stream import CheckpointManager, dataset_event_stream, skip_events
-from repro.stream.events import (EVENT_JOB, StreamEvent, access_events,
-                                 job_events, publication_events)
-from repro.stream.reliability.quarantine import REASON_REGRESSION
+from repro.stream import (CheckpointManager, dataset_event_stream,
+                          load_checkpoint, skip_events)
+from repro.stream.checkpoint import SERVER_CHECKPOINT_FORMAT
+from repro.stream.events import (EVENT_ACCESS, EVENT_JOB, StreamEvent,
+                                 access_events, job_events,
+                                 publication_events)
+from repro.stream.reliability.quarantine import (REASON_REGRESSION,
+                                                 REASON_UNPARSABLE)
 from repro.cli.workspace import save_workspace
 from repro.synth import TitanConfig, generate_dataset
 
 from test_compiled_replay import assert_results_equal
+from test_stream_checkpoint import rewrite_as_legacy_layout
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -341,6 +346,83 @@ def test_socket_out_of_order_event_is_quarantined(dataset, compiled,
                          batch_result(dataset, compiled, spec))
 
 
+def test_v1_path_that_is_not_utf8_is_quarantined(dataset, compiled, events,
+                                                 tmp_path):
+    # JSON decodes a "\ud800" escape to a lone surrogate, which no UTF-8
+    # encoder (v2 codec, path catalog, checkpoint) accepts: the listener
+    # must quarantine that row like any schema violation, and the rest
+    # of the feed -- checkpoints included -- must stay bit-identical.
+    k = next(i for i in range(len(events) // 2, len(events))
+             if events[i].kind == EVENT_ACCESS)
+    poisoned = json.dumps({"type": "event", "kind": "access",
+                           "ts": events[k].ts, "uid": events[k].payload.uid,
+                           "op": "access", "path": "/proj/\ud800x"})
+    assert "\\ud800" in poisoned  # ASCII escape on the wire
+    body = poisoned.encode("ascii")
+    wire = b"".join([*(encode_frame(encode_event(ev)) for ev in events[:k]),
+                     b"%d\n%s\n" % (len(body), body),
+                     *(encode_frame(encode_event(ev)) for ev in events[k:]),
+                     encode_frame({"type": "end"})])
+    spec = TenantSpec(name="solo", policy="activedr")
+    address = _sock(tmp_path, "utf8.sock")
+    with SocketListener(address, expected={"all": 1}) as listener:
+        stream = NetworkEventStream(
+            listener, known_uids=[u.uid for u in dataset.users])
+        sock = connect_socket(address, timeout=30)
+        reader = FrameReader(sock)
+        write_frame(sock, {"type": "hello", "protocol": 1, "source": "all"})
+        assert reader.read_message()["type"] == "ok"
+        sender = threading.Thread(target=sock.sendall, args=(wire,),
+                                  daemon=True)
+        sender.start()
+        service = make_fleet(dataset, [spec],
+                             checkpoint_dir=str(tmp_path / "ck"))
+        results = service.run(iter(stream))
+        sender.join(timeout=30)
+        assert not sender.is_alive()
+        assert reader.read_message()["type"] == "ok"  # the end ack
+        sock.close()
+    assert stream.quarantine.by_reason == {REASON_UNPARSABLE: 1}
+    assert service.cursor == len(events)
+    assert service.stats["checkpoints_written"] >= 1
+    assert service.stats["checkpoint_failures"] == 0
+    assert_results_equal(results[spec.name],
+                         batch_result(dataset, compiled, spec))
+
+
+@pytest.mark.parametrize("kind", ["unix", "tcp"])
+def test_listener_close_stops_the_accept_thread(tmp_path, kind):
+    address = (_sock(tmp_path, "close.sock") if kind == "unix"
+               else "127.0.0.1:0")
+    listener = SocketListener(address, expected={"jobs": 1})
+    accept_thread = listener._accept_thread
+    # One accepted connection, then a pause: the thread is back, blocked
+    # in accept(), when close() runs.
+    client = connect_socket(listener.address, timeout=10)
+    _wait_for(lambda: listener.connections_accepted == 1, 10,
+              "the connection to be accepted")
+    time.sleep(0.2)
+    assert accept_thread.is_alive()
+    listener.close()
+    client.close()
+    accept_thread.join(timeout=1.0)
+    assert not accept_thread.is_alive()
+
+
+def test_listener_close_does_not_block_on_a_full_queue(tmp_path, events):
+    listener = SocketListener(_sock(tmp_path, "full.sock"),
+                              expected={"jobs": 1}, queue_size=1)
+    source = listener.sources()[0]
+    source.push(events[0])  # the queue is now full; nobody is reading
+    closer = threading.Thread(target=listener.close, daemon=True)
+    closer.start()
+    closer.join(timeout=2.0)
+    assert not closer.is_alive(), "close() blocked on the full queue"
+    assert source.finished
+    # A consumer still iterating gets every queued item, then the end.
+    assert list(source) == [events[0]]
+
+
 def test_listener_refuses_bad_handshakes(tmp_path):
     address = _sock(tmp_path, "refuse.sock")
     with SocketListener(address, expected={"jobs": 1}) as listener:
@@ -447,6 +529,34 @@ def test_checkpoint_resume_is_bit_identical(dataset, compiled, events,
     for spec in HETERO:
         assert_results_equal(results[spec.name],
                              batch_result(dataset, compiled, spec))
+
+
+def test_resume_from_legacy_layout_is_bit_identical(dataset, compiled,
+                                                    events, tmp_path):
+    # A chain written in the previous layout (``<U`` catalog paths and
+    # manifest) survives the upgrade: it resumes bit-identically and the
+    # chain continues in the current layout.
+    ckdir = str(tmp_path / "ck")
+    service = make_fleet(dataset, HETERO, checkpoint_dir=ckdir)
+    service.run(iter(events), stop_after_events=len(events) // 2)
+    newest = CheckpointManager(ckdir).latest()
+    rewrite_as_legacy_layout(newest)
+    legacy, arrays = load_checkpoint(newest)
+    assert legacy["format"] == "repro-server-checkpoint/1"
+    assert arrays["paths"].dtype.kind == "U"
+
+    resumed = MultiTenantService.resume(
+        newest, policy_factory=lambda spec: build_policy(spec, dataset),
+        checkpoint_dir=ckdir)
+    assert resumed.catalog.paths == \
+        service.catalog.paths[:resumed.catalog.n_paths]
+    results = resumed.run(skip_events(iter(events), resumed.cursor))
+    for spec in HETERO:
+        assert_results_equal(results[spec.name],
+                             batch_result(dataset, compiled, spec))
+    upgraded, arrays = load_checkpoint(CheckpointManager(ckdir).latest())
+    assert upgraded["format"] == SERVER_CHECKPOINT_FORMAT
+    assert "paths" not in arrays
 
 
 def test_seed_pending_resume_leaves_durable_ingest_unset(dataset, tmp_path):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -14,22 +17,76 @@ from repro.emulation.metrics import DailyMetrics
 from repro.stream import atomic_write_npz, load_checkpoint
 from repro.stream.checkpoint import (
     CHECKPOINT_FORMAT,
+    SERVER_CHECKPOINT_FORMAT,
     CheckpointCorruption,
     CheckpointManager,
     activeness_from_arrays,
     activeness_to_arrays,
+    catalog_from_arrays,
+    catalog_to_arrays,
     metrics_from_arrays,
     metrics_to_arrays,
     reports_from_jsonable,
     reports_to_jsonable,
     verify_checkpoint,
 )
+from repro.stream.state import PathCatalog
+
+from test_hostile_paths import HOSTILE_PATHS
+
+#: The format each current format replaced: same payload, ``<U`` layout.
+LEGACY_FORMATS = {CHECKPOINT_FORMAT: "repro-stream-checkpoint/2",
+                  SERVER_CHECKPOINT_FORMAT: "repro-server-checkpoint/1"}
 
 
 def manifest(**extra):
     base = {"format": CHECKPOINT_FORMAT, "cursor": 42}
     base.update(extra)
     return base
+
+
+def _legacy_digest(arr):
+    raw = np.ascontiguousarray(arr).tobytes()
+    return {"dtype": arr.dtype.str, "shape": list(arr.shape),
+            "crc32": zlib.crc32(raw),
+            "sha256": hashlib.sha256(raw).hexdigest()}
+
+
+def rewrite_as_legacy_layout(path):
+    """Rewrite a checkpoint the way the previous format's writer did.
+
+    That writer stored the catalog as a ``<U`` ``paths`` array and the
+    manifest as a 0-d ``<U`` JSON string under the previous format
+    string, through ``np.savez_compressed``, with digests taken over a
+    ``tobytes()`` copy of each array.
+    """
+    stored, arrays = load_checkpoint(path)
+    offsets = arrays.pop("path_offsets").tolist()
+    blob = arrays.pop("path_blob").tobytes()
+    arrays["paths"] = np.asarray(
+        [blob[lo:hi].decode("utf-8") for lo, hi in zip(offsets, offsets[1:])],
+        dtype=np.str_)
+    stored["format"] = LEGACY_FORMATS[stored["format"]]
+    stored["array_digests"] = {name: _legacy_digest(arr)
+                               for name, arr in arrays.items()}
+    np.savez_compressed(path, __manifest__=np.asarray(json.dumps(stored)),
+                        **arrays)
+
+
+def hostile_catalog():
+    catalog = PathCatalog()
+    for i, path in enumerate(HOSTILE_PATHS):
+        catalog.intern(path, snap_size=4096 * (i + 1))
+    catalog.intern("/proj/first/seen/in/the/trace")  # snap_size 0
+    return catalog
+
+
+def assert_same_catalog(got, want):
+    assert got.paths == want.paths  # intern order is pid identity
+    assert np.array_equal(got.snap_size, want.snap_size)
+    assert np.array_equal(got.det_size, want.det_size)
+    assert np.array_equal(got.scan_rank, want.scan_rank)
+    assert np.array_equal(got.order_rank, want.order_rank)
 
 
 def test_npz_round_trip(tmp_path):
@@ -77,6 +134,10 @@ def test_load_rejects_foreign_npz(tmp_path):
     path = str(tmp_path / "other.npz")
     np.savez(path, a=np.arange(3))
     with pytest.raises(ValueError, match="manifest"):
+        load_checkpoint(path)
+    # A manifest entry that is not UTF-8 JSON is damage, not a crash.
+    np.savez(path, __manifest__=np.frombuffer(b"\xff\xfe", np.uint8))
+    with pytest.raises(CheckpointCorruption):
         load_checkpoint(path)
 
 
@@ -135,6 +196,62 @@ def test_activeness_arrays_round_trip(tiny_dataset, tmp_path):
     for atype in state:
         for mine, theirs in zip(state[atype], restored[atype]):
             assert np.array_equal(mine, theirs)
+
+
+def test_catalog_round_trips_hostile_paths(tmp_path):
+    catalog = hostile_catalog()
+    arrays = catalog_to_arrays(catalog)
+    assert arrays["path_blob"].dtype == np.uint8
+    assert "paths" not in arrays
+    assert_same_catalog(catalog_from_arrays(arrays), catalog)
+    # Through an actual npz file, like the services do.
+    path = str(tmp_path / "ck.npz")
+    atomic_write_npz(path, manifest(), arrays)
+    _manifest, loaded = load_checkpoint(path)
+    assert_same_catalog(catalog_from_arrays(loaded), catalog)
+    assert_same_catalog(catalog_from_arrays(catalog_to_arrays(PathCatalog())),
+                        PathCatalog())
+
+
+def test_checkpoint_opens_with_plain_np_load(tmp_path):
+    path = str(tmp_path / "ck.npz")
+    arrays = catalog_to_arrays(hostile_catalog())
+    atomic_write_npz(path, manifest(name="π"), arrays)
+    with np.load(path, allow_pickle=False) as data:
+        assert set(data.files) == set(arrays) | {"__manifest__"}
+        stored = data["__manifest__"]
+        assert stored.dtype == np.uint8  # UTF-8 JSON, not UCS4
+        decoded = json.loads(stored.tobytes().decode("utf-8"))
+        assert decoded["name"] == "π"
+        for key, value in arrays.items():
+            assert np.array_equal(data[key], value), key
+    with zipfile.ZipFile(path) as archive:
+        assert archive.testzip() is None
+        assert {info.compress_type for info in archive.infolist()} == \
+            {zipfile.ZIP_DEFLATED}
+
+
+def test_legacy_layout_loads_and_verifies(tmp_path):
+    catalog = hostile_catalog()
+    live = np.zeros(64, dtype=np.bool_)
+    live[::3] = True
+    arrays = catalog_to_arrays(catalog)
+    arrays.update({"live": live[:40],  # a view, like the state columns
+                   "ghist": np.zeros((0, 4), dtype=np.int64),
+                   "imp": np.array([0.5, -0.0, 1e-300])})
+    path = str(tmp_path / "ck.npz")
+    atomic_write_npz(path, manifest(note="αβγ"), arrays)
+    fresh_manifest, _ = load_checkpoint(path)
+    rewrite_as_legacy_layout(path)
+    legacy_manifest, legacy = load_checkpoint(path)  # digests verify
+    assert legacy_manifest["format"] == "repro-stream-checkpoint/2"
+    assert legacy["paths"].dtype.kind == "U"
+    assert legacy_manifest["note"] == "αβγ"
+    # The copy-free digests equal the old writer's tobytes() digests.
+    for name in ("snap_size", "live", "ghist", "imp"):
+        assert legacy_manifest["array_digests"][name] == \
+            fresh_manifest["array_digests"][name], name
+    assert_same_catalog(catalog_from_arrays(legacy), catalog)
 
 
 def _tamper_array(path, name):

@@ -20,15 +20,18 @@ from repro.emulation import (
     replay_bounds,
 )
 from repro.stream import (
+    CHECKPOINT_FORMAT,
     CheckpointManager,
     IncrementalActivenessState,
     OnlineRetentionService,
     dataset_event_stream,
+    load_checkpoint,
     skip_events,
 )
 from repro.traces.schema import AppAccessRecord
 
 from test_compiled_replay import POLICIES, assert_results_equal
+from test_stream_checkpoint import rewrite_as_legacy_layout
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +154,40 @@ def test_checkpoint_kill_resume_is_bit_identical(dataset, compiled,
     assert resumed.stats["events_job"] == len(dataset.jobs)
     assert resumed.stats["events_publication"] == len(dataset.publications)
     assert resumed.stats["events_access"] == len(dataset.accesses)
+
+
+def test_resume_from_legacy_layout_is_bit_identical(dataset, compiled,
+                                                    tmp_path):
+    # A chain written in the previous layout (``<U`` catalog paths and
+    # manifest) survives the upgrade: it resumes bit-identically and the
+    # chain continues in the current layout.
+    policy_factory = dict(POLICIES)["activedr"]
+    emu_config = EmulatorConfig()
+    ckdir = str(tmp_path / "ck")
+    events = list(dataset_event_stream(dataset))
+    service = make_service(dataset, policy_factory, emu_config,
+                           checkpoint_dir=ckdir)
+    assert service.run(iter(events), stop_after_events=len(events) // 2) \
+        is None
+    latest = CheckpointManager(ckdir).latest()
+    rewrite_as_legacy_layout(latest)
+    legacy, arrays = load_checkpoint(latest)
+    assert legacy["format"] == "repro-stream-checkpoint/2"
+    assert arrays["paths"].dtype.kind == "U"
+
+    config = RetentionConfig()
+    resumed = OnlineRetentionService.resume(
+        latest, policy_factory(config, dataset),
+        activeness_params=config.activeness, config=emu_config,
+        checkpoint_dir=ckdir)
+    assert resumed.catalog.paths == \
+        service.catalog.paths[:resumed.catalog.n_paths]
+    streamed = resumed.run(skip_events(iter(events), resumed.cursor))
+    assert_results_equal(streamed, fast_result(dataset, compiled,
+                                               policy_factory, emu_config))
+    upgraded, arrays = load_checkpoint(CheckpointManager(ckdir).latest())
+    assert upgraded["format"] == CHECKPOINT_FORMAT
+    assert "paths" not in arrays
 
 
 def test_resume_rejects_fingerprint_mismatch(dataset, tmp_path):
