@@ -1,14 +1,16 @@
-"""Stream-ingest benchmark: the online retention service vs. batch replay.
+"""Stream-ingest benchmark: the streaming engine vs. batch replay.
 
 Measures, on one seeded dataset:
 
-* merged-stream ingest throughput (events/sec) of the
-  ``OnlineRetentionService`` end to end, per policy of the retention
-  spectrum, against the batch ``FastEmulator`` wall time over the same
-  trace;
-* per-trigger latency (the incremental activeness evaluation plus the
-  policy purge scan) and the refold fraction -- the share of user-type
-  histories a trigger actually refolds, the O(delta) claim in numbers;
+* merged-stream ingest throughput (events/sec) of the streaming engine
+  as plain ``serve`` runs it -- a one-tenant ``MultiTenantService`` --
+  end to end, per policy of the retention spectrum, against the batch
+  ``FastEmulator`` wall time over the same trace;
+* per-trigger latency (reclassification plus the policy purge scan; the
+  incremental activeness evaluation, shared by all tenants of a
+  boundary, is outside it) and the refold fraction -- the share of
+  user-type histories a trigger actually refolds, the O(delta) claim in
+  numbers;
 * a checkpoint / kill / resume cycle: wall time to checkpoint, to
   resume, and to finish from mid-trace.
 
@@ -52,13 +54,12 @@ def assert_results_equal(streamed, batch, context):
 
 
 def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
-    from repro.core import (ActiveDRPolicy, FixedLifetimePolicy,
-                            JobResidencyIndex, RetentionConfig,
-                            ScratchAsCachePolicy, ValueBasedPolicy)
+    from repro.core import JobResidencyIndex
     from repro.emulation import (EmulatorConfig, FastEmulator,
                                  compile_dataset, replay_bounds)
-    from repro.stream import (CheckpointManager, OnlineRetentionService,
-                              dataset_event_stream, skip_events)
+    from repro.server import MultiTenantService, TenantSpec
+    from repro.stream import (CheckpointManager, dataset_event_stream,
+                              skip_stream_items)
     from repro.synth import TitanConfig, generate_dataset
 
     t0 = time.perf_counter()
@@ -66,13 +67,13 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
     generate_seconds = time.perf_counter() - t0
 
     residency = JobResidencyIndex(dataset.jobs)
-    policies = {
-        "FLT": lambda cfg: FixedLifetimePolicy(cfg),
-        "ActiveDR": lambda cfg: ActiveDRPolicy(cfg),
-        "ValueBased": lambda cfg: ValueBasedPolicy(cfg),
-        "ScratchAsCache": lambda cfg: ScratchAsCachePolicy(
-            cfg, residency=residency),
-    }
+    specs = {name: TenantSpec(name=kind, policy=kind)
+             for name, kind in (("FLT", "flt"), ("ActiveDR", "activedr"),
+                                ("ValueBased", "value"),
+                                ("ScratchAsCache", "cache"))}
+
+    def build_policy(spec):
+        return spec.build_policy(residency=residency)
 
     compiled = compile_dataset(dataset)
     events = list(dataset_event_stream(dataset))
@@ -80,39 +81,42 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
     known = [u.uid for u in dataset.users]
     start, end = replay_bounds(dataset)
 
-    def make_service(policy_factory, **kwargs):
-        config = RetentionConfig()
-        return OnlineRetentionService(
-            policy_factory(config), snapshot_fs=dataset.filesystem,
-            replay_start=start, replay_end=end,
-            activeness_params=config.activeness,
-            config=EmulatorConfig(), known_uids=known, **kwargs)
+    def make_service(name, **kwargs):
+        spec = specs[name]
+        return MultiTenantService(
+            [(spec, build_policy(spec))], snapshot_fs=dataset.filesystem,
+            replay_start=start, replay_end=end, known_uids=known, **kwargs)
+
+    def batch_run(name):
+        spec = specs[name]
+        return FastEmulator(build_policy(spec),
+                            spec.retention_config().activeness,
+                            EmulatorConfig()).run(compiled,
+                                                  known_uids=known)
 
     per_policy = {}
-    for name, policy_factory in policies.items():
-        config = RetentionConfig()
+    for name, spec in specs.items():
         t0 = time.perf_counter()
-        batch = FastEmulator(policy_factory(config), config.activeness,
-                             EmulatorConfig()).run(compiled,
-                                                   known_uids=known)
+        batch = batch_run(name)
         batch_seconds = time.perf_counter() - t0
 
-        service = make_service(policy_factory)
+        service = make_service(name)
         t0 = time.perf_counter()
-        streamed = service.run(iter(events))
+        streamed = service.run(iter(events))[spec.name]
         stream_seconds = time.perf_counter() - t0
         assert_results_equal(streamed, batch, name)
 
         stats = service.stats
+        tenant = service.tenant(spec.name).stats
         per_policy[name] = {
             "batch_seconds": round(batch_seconds, 3),
             "stream_seconds": round(stream_seconds, 3),
             "events_per_sec": round(n_events / stream_seconds),
             "stream_vs_batch": round(stream_seconds / batch_seconds, 2),
-            "triggers": stats["triggers"],
+            "triggers": tenant["triggers"],
             "trigger_latency_ms": round(
-                1e3 * stats["trigger_seconds"] / max(1, stats["triggers"]),
-                3),
+                1e3 * tenant["trigger_seconds"]
+                / max(1, tenant["triggers"]), 3),
             "refold_fraction": round(
                 stats["eval_refolded"] / max(1, stats["eval_users"]), 4),
             "bit_identical_to_batch": True,
@@ -131,9 +135,9 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
         def best_of(make_events, repeats=3):
             best, result = None, None
             for _ in range(repeats):
-                service = make_service(policies["ActiveDR"])
+                service = make_service("ActiveDR")
                 t0 = time.perf_counter()
-                result = service.run(make_events())
+                result = service.run(make_events())["activedr"]
                 elapsed = time.perf_counter() - t0
                 best = elapsed if best is None else min(best, elapsed)
             return best, result
@@ -161,7 +165,7 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
     # Checkpoint / kill / resume cycle under ActiveDR.
     kill_at = int(n_events * kill_fraction)
     with tempfile.TemporaryDirectory() as ckdir:
-        service = make_service(policies["ActiveDR"], checkpoint_dir=ckdir,
+        service = make_service("ActiveDR", checkpoint_dir=ckdir,
                                checkpoint_every_days=7)
         t0 = time.perf_counter()
         interrupted = service.run(iter(events), stop_after_events=kill_at)
@@ -171,23 +175,18 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
         checkpoint_bytes = os.path.getsize(
             CheckpointManager(ckdir).latest())
 
-        config = RetentionConfig()
         t0 = time.perf_counter()
-        resumed = OnlineRetentionService.resume(
-            CheckpointManager(ckdir).latest(),
-            policies["ActiveDR"](config),
-            activeness_params=config.activeness, config=EmulatorConfig())
+        resumed = MultiTenantService.resume(
+            CheckpointManager(ckdir).latest(), policy_factory=build_policy)
         resume_seconds = time.perf_counter() - t0
         cursor = resumed.cursor
 
         t0 = time.perf_counter()
-        streamed = resumed.run(skip_events(iter(events), cursor))
+        streamed = resumed.run(
+            skip_stream_items(iter(events), cursor))["activedr"]
         second_leg_seconds = time.perf_counter() - t0
 
-    config = RetentionConfig()
-    batch = FastEmulator(policies["ActiveDR"](config), config.activeness,
-                         EmulatorConfig()).run(compiled, known_uids=known)
-    assert_results_equal(streamed, batch, "resume")
+    assert_results_equal(streamed, batch_run("ActiveDR"), "resume")
 
     return {
         "benchmark": "stream_ingest",

@@ -57,27 +57,31 @@ policies share one compiled trace and one activeness evaluation per
 trigger instead of redoing that work per policy.  ``sweep --spectrum``
 adds the two baselines' miss columns to the lifetime table.
 
-``serve`` runs the *online* retention service: the workspace's traces
-are merged into one time-ordered event stream and consumed record by
-record, with incremental activeness state and crash-safe checkpoints
-(``--checkpoint-dir``).  Ingestion goes through the reliability layer
+``serve`` runs the retention server (``repro.server.MultiTenantService``,
+the one streaming engine): the workspace's traces are merged into one
+time-ordered event stream and consumed record by record, with
+incremental activeness state and crash-safe checkpoints
+(``--checkpoint-dir``).  ``--policy``/``--lifetime``/``--target``
+describe a fleet of one tenant named after its policy; any number of
+``--tenant name=...,policy=...`` specs replace it, and all tenants share
+one event feed and one activeness state (evaluated once per trigger,
+not once per tenant).  Ingestion goes through the reliability layer
 (``repro.stream.reliability``): failing sources are retried with
 backoff, malformed or disordered events are quarantined to a
 dead-letter file, and checkpoints form a self-verifying chain of the
 last ``--checkpoint-retain`` links.  Kill it mid-run, then ``serve
 --resume`` rolls back to the newest checkpoint that passes digest
-verification (exit code 3 when none does) and finishes with results
-bit-identical to ``replay --engine fast``.  ``--fault-plan`` injects
-scripted ingest/checkpoint faults for chaos testing.
+verification (exit code 3 when none does, or when the chain is in a
+format this engine does not write) and finishes with per-tenant results
+bit-identical to ``replay --engine fast``; the checkpoint's tenant specs
+win over the command line's.  ``--fault-plan`` injects scripted
+ingest/checkpoint faults for chaos testing.
 
-With ``--listen`` (or any ``--tenant``) ``serve`` becomes the
-*networked multi-tenant server*: events arrive from concurrent
-``publish`` producers over a TCP or Unix socket instead of local files,
-any number of ``--tenant name=...,policy=...`` configurations share one
-event feed and one activeness state (evaluated once per trigger, not
-once per tenant), and ``--admin`` opens a query plane that ``admin``
-interrogates (``status``/``health``/``tenants``/``metrics``/``query``)
-while ingestion is running.  The engine appends an observability sample
+With ``--listen`` events arrive from concurrent ``publish`` producers
+over a TCP or Unix socket instead of local files.  ``--admin`` opens a
+query plane that ``admin`` interrogates
+(``status``/``health``/``tenants``/``metrics``/``query``) while
+ingestion is running.  The engine appends an observability sample
 to a rotating metrics-history ring at every day boundary
 (``--metrics-history``, defaulting into ``--checkpoint-dir``); ``admin
 metrics --history N`` returns the newest samples, ``admin export
@@ -85,9 +89,10 @@ metrics --history N`` returns the newest samples, ``admin export
 emits the Prometheus text exposition, and ``dashboard`` renders a
 terminal or static-HTML view of activeness distributions and per-tenant
 purge pressure from the live socket or an offline history file.
-``supervise`` wraps any serve command in a
-restart loop: crashes resume from the newest verifying checkpoint under
-seeded exponential backoff, with a bounded give-up.
+``--result-json`` writes the per-tenant results as JSON.  ``supervise``
+wraps any serve command in a restart loop: crashes resume from the
+newest verifying checkpoint under seeded exponential backoff, with a
+bounded give-up.
 
 ``serve --shards N`` scales the networked server horizontally: a
 consistent-hash shard router listens on ``--listen`` and forwards each
@@ -275,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SPEC",
                      help="add a tenant: name=ID[,policy=K][,lifetime=D]"
                           "[,target=U][,trigger=D][,period=D]; repeatable. "
-                          "Any --tenant (or --listen) switches serve to "
-                          "the multi-tenant server")
+                          "Replaces the one tenant --policy/--lifetime/"
+                          "--target describe")
     srv.add_argument("--expect-producers", default="1",
                      help="producers that must publish each source before "
                           "it is complete (--listen mode): a count "
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rotating JSONL ring of per-boundary "
                           "observability samples (default: "
                           "metrics-history.jsonl in --checkpoint-dir, "
-                          "if set; multi-tenant serve only)")
+                          "if set)")
     srv.add_argument("--tls-cert", default=None, metavar="PEM",
                      help="serve the ingest socket over TLS with this "
                           "certificate (PEM; may include the key)")
@@ -663,8 +668,9 @@ EXIT_CHECKPOINT_FAILURE = 3
 def _serve_reliability_report(stream) -> None:
     """One stderr line per run: source health + quarantine summary.
 
-    Written to stderr so the stdout contract (two status lines, then the
-    emulation summary) stays byte-comparable against ``replay``.
+    Written to stderr so the stdout contract (status lines, then one
+    tenant header and emulation summary per tenant) stays
+    byte-comparable against ``replay``.
     """
     import json
 
@@ -687,124 +693,7 @@ def _serve_reliability_report(stream) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards:
         return _cmd_serve_sharded(args)
-    if args.listen or args.tenant:
-        return _cmd_serve_fleet(args)
-    return _cmd_serve_single(args)
-
-
-def _cmd_serve_single(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from ..faults import FaultPlan, FaultyIO
-    from ..stream import (CheckpointCorruption, CheckpointManager,
-                          DeadLetterLog, OnlineRetentionService,
-                          ReliableEventStream, skip_events)
-    from ..traces import read_jobs, read_users
-    from ..vfs import load_filesystem
-
-    config = RetentionConfig(lifetime_days=args.lifetime,
-                             purge_target_utilization=args.target)
-    if args.policy == "flt":
-        policy = FixedLifetimePolicy(config)
-    elif args.policy == "activedr":
-        policy = ActiveDRPolicy(config)
-    elif args.policy == "value":
-        policy = ValueBasedPolicy(config)
-    else:  # cache: residency derives from the full job trace
-        jobs = list(read_jobs(os.path.join(args.workspace, "jobs.txt.gz")))
-        policy = ScratchAsCachePolicy(config,
-                                      residency=JobResidencyIndex(jobs))
-
-    plan = FaultPlan.from_json(args.fault_plan) if args.fault_plan else None
-    opener = None
-    if plan is not None and plan.has_target("checkpoint"):
-        def opener(path: str):
-            return FaultyIO(open(path, "wb"), plan, "checkpoint")
-
-    dead_letter_path = args.dead_letter
-    if dead_letter_path is None and args.checkpoint_dir:
-        dead_letter_path = os.path.join(args.checkpoint_dir,
-                                        "dead-letter.jsonl")
-    dead_letter = (DeadLetterLog(dead_letter_path)
-                   if dead_letter_path else None)
-    stream = ReliableEventStream(args.workspace, plan=plan,
-                                 dead_letter=dead_letter)
-    events = iter(stream)
-
-    manager = (CheckpointManager(args.checkpoint_dir,
-                                 retain=max(1, args.checkpoint_retain),
-                                 opener=opener)
-               if args.checkpoint_dir else None)
-
-    if args.resume:
-        if manager is None:
-            print("--resume requires --checkpoint-dir", file=sys.stderr)
-            return 1
-        newest, failures = manager.latest_verified()
-        for failed_path, reason in failures:
-            print(f"checkpoint {failed_path} failed verification: {reason}",
-                  file=sys.stderr)
-        if newest is None:
-            if not failures:
-                print(f"no checkpoint in {args.checkpoint_dir}",
-                      file=sys.stderr)
-                return 1
-            print(f"no checkpoint in {args.checkpoint_dir} verifies; "
-                  f"cannot resume.  Restore a checkpoint from backup or "
-                  f"start fresh without --resume.", file=sys.stderr)
-            return EXIT_CHECKPOINT_FAILURE
-        if failures:
-            print(f"rolling back to {newest}", file=sys.stderr)
-        try:
-            service = OnlineRetentionService.resume(
-                newest, policy,
-                checkpoint_every_days=args.checkpoint_every,
-                checkpoint_manager=manager)
-        except CheckpointCorruption as exc:
-            where = (f" (array {exc.array!r})"
-                     if exc.array is not None else "")
-            print(f"cannot resume from {newest}{where}: {exc.reason}",
-                  file=sys.stderr)
-            return EXIT_CHECKPOINT_FAILURE
-        events = skip_events(events, service.cursor)
-        print(f"resumed from {newest} at event {service.cursor}")
-    else:
-        with open(os.path.join(args.workspace, "meta.json")) as f:
-            meta = json.load(f)
-        fs = load_filesystem(os.path.join(args.workspace, "snapshot"),
-                             size_seed=int(meta.get("size_seed", 2021)),
-                             capacity_bytes=None)
-        known = [u.uid for u in read_users(
-            os.path.join(args.workspace, "users.txt.gz"))]
-        service = OnlineRetentionService(
-            policy, snapshot_fs=fs,
-            replay_start=int(meta["replay_start"]),
-            replay_end=int(meta["replay_end"]),
-            known_uids=known,
-            checkpoint_every_days=args.checkpoint_every,
-            checkpoint_manager=manager)
-
-    result = service.run(events, stop_after_events=args.stop_after_events)
-    stats = service.stats
-    _serve_reliability_report(stream)
-    if dead_letter is not None:
-        dead_letter.close()
-    if result is None:
-        where = (f"; checkpoint: {service.checkpoints.latest()}"
-                 if service.checkpoints else "")
-        print(f"stopped after {service.cursor} events "
-              f"({stats['triggers']} triggers so far){where}")
-        return 0
-    print(f"ingested {service.cursor} events "
-          f"(jobs={stats['events_job']} pubs={stats['events_publication']} "
-          f"accesses={stats['events_access']}, "
-          f"{service.dropped_accesses} out-of-window), "
-          f"{stats['triggers']} triggers, "
-          f"refolded {stats['eval_refolded']}/{stats['eval_users']} "
-          f"user-type histories")
-    print(render_emulation_summary(result))
-    return 0
+    return _cmd_serve_fleet(args)
 
 
 def _fleet_tenant_specs(args: argparse.Namespace):
@@ -967,6 +856,15 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
                 return EXIT_CHECKPOINT_FAILURE
             resumed = True
             print(f"resumed from {newest} at event {service.cursor}")
+            stored = [tenant.spec for tenant in service.tenants]
+            if stored != specs:
+                # The chain's tenants win: runtime tenants-add (and any
+                # --policy/--tenant drift) must survive a restart.
+                print(f"resuming the checkpoint's tenants "
+                      f"{json.dumps([s.to_jsonable() for s in stored])}, "
+                      f"not the command line's "
+                      f"{json.dumps([s.to_jsonable() for s in specs])}",
+                      file=sys.stderr)
             if service.resumed_shard is not None:
                 # The checkpointed shard section wins over --shard-ring:
                 # a rebalance may have narrowed this worker after the

@@ -24,8 +24,8 @@ The replay kernels themselves are shared, not private to the batch path:
 live/atime/size/owner column set, and :class:`TriggerEngine` holds the
 columnar purge triggers for the whole retention spectrum, parameterized
 by a *catalog* (paths, deterministic sizes, scan orders) rather than by
-``CompiledTrace`` specifically.  The streaming
-:class:`~repro.stream.service.OnlineRetentionService` drives the same
+``CompiledTrace`` specifically.  The streaming engine,
+:class:`~repro.server.tenants.MultiTenantService`, drives the same
 kernels from a dynamically growing catalog, which is how streaming stays
 bit-identical to batch.
 
@@ -317,7 +317,7 @@ class _TargetReached(Exception):
 
 
 # ---------------------------------------------------------------------------
-# day replay kernel (shared by FastEmulator and the stream service)
+# day replay kernel (shared by FastEmulator and the streaming engine)
 
 
 def replay_day_columns(config: EmulatorConfig, det_size: np.ndarray,
@@ -406,7 +406,7 @@ def replay_day_columns(config: EmulatorConfig, det_size: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# purge-trigger engine (shared by FastEmulator and the stream service)
+# purge-trigger engine (shared by FastEmulator and the streaming engine)
 
 
 class TriggerEngine:

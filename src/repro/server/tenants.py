@@ -1,7 +1,11 @@
-"""N retention policies over ONE event feed and ONE activeness state.
+"""The streaming engine: N retention policies over ONE event feed and
+ONE activeness state.
 
-:class:`MultiTenantService` is the multi-policy counterpart of
-:class:`~repro.stream.service.OnlineRetentionService`.  Each *tenant* is
+:class:`MultiTenantService` is the streaming counterpart of the batch
+:class:`~repro.emulation.compiled.FastEmulator` and the only streaming
+engine: plain ``serve`` runs it as a fleet of one tenant, ``serve
+--listen``/``--tenant`` as a fleet of many, and every ``serve --shards``
+worker as a fleet over its slice of the users.  Each *tenant* is
 one policy configuration (FLT / ActiveDR / ValueBased / ScratchAsCache,
 with its own lifetime, purge target, trigger cadence and activeness
 period) making independent purge decisions over its own replica of the
@@ -18,6 +22,22 @@ replay state.  Everything that does not depend on the policy is shared:
   because the batch ``ComparisonRunner`` already shares one evaluation
   per trigger across policies, and extra evaluation instants never
   perturb later ones (flush/refresh are order-insensitive).
+
+Boundary protocol
+-----------------
+The batch loop for day ``d`` runs *trigger (if due), then replay day d*.
+The engine mirrors that with boundaries ``B = 0 .. n_days``: boundary 0
+classifies every tenant at ``replay_start``; boundary ``B >= 1`` first
+flushes day ``B - 1`` through the shared
+:func:`~repro.emulation.compiled.replay_day_columns` kernel, then fires
+the purge trigger of every tenant due at ``t_c = replay_start + B *
+DAY`` through its :class:`~repro.emulation.compiled.TriggerEngine`.  An
+arriving access of day ``d`` forces boundaries through ``d`` first; an
+arriving activity at ``ts`` forces only boundaries strictly before
+``ts`` (an activity stamped exactly at a trigger instant is ingested
+before that trigger evaluates -- the batch evaluators clip ``ts <= t_c``
+inclusively).  :meth:`MultiTenantService.finalize` forces the remaining
+boundaries through ``n_days``.
 
 Per tenant: the replay-state columns, daily metrics, purge reports,
 classification + group lookup (refreshed on the tenant's *own* trigger
@@ -39,7 +59,10 @@ Checkpoints pack every tenant into one digest-verified link of the
 existing chain (format ``repro-server-checkpoint/2``): shared arrays
 (catalog, activeness history) stored once, per-tenant arrays under a
 ``t<i>__`` namespace prefix, per-tenant config fingerprints cross-checked
-on resume.
+on resume.  Checkpoints happen *between* events -- the manifest cursor
+counts fully-consumed merged events -- so resuming is: rebuild the same
+deterministic merge, ``skip_stream_items(stream, cursor)``, and keep
+going.
 """
 
 from __future__ import annotations
@@ -70,7 +93,7 @@ from ..stream.checkpoint import (SERVER_CHECKPOINT_FORMAT, CheckpointManager,
                                  metrics_to_arrays, reports_from_jsonable,
                                  reports_to_jsonable)
 from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
-                            BatchRun, EventBatch)
+                            OP_CODES as _OP_CODES, BatchRun, EventBatch)
 from ..stream.events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
                              StreamEvent)
 from ..stream.state import (GrowableReplayState, IncrementalActivenessState,
@@ -79,8 +102,6 @@ from ..traces.schema import PublicationRecord
 from .metrics import MetricsHistory, tail_stats
 
 __all__ = ["TenantSpec", "Tenant", "MultiTenantService", "POLICY_KINDS"]
-
-_OP_CODES = {"access": 0, "create": 1, "touch": 2}  # mirrors compiled._OP_CODES
 
 #: Policy kinds a tenant spec can name.
 POLICY_KINDS = ("flt", "flt-target", "activedr", "value", "cache")
@@ -241,10 +262,13 @@ class MultiTenantService:
     """Streaming retention for a fleet of policies over one event feed.
 
     ``tenants`` is a sequence of ``(TenantSpec, RetentionPolicy)`` pairs
-    (build policies with :meth:`TenantSpec.build_policy`); the remaining
-    parameters mirror :class:`OnlineRetentionService`.  ``policy_factory``
-    builds policies for tenants added at runtime (it receives the new
-    tenant's spec); without one, runtime adds are refused.
+    (build policies with :meth:`TenantSpec.build_policy`).
+    ``policy_factory`` builds policies for tenants added at runtime (it
+    receives the new tenant's spec); without one, runtime adds are
+    refused.  Accesses outside ``replay_start .. replay_end`` are counted
+    and dropped, as batch compilation does; activity never is.  With a
+    checkpoint directory a link is written after each trigger boundary
+    whose day is a multiple of ``checkpoint_every_days``.
     """
 
     def __init__(self, tenants: Sequence[tuple[TenantSpec, RetentionPolicy]],
@@ -612,9 +636,9 @@ class MultiTenantService:
     def ingest(self, event: StreamEvent) -> None:
         """Consume one merged event; may fire any number of boundaries."""
         kind = event.kind
-        # Counters bump only after boundaries fire, mirroring the
-        # single-tenant service: a checkpoint inside the cascade must
-        # not have counted the not-yet-consumed current event.
+        # Counters bump only after boundaries fire: a checkpoint inside
+        # the cascade must not have counted the not-yet-consumed current
+        # event, or a resumed run would count it twice.
         if kind == EVENT_ACCESS:
             rec = event.payload
             if self.replay_start <= rec.ts < self.window_end:
@@ -1262,9 +1286,10 @@ class MultiTenantService:
         the job-residency index); the stored per-tenant fingerprints
         cross-check the rebuilt policies and refuse any drift.  Feed the
         resumed service ``skip_stream_items(stream, service.cursor)`` of
-        the original deterministic merge to continue bit-identically
-        (``skip_events`` is equivalent on per-event streams; only
-        ``skip_stream_items`` counts binary batch runs by row width).
+        the original deterministic merge to continue bit-identically.
+        Any other checkpoint format -- including the
+        ``repro-stream-checkpoint/*`` chains of the retired single-policy
+        engine -- is refused with a ``ValueError`` naming it.
         """
         manifest, arrays = load_checkpoint(checkpoint_path)
         if not str(manifest.get("format")).startswith(

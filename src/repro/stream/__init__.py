@@ -1,27 +1,29 @@
-"""Online retention service: streaming ingestion, incremental state,
-crash-safe checkpoint/resume.
+"""Streaming building blocks: ingestion, incremental state, crash-safe
+checkpoint/resume.
 
 The batch pipeline (``repro.emulation``) answers "what would this policy
-have done over this year of traces"; this package answers the production
-question -- "run the policy *now*, continuously, over live feeds" --
-while provably computing the same thing: the streaming service is pinned
-bit-identical to the batch ``FastEmulator`` across the full retention
-spectrum, including across a checkpoint / kill / resume cycle.
+have done over this year of traces"; the streaming engine answers the
+production question -- "run the policy *now*, continuously, over live
+feeds" -- while provably computing the same thing.  This package holds
+what that engine (:class:`repro.server.MultiTenantService`) consumes and
+persists: the merged event feed and its columnar batches, the
+incremental activeness and replay state, the self-verifying checkpoint
+chain, and the reliability layer.  The engine is pinned bit-identical
+to the batch ``FastEmulator`` across the full retention spectrum,
+including across a checkpoint / kill / resume cycle.
 """
 
 from .batch import (BatchBuilder, BatchRun, EventBatch, merge_stream_items,
                     skip_stream_items)
-from .checkpoint import (CHECKPOINT_FORMAT, CheckpointCorruption,
-                         CheckpointManager, atomic_write_npz,
-                         ingest_cursors, load_checkpoint,
+from .checkpoint import (CheckpointCorruption, CheckpointManager,
+                         atomic_write_npz, ingest_cursors, load_checkpoint,
                          verify_checkpoint)
 from .events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION, StreamEvent,
-                     dataset_event_stream, merge_event_streams, skip_events,
+                     dataset_event_stream, merge_event_streams,
                      workspace_event_stream)
 from .reliability import (DeadLetterLog, EventQuarantine,
                           ReliableEventStream, ResilientSource, RetryPolicy,
                           SourceHealth, TailingFileSource)
-from .service import OnlineRetentionService
 from .state import (GrowableReplayState, IncrementalActivenessState,
                     PathCatalog)
 
@@ -31,7 +33,6 @@ __all__ = [
     "EventBatch",
     "merge_stream_items",
     "skip_stream_items",
-    "CHECKPOINT_FORMAT",
     "CheckpointCorruption",
     "CheckpointManager",
     "atomic_write_npz",
@@ -44,7 +45,6 @@ __all__ = [
     "StreamEvent",
     "dataset_event_stream",
     "merge_event_streams",
-    "skip_events",
     "workspace_event_stream",
     "DeadLetterLog",
     "EventQuarantine",
@@ -53,7 +53,6 @@ __all__ = [
     "RetryPolicy",
     "SourceHealth",
     "TailingFileSource",
-    "OnlineRetentionService",
     "GrowableReplayState",
     "IncrementalActivenessState",
     "PathCatalog",

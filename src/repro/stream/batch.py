@@ -52,8 +52,8 @@ KIND_ACC_CODE = 2
 KIND_BY_CODE = (EVENT_JOB, EVENT_PUBLICATION, EVENT_ACCESS)
 KIND_CODES = {name: code for code, name in enumerate(KIND_BY_CODE)}
 
-#: Access op codes; values match ``server.tenants._OP_CODES`` and the
-#: compiled replay kernels, so decoded rows feed the engine unchanged.
+#: Access op codes; values match the compiled replay kernels, so decoded
+#: rows (and the engine's per-event ingest) feed them unchanged.
 OP_BY_CODE = ("access", "create", "touch")
 OP_CODES = {name: code for code, name in enumerate(OP_BY_CODE)}
 
@@ -198,6 +198,31 @@ class EventBatch:
             self._pool = ([] if self._pool_off is None else
                           unpack_strings(self._pool_off, self._pool_blob))
         return self._pool
+
+    def undecodable_paths(self) -> np.ndarray:
+        """Pool indices whose bytes are not UTF-8 (sorted int64).
+
+        Materializes the pool as :meth:`pool` does, except that an entry
+        that does not decode is kept in its ``backslashreplace``
+        spelling, so neither :meth:`pool` nor :meth:`row_debug` raises
+        once the quarantine has diverted the rows that name it.
+        """
+        try:
+            self.pool()
+            return _EMPTY_I64
+        except UnicodeDecodeError:
+            pass
+        offs = self._pool_off.tolist()
+        pool, bad = [], []
+        for i, (lo, hi) in enumerate(zip(offs, offs[1:])):
+            raw = self._pool_blob[lo:hi]
+            try:
+                pool.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                pool.append(raw.decode("utf-8", "backslashreplace"))
+                bad.append(i)
+        self._pool = pool
+        return np.asarray(bad, _I64)
 
     def kpos(self):
         """Kind-local index of each row (lazy; trivial if single-kind)."""
@@ -620,11 +645,14 @@ def merge_stream_items(sources: Iterable[Iterable[_StreamItem]],
 
 def skip_stream_items(items: Iterable[_RunItem], n: int,
                       ) -> Iterator[_RunItem]:
-    """Batch-aware cursor skip: drop the first ``n`` *events*.
+    """Resume-cursor positioning: drop the first ``n`` *events*.
 
-    The per-event twin is ``stream.events.skip_events``; this one
-    understands that a :class:`BatchRun` covers ``n_rows`` events and
-    slices the run the cursor lands inside instead of exploding it.
+    The checkpoint manifest stores how many merged events the engine
+    consumed; replaying the deterministic merge and skipping that many
+    lands exactly on the next unprocessed event.  A plain
+    :class:`~repro.stream.events.StreamEvent` counts one; a
+    :class:`BatchRun` counts its ``n_rows``, and the run the cursor lands
+    inside is sliced rather than exploded.
     """
     if n < 0:
         raise ValueError("cursor must be non-negative")

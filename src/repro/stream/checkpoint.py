@@ -28,14 +28,18 @@ That exactness is what lets a resumed service continue bit-identically
 
 Formats
 -------
-Writers stamp :data:`CHECKPOINT_FORMAT` (``repro-stream-checkpoint/3``)
-or :data:`SERVER_CHECKPOINT_FORMAT` (``repro-server-checkpoint/2``).
-The previous layouts -- stream ``/2`` and server ``/1`` -- stored the
-manifest as a 0-d fixed-width UCS4 (``<U``) string and the catalog as a
-``<U`` ``paths`` array, four bytes per character before compression.
-They still load: :func:`load_checkpoint` and :func:`catalog_from_arrays`
-are the only two places that decode them, so a running chain survives
-the upgrade and its next link is written in the new layout.
+The streaming engine stamps :data:`SERVER_CHECKPOINT_FORMAT`
+(``repro-server-checkpoint/2``).  The previous layout, server ``/1``,
+stored the manifest as a 0-d fixed-width UCS4 (``<U``) string and the
+catalog as a ``<U`` ``paths`` array, four bytes per character before
+compression.  It still loads: :func:`load_checkpoint` and
+:func:`catalog_from_arrays` are the only two places that decode it, so
+a running chain survives the upgrade and its next link is written in
+the new layout.  The ``repro-stream-checkpoint/*`` formats
+(:data:`CHECKPOINT_FORMAT` and its ``<U`` predecessors), written by the
+retired single-policy engine, still load and verify here so that the
+engine can refuse such a chain by name instead of reporting it as
+corrupt.
 
 Durability and verification
 ---------------------------
@@ -83,6 +87,7 @@ __all__ = ["CHECKPOINT_FORMAT", "SERVER_CHECKPOINT_FORMAT",
            "catalog_to_arrays", "catalog_from_arrays",
            "ingest_cursors", "CheckpointManager"]
 
+#: The retired single-policy engine's format (read, never written).
 CHECKPOINT_FORMAT = "repro-stream-checkpoint/3"
 
 #: The multi-tenant server checkpoint: same container (atomic npz link,

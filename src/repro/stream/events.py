@@ -27,7 +27,6 @@ silently corrupting the stream clock.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -37,7 +36,7 @@ from ..traces.schema import AppAccessRecord, JobRecord, PublicationRecord
 __all__ = ["EVENT_JOB", "EVENT_PUBLICATION", "EVENT_ACCESS", "StreamEvent",
            "job_events", "publication_events", "access_events",
            "merge_event_streams", "dataset_event_stream",
-           "workspace_event_stream", "skip_events"]
+           "workspace_event_stream"]
 
 EVENT_JOB = "job"
 EVENT_PUBLICATION = "publication"
@@ -131,19 +130,3 @@ def workspace_event_stream(directory: str) -> Iterator[StreamEvent]:
         read_jobs(os.path.join(directory, "jobs.txt.gz")),
         read_publications(os.path.join(directory, "publications.txt.gz")),
         read_app_log(os.path.join(directory, "app_log.txt.gz")))
-
-
-def skip_events(events: Iterator[StreamEvent], n: int,
-                ) -> Iterator[StreamEvent]:
-    """Drop the first ``n`` events -- resume-cursor positioning.
-
-    The checkpoint manifest stores how many merged events the service
-    consumed; replaying the deterministic merge and skipping that many
-    lands exactly on the next unprocessed event.  Streams that may carry
-    columnar batch runs (the binary wire path) must position with
-    :func:`repro.stream.batch.skip_stream_items` instead, which counts a
-    run by its row width.
-    """
-    if n < 0:
-        raise ValueError("cursor must be non-negative")
-    return itertools.islice(events, n, None)

@@ -394,6 +394,13 @@ class EventQuarantine:
             if abad.any():
                 mark(aidx[abad], REASON_UNPARSABLE,
                      "access row has bad op code or pool index")
+            # The pool is raw wire bytes: a path that is not UTF-8 would
+            # otherwise raise in ``EventBatch.pool()`` on the engine
+            # thread (v1 refuses it in decode_event: same reason code).
+            undecodable = batch.undecodable_paths()
+            if undecodable.size:
+                mark(aidx[np.isin(batch.acc_path, undecodable)],
+                     REASON_UNPARSABLE, "access row path is not UTF-8")
         if batch.n_pubs:
             pidx = np.flatnonzero(kinds == KIND_PUB_CODE)
             off = batch.pub_auth_off

@@ -31,7 +31,8 @@ from repro.core import (ActiveDRPolicy, FixedLifetimePolicy,
                         ScratchAsCachePolicy, ValueBasedPolicy)
 from repro.emulation import FastEmulator, compile_dataset
 from repro.faults import FaultPlan, FaultyIO, corrupt_file
-from repro.stream import CheckpointManager, OnlineRetentionService
+from repro.server import MultiTenantService, TenantSpec
+from repro.stream import CheckpointManager
 from repro.stream.checkpoint import load_checkpoint
 from repro.stream.events import workspace_event_stream
 from repro.cli.workspace import load_workspace, save_workspace
@@ -89,8 +90,9 @@ def _serve(workspace, *extra):
 
 
 def _summary_of(stdout):
-    """Drop serve's two status lines; the rest is the emulation summary."""
-    return "\n".join(stdout.splitlines()[2:])
+    """Drop serve's two status lines and the tenant header; the rest is
+    the emulation summary."""
+    return "\n".join(stdout.splitlines()[3:])
 
 
 def _count_gz_lines(path):
@@ -157,10 +159,10 @@ def _fresh_service(ws_dir, manager):
                          capacity_bytes=None)
     known = [u.uid for u in read_users(
         os.path.join(ws_dir, "users.txt.gz"))]
-    policy = ActiveDRPolicy(RetentionConfig(lifetime_days=90.0,
-                                            purge_target_utilization=0.5))
-    return OnlineRetentionService(
-        policy, snapshot_fs=fs,
+    spec = TenantSpec(name="activedr", policy="activedr",
+                      lifetime_days=90.0, target=0.5)
+    return MultiTenantService(
+        [(spec, spec.build_policy())], snapshot_fs=fs,
         replay_start=int(meta["replay_start"]),
         replay_end=int(meta["replay_end"]),
         known_uids=known, checkpoint_manager=manager)

@@ -3,9 +3,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.cli import load_workspace, main, save_workspace
+from repro.stream import CheckpointManager
+from repro.stream.checkpoint import CHECKPOINT_FORMAT
 from repro.synth import TitanConfig, generate_dataset
 
 
@@ -209,3 +212,63 @@ def test_sweep_spectrum_columns(ws_dir, capsys):
     out = capsys.readouterr().out
     assert "ValueBased misses" in out
     assert "Cache misses" in out
+
+
+# ---------------------------------------------------------------- serve
+
+def test_serve_writes_result_json_and_metrics_history(ws_dir, capsys,
+                                                      tmp_path):
+    # Plain serve is a one-tenant fleet, so the fleet's output flags work
+    # without --listen or --tenant.
+    result_json = tmp_path / "result.json"
+    history = tmp_path / "history.jsonl"
+    assert main(["serve", "--workspace", ws_dir, "--policy", "flt",
+                 "--checkpoint-dir", str(tmp_path / "ck"),
+                 "--result-json", str(result_json),
+                 "--metrics-history", str(history)]) == 0
+    tenants = json.loads(result_json.read_text())["tenants"]
+    assert list(tenants) == ["flt"]
+    n_days = tenants["flt"]["n_days"]
+    samples = [json.loads(line) for line in history.read_text().splitlines()]
+    # One sample per day boundary, 0 through n_days.
+    assert [s["boundary"] for s in samples] == list(range(n_days + 1))
+    assert "=== tenant flt [flt] ===" in capsys.readouterr().out
+
+
+def test_serve_resume_refuses_a_stream_checkpoint_chain(ws_dir, capsys,
+                                                        tmp_path):
+    # The retired single-policy serve wrote repro-stream-checkpoint/*
+    # links.  They still verify, so the refusal names the format (exit 3:
+    # supervise does not retry it) instead of reporting corruption.
+    ck = str(tmp_path / "ck")
+    CheckpointManager(ck).save({"format": CHECKPOINT_FORMAT, "cursor": 0},
+                               {"live": np.zeros(4, dtype=np.bool_)})
+    assert main(["serve", "--workspace", ws_dir, "--checkpoint-dir", ck,
+                 "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert repr(CHECKPOINT_FORMAT) in err
+    assert "failed verification" not in err
+
+
+def test_serve_resume_keeps_the_checkpoint_tenants(ws_dir, capsys,
+                                                   tmp_path):
+    # On --resume the chain's tenant specs are authoritative (runtime
+    # tenants-add must survive a supervised restart); a differing
+    # --policy is named on stderr, then ignored.
+    ck = str(tmp_path / "ck")
+    assert main(["serve", "--workspace", ws_dir, "--policy", "activedr",
+                 "--checkpoint-dir", ck, "--stop-after-events", "5000"]) == 0
+    capsys.readouterr()
+    assert main(["serve", "--workspace", ws_dir, "--policy", "flt",
+                 "--checkpoint-dir", ck, "--resume"]) == 0
+    resumed = capsys.readouterr()
+    notice = [line for line in resumed.err.splitlines()
+              if line.startswith("resuming the checkpoint's tenants")]
+    assert len(notice) == 1
+    assert '"policy": "activedr"' in notice[0]
+    assert '"policy": "flt"' in notice[0]
+    assert main(["replay", "--workspace", ws_dir, "--policy", "activedr",
+                 "--engine", "fast"]) == 0
+    replayed = capsys.readouterr().out
+    assert resumed.out.split("=== tenant activedr [activedr] ===\n")[1] \
+        == replayed

@@ -32,7 +32,8 @@ from repro.server import (AdminServer, Counter, MetricsHistory,
                           scrape_metrics, tail_stats)
 from repro.server.admin import _tail_stats
 from repro.server.metrics import render_prometheus
-from repro.stream import CheckpointManager, dataset_event_stream, skip_events
+from repro.stream import (CheckpointManager, dataset_event_stream,
+                          skip_stream_items)
 
 from test_server import HETERO, batch_result, build_policy, make_fleet
 from test_compiled_replay import assert_results_equal
@@ -295,7 +296,7 @@ def test_resume_continues_history_from_restored_cursor(
         assert (sample["cursor"] < resumed.cursor
                 or sample["boundary"] < resumed.next_boundary)
 
-    results = resumed.run(skip_events(iter(events), resumed.cursor))
+    results = resumed.run(skip_stream_items(iter(events), resumed.cursor))
     for spec in HETERO:
         assert_results_equal(results[spec.name],
                              batch_result(dataset, compiled, spec))

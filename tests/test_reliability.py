@@ -16,11 +16,10 @@ import random
 
 import pytest
 
-from repro.core.config import RetentionConfig
-from repro.core.retention import ActiveDRPolicy
 from repro.emulation import replay_bounds
 from repro.faults import FaultPlan
-from repro.stream import OnlineRetentionService, dataset_event_stream
+from repro.server import MultiTenantService, TenantSpec
+from repro.stream import dataset_event_stream
 from repro.stream.events import (access_events, job_events,
                                  publication_events)
 from repro.stream.reliability import (DeadLetterLog, EventQuarantine,
@@ -476,11 +475,12 @@ def test_property_service_state_matches_under_faults(tiny_dataset):
     known = [u.uid for u in tiny_dataset.users]
 
     def run(events):
-        service = OnlineRetentionService(
-            ActiveDRPolicy(RetentionConfig()),
+        spec = TenantSpec(name="activedr", policy="activedr")
+        service = MultiTenantService(
+            [(spec, spec.build_policy())],
             snapshot_fs=tiny_dataset.fresh_filesystem(),
             replay_start=start, replay_end=end, known_uids=known)
-        return service.run(events)
+        return service.run(events)["activedr"]
 
     baseline = run(dataset_event_stream(tiny_dataset))
     sizes = {"jobs": len(tiny_dataset.jobs),

@@ -17,12 +17,14 @@ The acceptance bar, pinned here end to end:
 
 from __future__ import annotations
 
+import binascii
 import glob
 import json
 import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -37,15 +39,17 @@ from repro.emulation import (EmulatorConfig, FastEmulator, compile_dataset,
                              replay_bounds)
 from repro.server import (AdminServer, MultiTenantService,
                           NetworkEventStream, SocketListener, TenantSpec,
-                          admin_request, publish_events)
+                          admin_request, publish_batches, publish_events)
 from repro.server.ingest import PublishRefused
 from repro.server.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
                                    FrameError, FrameReader, connect_socket,
-                                   decode_event, encode_event, encode_frame,
-                                   format_address, parse_address,
-                                   write_frame)
-from repro.stream import (CheckpointManager, dataset_event_stream,
-                          load_checkpoint, skip_events)
+                                   decode_event, encode_batch, encode_event,
+                                   encode_frame, format_address,
+                                   parse_address, write_frame)
+from repro.stream import (CheckpointManager, DeadLetterLog,
+                          dataset_event_stream, load_checkpoint,
+                          skip_stream_items)
+from repro.stream.batch import BatchBuilder
 from repro.stream.checkpoint import SERVER_CHECKPOINT_FORMAT
 from repro.stream.events import (EVENT_ACCESS, EVENT_JOB, StreamEvent,
                                  access_events, job_events,
@@ -390,6 +394,56 @@ def test_v1_path_that_is_not_utf8_is_quarantined(dataset, compiled, events,
                          batch_result(dataset, compiled, spec))
 
 
+def test_v2_pool_path_that_is_not_utf8_is_quarantined(dataset, compiled,
+                                                      events, tmp_path):
+    # A v2 frame carries its string pool as raw bytes under a CRC the
+    # producer computed, so a pool entry that is not UTF-8 arrives
+    # intact.  Only the access row naming it may be diverted -- the rest
+    # of its frame must still be ingested -- and neither the reader nor
+    # the engine thread may raise, dead-lettering included.
+    k = next(i for i in range(len(events) // 2, len(events))
+             if events[i].kind == EVENT_ACCESS)
+    marker = "/proj/poison-Zx"
+    poisoned = StreamEvent(events[k].ts, EVENT_ACCESS,
+                           replace(events[k].payload, path=marker))
+    tainted = events[:k] + [poisoned] + events[k:]
+    payloads = []
+    for lo in range(0, len(tainted), 8192):
+        builder = BatchBuilder()
+        builder.extend(tainted[lo:lo + 8192])
+        payload = encode_batch(builder.build())
+        at = payload.find(marker.encode())
+        if at >= 0:
+            body = bytearray(payload[:-4])
+            body[at + marker.index("Z")] = 0xFF  # not a UTF-8 lead byte
+            payload = bytes(body) + struct.pack(
+                "<I", binascii.crc32(body) & 0xFFFFFFFF)
+        payloads.append(payload)
+    spec = TenantSpec(name="solo", policy="activedr")
+    address = _sock(tmp_path, "pool.sock")
+    dead_path = str(tmp_path / "dead.jsonl")
+    with SocketListener(address, expected={"all": 1}) as listener, \
+            DeadLetterLog(dead_path) as dead_letter:
+        stream = NetworkEventStream(
+            listener, known_uids=[u.uid for u in dataset.users],
+            dead_letter=dead_letter)
+        publish_batches(address, "all", payloads)
+        service = make_fleet(dataset, [spec],
+                             checkpoint_dir=str(tmp_path / "ck"))
+        results = service.run(iter(stream))
+        assert listener.decode_errors == 0
+    with open(dead_path) as fh:
+        records = [json.loads(line) for line in fh]
+    assert len(records) == 1
+    assert "'path': '/proj/poison-\\\\xffx'" in records[0]["event"]
+    assert stream.quarantine.total == 1
+    assert stream.quarantine.by_reason == {REASON_UNPARSABLE: 1}
+    assert service.cursor == len(events)
+    assert service.stats["checkpoint_failures"] == 0
+    assert_results_equal(results[spec.name],
+                         batch_result(dataset, compiled, spec))
+
+
 @pytest.mark.parametrize("kind", ["unix", "tcp"])
 def test_listener_close_stops_the_accept_thread(tmp_path, kind):
     address = (_sock(tmp_path, "close.sock") if kind == "unix"
@@ -525,7 +579,8 @@ def test_checkpoint_resume_is_bit_identical(dataset, compiled, events,
         newest, policy_factory=lambda spec: build_policy(spec, dataset),
         checkpoint_dir=str(tmp_path / "ck2"))
     assert resumed.cursor <= len(events) // 2
-    results = resumed.run(skip_events(iter(events), resumed.cursor))
+    results = resumed.run(skip_stream_items(iter(events),
+                                            resumed.cursor))
     for spec in HETERO:
         assert_results_equal(results[spec.name],
                              batch_result(dataset, compiled, spec))
@@ -550,7 +605,8 @@ def test_resume_from_legacy_layout_is_bit_identical(dataset, compiled,
         checkpoint_dir=ckdir)
     assert resumed.catalog.paths == \
         service.catalog.paths[:resumed.catalog.n_paths]
-    results = resumed.run(skip_events(iter(events), resumed.cursor))
+    results = resumed.run(skip_stream_items(iter(events),
+                                            resumed.cursor))
     for spec in HETERO:
         assert_results_equal(results[spec.name],
                              batch_result(dataset, compiled, spec))

@@ -14,9 +14,10 @@ from repro.stream import (
     StreamEvent,
     dataset_event_stream,
     merge_event_streams,
-    skip_events,
+    skip_stream_items,
     workspace_event_stream,
 )
+from repro.stream.batch import BatchBuilder, BatchRun
 from repro.traces.schema import AppAccessRecord, JobRecord, PublicationRecord
 
 
@@ -96,12 +97,23 @@ def test_workspace_stream_is_lazy(tiny_dataset, tmp_path):
 
 def test_skip_events_positions_cursor(tiny_dataset):
     everything = list(dataset_event_stream(tiny_dataset))
-    tail = list(skip_events(dataset_event_stream(tiny_dataset), 100))
+    tail = list(skip_stream_items(dataset_event_stream(tiny_dataset), 100))
     assert tail == everything[100:]
-    assert list(skip_events(iter(everything), 0)) == everything
-    assert list(skip_events(iter([]), 5)) == []
+    assert list(skip_stream_items(iter(everything), 0)) == everything
+    assert list(skip_stream_items(iter([]), 5)) == []
+
+    # A run counts its row width; the one the cursor lands inside is
+    # sliced, not exploded, and what follows it passes through as is.
+    builder = BatchBuilder()
+    builder.extend(everything[:300])
+    batch = builder.build()
+    runs = [BatchRun(batch, 0, 120), BatchRun(batch, 120, 300)]
+    skipped = list(skip_stream_items(iter(runs + everything[300:]), 150))
+    assert (skipped[0].lo, skipped[0].hi) == (150, 300)
+    assert list(skipped[0].iter_events()) == everything[150:300]
+    assert skipped[1:] == everything[300:]
 
 
 def test_skip_events_rejects_negative_cursor():
     with pytest.raises(ValueError):
-        skip_events(iter([]), -1)
+        skip_stream_items(iter([]), -1)

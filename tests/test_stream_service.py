@@ -1,6 +1,10 @@
-"""Streaming-equivalence suite: the online retention service must
-reproduce the batch FastEmulator bit for bit -- for every policy in the
-retention spectrum, and across a checkpoint / kill / resume cycle."""
+"""Plain ``serve``'s engine: a one-tenant ``MultiTenantService``.
+
+Streaming-equivalence suite: a fleet of one must reproduce the batch
+FastEmulator bit for bit -- for every policy in the retention spectrum,
+under every ``EmulatorConfig`` variant and with exemptions, and across a
+checkpoint / kill / resume cycle -- and the incremental activeness state
+it folds must match the batch store."""
 
 from __future__ import annotations
 
@@ -11,27 +15,24 @@ from repro.core.activeness import ActivenessParams
 from repro.core.config import RetentionConfig
 from repro.core.exemption import ExemptionList
 from repro.core.incremental import build_activity_store
-from repro.core.retention import ActiveDRPolicy
 from repro.emulation import (
     CompiledTrace,
     EmulatorConfig,
     FastEmulator,
     compile_dataset,
-    replay_bounds,
 )
+from repro.server import MultiTenantService, TenantSpec
 from repro.stream import (
-    CHECKPOINT_FORMAT,
     CheckpointManager,
     IncrementalActivenessState,
-    OnlineRetentionService,
+    StreamEvent,
     dataset_event_stream,
-    load_checkpoint,
-    skip_events,
+    skip_stream_items,
 )
 from repro.traces.schema import AppAccessRecord
 
 from test_compiled_replay import POLICIES, assert_results_equal
-from test_stream_checkpoint import rewrite_as_legacy_layout
+from test_server import build_policy, make_fleet
 
 
 @pytest.fixture(scope="module")
@@ -45,40 +46,32 @@ def compiled(dataset) -> CompiledTrace:
 
 
 def fast_result(dataset, compiled, policy_factory, emu_config, *,
-                config=None, exemptions=None):
-    config = config or RetentionConfig()
+                exemptions=None):
+    config = RetentionConfig()
     known = [u.uid for u in dataset.users]
     return FastEmulator(policy_factory(config, dataset), config.activeness,
                         emu_config, exemptions).run(compiled,
                                                     known_uids=known)
 
 
-def make_service(dataset, policy_factory, emu_config, *, config=None,
-                 exemptions=None, checkpoint_dir=None,
-                 checkpoint_every_days=7):
-    config = config or RetentionConfig()
-    start, end = replay_bounds(dataset)
-    return OnlineRetentionService(
-        policy_factory(config, dataset),
-        snapshot_fs=dataset.filesystem,
-        replay_start=start, replay_end=end,
-        activeness_params=config.activeness,
-        config=emu_config, exemptions=exemptions,
-        known_uids=[u.uid for u in dataset.users],
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every_days=checkpoint_every_days)
+def make_service(dataset, policy_name, emu_config, **kwargs):
+    """The one-tenant fleet plain ``serve --policy NAME`` builds."""
+    return make_fleet(dataset, [TenantSpec(name=policy_name,
+                                           policy=policy_name)],
+                      config=emu_config, **kwargs)
 
 
-@pytest.mark.parametrize("policy_factory",
-                         [p for _, p in POLICIES],
-                         ids=[name for name, _ in POLICIES])
-def test_stream_matches_batch(dataset, compiled, policy_factory):
+@pytest.mark.parametrize("policy_name", [name for name, _ in POLICIES])
+def test_stream_matches_batch(dataset, compiled, policy_name):
     emu_config = EmulatorConfig()
-    service = make_service(dataset, policy_factory, emu_config)
-    streamed = service.run(dataset_event_stream(dataset))
-    batch = fast_result(dataset, compiled, policy_factory, emu_config)
+    service = make_service(dataset, policy_name, emu_config)
+    streamed = service.run(dataset_event_stream(dataset))[policy_name]
+    batch = fast_result(dataset, compiled, dict(POLICIES)[policy_name],
+                        emu_config)
     assert_results_equal(streamed, batch)
-    assert service.stats["triggers"] == len(streamed.reports)
+    triggers = service.tenant(policy_name).stats["triggers"]
+    assert triggers == len(streamed.reports)
+    assert service.stats["activeness_evals"] == triggers + 1
 
 
 @pytest.mark.parametrize("apply_creates", [True, False])
@@ -88,10 +81,10 @@ def test_stream_matches_batch_config_variants(dataset, compiled,
                                               restore_on_miss):
     emu_config = EmulatorConfig(apply_creates=apply_creates,
                                 restore_on_miss=restore_on_miss)
-    policy_factory = dict(POLICIES)["activedr"]
-    streamed = make_service(dataset, policy_factory, emu_config).run(
-        dataset_event_stream(dataset))
-    batch = fast_result(dataset, compiled, policy_factory, emu_config)
+    streamed = make_service(dataset, "activedr", emu_config).run(
+        dataset_event_stream(dataset))["activedr"]
+    batch = fast_result(dataset, compiled, dict(POLICIES)["activedr"],
+                        emu_config)
     assert_results_equal(streamed, batch)
 
 
@@ -102,10 +95,10 @@ def test_stream_matches_batch_with_exemptions(dataset, compiled):
         exemptions.reserve_file(path)
     exemptions.reserve_directory(
         "/" + "/".join(paths[0].strip("/").split("/")[:2]))
-    for _, policy_factory in POLICIES[:3]:
-        streamed = make_service(dataset, policy_factory, EmulatorConfig(),
+    for name, policy_factory in POLICIES[:3]:
+        streamed = make_service(dataset, name, EmulatorConfig(),
                                 exemptions=exemptions).run(
-            dataset_event_stream(dataset))
+            dataset_event_stream(dataset))[name]
         batch = fast_result(dataset, compiled, policy_factory,
                             EmulatorConfig(), exemptions=exemptions)
         assert_results_equal(streamed, batch)
@@ -114,10 +107,9 @@ def test_stream_matches_batch_with_exemptions(dataset, compiled):
 def test_refold_is_incremental(dataset):
     # The O(delta) claim: most users are quiescent at any trigger, so
     # only a minority of user-type histories are ever refolded.
-    service = make_service(dataset, dict(POLICIES)["activedr"],
-                           EmulatorConfig())
+    service = make_service(dataset, "activedr", EmulatorConfig())
     service.run(dataset_event_stream(dataset))
-    assert service.stats["triggers"] > 10
+    assert service.tenant("activedr").stats["triggers"] > 10
     assert service.stats["eval_users"] > 0
     refolded = service.stats["eval_refolded"]
     assert 0 < refolded < 0.5 * service.stats["eval_users"]
@@ -126,27 +118,26 @@ def test_refold_is_incremental(dataset):
 @pytest.mark.parametrize("policy_name", ["activedr", "value"])
 def test_checkpoint_kill_resume_is_bit_identical(dataset, compiled,
                                                  tmp_path, policy_name):
-    policy_factory = dict(POLICIES)[policy_name]
     emu_config = EmulatorConfig()
     ckdir = str(tmp_path / policy_name)
     events = list(dataset_event_stream(dataset))
     kill_at = len(events) // 2
 
-    service = make_service(dataset, policy_factory, emu_config,
+    service = make_service(dataset, policy_name, emu_config,
                            checkpoint_dir=ckdir, checkpoint_every_days=7)
     assert service.run(iter(events), stop_after_events=kill_at) is None
 
     latest = CheckpointManager(ckdir).latest()
     assert latest is not None
-    config = RetentionConfig()
-    resumed = OnlineRetentionService.resume(
-        latest, policy_factory(config, dataset),
-        activeness_params=config.activeness, config=emu_config,
-        checkpoint_dir=ckdir)
+    resumed = MultiTenantService.resume(
+        latest, policy_factory=lambda spec: build_policy(spec, dataset),
+        config=emu_config, checkpoint_dir=ckdir)
     assert 0 < resumed.cursor <= kill_at
-    streamed = resumed.run(skip_events(iter(events), resumed.cursor))
+    streamed = resumed.run(skip_stream_items(iter(events),
+                                             resumed.cursor))[policy_name]
 
-    batch = fast_result(dataset, compiled, policy_factory, emu_config)
+    batch = fast_result(dataset, compiled, dict(POLICIES)[policy_name],
+                        emu_config)
     assert_results_equal(streamed, batch)
     # Counters continue across the kill: summed per-kind stats equal the
     # trace family sizes, with no double count of the redelivered event.
@@ -156,69 +147,37 @@ def test_checkpoint_kill_resume_is_bit_identical(dataset, compiled,
     assert resumed.stats["events_access"] == len(dataset.accesses)
 
 
-def test_resume_from_legacy_layout_is_bit_identical(dataset, compiled,
-                                                    tmp_path):
-    # A chain written in the previous layout (``<U`` catalog paths and
-    # manifest) survives the upgrade: it resumes bit-identically and the
-    # chain continues in the current layout.
-    policy_factory = dict(POLICIES)["activedr"]
-    emu_config = EmulatorConfig()
-    ckdir = str(tmp_path / "ck")
-    events = list(dataset_event_stream(dataset))
-    service = make_service(dataset, policy_factory, emu_config,
-                           checkpoint_dir=ckdir)
-    assert service.run(iter(events), stop_after_events=len(events) // 2) \
-        is None
-    latest = CheckpointManager(ckdir).latest()
-    rewrite_as_legacy_layout(latest)
-    legacy, arrays = load_checkpoint(latest)
-    assert legacy["format"] == "repro-stream-checkpoint/2"
-    assert arrays["paths"].dtype.kind == "U"
-
-    config = RetentionConfig()
-    resumed = OnlineRetentionService.resume(
-        latest, policy_factory(config, dataset),
-        activeness_params=config.activeness, config=emu_config,
-        checkpoint_dir=ckdir)
-    assert resumed.catalog.paths == \
-        service.catalog.paths[:resumed.catalog.n_paths]
-    streamed = resumed.run(skip_events(iter(events), resumed.cursor))
-    assert_results_equal(streamed, fast_result(dataset, compiled,
-                                               policy_factory, emu_config))
-    upgraded, arrays = load_checkpoint(CheckpointManager(ckdir).latest())
-    assert upgraded["format"] == CHECKPOINT_FORMAT
-    assert "paths" not in arrays
-
-
 def test_resume_rejects_fingerprint_mismatch(dataset, tmp_path):
     ckdir = str(tmp_path / "ck")
-    service = make_service(dataset, dict(POLICIES)["activedr"],
-                           EmulatorConfig(), checkpoint_dir=ckdir)
+    service = make_service(dataset, "activedr", EmulatorConfig(),
+                           checkpoint_dir=ckdir)
     service.run(dataset_event_stream(dataset))
     latest = CheckpointManager(ckdir).latest()
-    other = ActiveDRPolicy(RetentionConfig(lifetime_days=7.0))
+
+    def other(spec):
+        return TenantSpec(name=spec.name, lifetime_days=7.0).build_policy()
+
     with pytest.raises(ValueError, match="fingerprint"):
-        OnlineRetentionService.resume(latest, other)
+        MultiTenantService.resume(latest, policy_factory=other)
 
 
 def test_checkpoint_refuses_partial_day(dataset, tmp_path):
-    service = make_service(dataset, dict(POLICIES)["activedr"],
-                           EmulatorConfig(),
-                           checkpoint_dir=str(tmp_path / "ck"))
-    start, _ = replay_bounds(dataset)
-    events = iter(dataset_event_stream(dataset))
-    for event in events:
+    ckdir = str(tmp_path / "ck")
+    service = make_service(dataset, "activedr", EmulatorConfig(),
+                           checkpoint_dir=ckdir)
+    for event in dataset_event_stream(dataset):
         service.ingest(event)
         if service._buf_pid:
             break
+    before = CheckpointManager(ckdir).latest()
     with pytest.raises(ValueError, match="partial day"):
         service.save_checkpoint()
+    # The refusal writes nothing: the chain head is where it was.
+    assert CheckpointManager(ckdir).latest() == before
 
 
 def test_out_of_window_accesses_are_dropped(dataset):
-    service = make_service(dataset, dict(POLICIES)["flt"],
-                           EmulatorConfig())
-    from repro.stream import StreamEvent
+    service = make_service(dataset, "flt", EmulatorConfig())
     early = AppAccessRecord(ts=service.replay_start - 10, uid=1,
                             path="/proj/a/x")
     late = AppAccessRecord(ts=service.window_end + 10, uid=1,
@@ -229,11 +188,11 @@ def test_out_of_window_accesses_are_dropped(dataset):
     assert service.cursor == 2
 
 
-def test_service_rejects_empty_window(dataset):
-    config = RetentionConfig()
-    with pytest.raises(ValueError):
-        OnlineRetentionService(ActiveDRPolicy(config),
-                               replay_start=100, replay_end=100)
+def test_service_rejects_empty_window():
+    spec = TenantSpec(name="activedr")
+    with pytest.raises(ValueError, match="replay_end"):
+        MultiTenantService([(spec, spec.build_policy())],
+                           replay_start=100, replay_end=100)
 
 
 PARAM_VARIANTS = [
