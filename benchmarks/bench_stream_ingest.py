@@ -122,9 +122,11 @@ def run_bench(n_users: int, seed: int, kill_fraction: float) -> dict:
             "bit_identical_to_batch": True,
         }
 
-    # Reliability-layer ingest overhead: the same ActiveDR service fed
-    # by the raw merged reader vs. the resilient/quarantined path, both
-    # parsing the workspace from disk so the comparison is end to end.
+    # The same ActiveDR service fed by the raw per-event merged reader
+    # vs. ReliableEventStream, both parsing the workspace from disk so
+    # the comparison is end to end.  The second leg reads columnar
+    # chunks as well as adding retry and guard, so "overhead_fraction"
+    # is the ratio of the two legs, not the layer's own cost.
     from repro.cli.workspace import save_workspace
     from repro.stream import ReliableEventStream
     from repro.stream.events import workspace_event_stream

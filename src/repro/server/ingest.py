@@ -13,7 +13,8 @@ and TCP flow control pushes back on the producers.
 iterator draining one source queue, satisfying the same contract the
 file-backed :class:`~repro.stream.reliability.sources.ResilientSource`
 satisfies, so :class:`NetworkEventStream` can reuse the reliability
-layer's quarantined ``heapq.merge`` unchanged.  **Out-of-order events
+layer's quarantine unchanged, in front of the run-granular
+``merge_stream_items``.  **Out-of-order events
 hit the quarantine, never the engine**: every socket source is guarded
 by the shared :class:`~repro.stream.reliability.quarantine.EventQuarantine`
 before the merge, so a producer that regresses in time, redelivers a

@@ -832,13 +832,17 @@ class MultiTenantService:
             stop_after_events: int | None = None,
             ) -> dict[str, EmulationResult] | None:
         """Drive the fleet from an event/run iterator (None = stopped
-        early).  A stop can overshoot by at most one batch run: the
-        cursor reflects what was actually consumed, so resume stays
-        exact."""
+        early).  A stop lands exactly on ``stop_after_events``: a batch
+        run crossing it is cut at the stop row."""
         for event in events:
-            if (stop_after_events is not None
-                    and self._consumed >= stop_after_events):
-                return None
+            if stop_after_events is not None:
+                room = stop_after_events - self._consumed
+                if room <= 0:
+                    return None
+                if type(event) is BatchRun and event.n_rows > room:
+                    self.ingest_run(BatchRun(event.batch, event.lo,
+                                             event.lo + room))
+                    return None
             if type(event) is BatchRun:
                 self.ingest_run(event)
             else:

@@ -20,14 +20,20 @@ framing to this repo's three trace families:
 
 Ordering contract: rows within a batch are non-decreasing in ``ts`` --
 the producer emits them straight off a merged (or per-source sorted)
-stream -- so a batch can participate in the k-way merge as a *run*, not
-row by row.  :func:`merge_stream_items` generalizes the stable
-``heapq.merge`` used for per-event streams: at every step the earliest
-head wins (listing order breaks ties), and a winning batch emits the
-longest prefix that cannot interleave with any other source's head,
-yielding :class:`BatchRun` slices instead of single events.  The emitted
-row order is exactly what ``heapq.merge`` would produce event by event
--- the property the bit-identity contract rests on.
+stream -- so a batch can participate in a k-way merge as a *run*, not
+row by row.  Two merges generalize the stable ``heapq.merge`` used for
+per-event streams, and both emit rows in exactly the order it would
+produce event by event -- the property the bit-identity contract rests
+on:
+
+* :func:`merge_stream_items` (socket sources): at every step the
+  earliest head wins (listing order breaks ties), and a winning batch
+  emits the longest prefix that cannot interleave with any other
+  source's head, yielding per-source :class:`BatchRun` slices (the
+  sequence ledger needs to know which source every row came from);
+* :func:`horizon_merge` (trace files): every buffered row below the
+  sources' common horizon is final, so it is emitted in one mixed-kind
+  batch per round, however finely the sources interleave.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ __all__ = ["KIND_JOB_CODE", "KIND_PUB_CODE", "KIND_ACC_CODE",
            "KIND_BY_CODE", "OP_BY_CODE", "OP_CODES",
            "EventBatch", "BatchBuilder", "BatchRun",
            "pack_strings", "unpack_strings",
-           "merge_stream_items", "skip_stream_items"]
+           "merge_stream_items", "horizon_merge", "skip_stream_items"]
 
 #: Row kind codes, in activity-before-access tie-break order.
 KIND_JOB_CODE = 0
@@ -247,34 +253,80 @@ class EventBatch:
         per-event objects.  The string pool is shared (indices stay
         valid), so compaction is O(kept rows).
         """
-        keep = np.asarray(keep, dtype=bool)
-        jk = keep[self.kinds == KIND_JOB_CODE]
-        pk = keep[self.kinds == KIND_PUB_CODE]
-        ak = keep[self.kinds == KIND_ACC_CODE]
-        auth_lens = np.diff(self.pub_auth_off)
-        kept_lens = auth_lens[pk]
-        new_off = np.zeros(int(pk.sum()) + 1, _I64)
-        np.cumsum(kept_lens, out=new_off[1:])
-        auth_keep = (np.repeat(pk, auth_lens)
-                     if self.pub_auth.size else np.zeros(0, bool))
-        out = EventBatch(
-            self.kinds[keep], self.ts[keep],
+        rows = np.flatnonzero(np.asarray(keep, dtype=bool))
+        out = self.take(rows)
+        if self.first_seq is not None:
+            out.first_seq = self.first_seq
+            out.seq_width = self.seq_width
+            out.orig_rows = (self.orig_rows[rows]
+                             if self.orig_rows is not None else rows)
+        return out
+
+    def take(self, rows) -> "EventBatch":
+        """A new batch of the rows ``rows`` (indices, in the new order).
+
+        Each kind's payload columns follow its rows, so a permutation of
+        a mixed-kind batch stays consistent; the pool is shared.
+        Unsequenced: :meth:`compact` carries the provenance.
+        """
+        rows = np.asarray(rows, dtype=_I64)
+        kinds = self.kinds[rows]
+        kpos = self.kpos()[rows]
+        jk = kpos[kinds == KIND_JOB_CODE]
+        pk = kpos[kinds == KIND_PUB_CODE]
+        ak = kpos[kinds == KIND_ACC_CODE]
+        lens = np.diff(self.pub_auth_off)[pk]
+        off = np.zeros(pk.size + 1, _I64)
+        np.cumsum(lens, out=off[1:])
+        auth = self.pub_auth[np.repeat(self.pub_auth_off[pk] - off[:-1], lens)
+                             + np.arange(off[-1], dtype=_I64)]
+        return EventBatch(
+            kinds, self.ts[rows],
             job_id=self.job_id[jk], job_uid=self.job_uid[jk],
             job_start=self.job_start[jk], job_end=self.job_end[jk],
             job_nodes=self.job_nodes[jk], job_cores=self.job_cores[jk],
             pub_id=self.pub_id[pk], pub_cit=self.pub_cit[pk],
-            pub_auth_off=new_off, pub_auth=self.pub_auth[auth_keep],
+            pub_auth_off=off, pub_auth=auth,
             acc_uid=self.acc_uid[ak], acc_op=self.acc_op[ak],
             acc_path=self.acc_path[ak],
             pool=self._pool, pool_off=self._pool_off,
             pool_blob=self._pool_blob)
-        if self.first_seq is not None:
-            out.first_seq = self.first_seq
-            out.seq_width = self.seq_width
-            out.orig_rows = (self.orig_rows[keep]
-                             if self.orig_rows is not None
-                             else np.flatnonzero(keep))
-        return out
+
+    def _kind_range(self, code: int, lo: int, hi: int) -> tuple[int, int]:
+        """Kind-local index range of the ``code`` rows among ``[lo, hi)``."""
+        kinds = self.kinds
+        if self.single_kind:
+            return (lo, hi) if self.n and kinds[0] == code else (0, 0)
+        a = int(np.count_nonzero(kinds[:lo] == code))
+        return a, a + int(np.count_nonzero(kinds[lo:hi] == code))
+
+    def slice_rows(self, lo: int, hi: int) -> "EventBatch":
+        """Rows ``[lo, hi)`` as a batch of views sharing this pool.
+
+        What a file source's chunk is cut with: on a reopen's skip and
+        at the merge horizon.  Unsequenced, like the chunks it cuts.
+        """
+        j0, j1 = self._kind_range(KIND_JOB_CODE, lo, hi)
+        p0, p1 = self._kind_range(KIND_PUB_CODE, lo, hi)
+        a0, a1 = self._kind_range(KIND_ACC_CODE, lo, hi)
+        off = self.pub_auth_off[p0:p1 + 1]
+        return EventBatch(
+            self.kinds[lo:hi], self.ts[lo:hi],
+            job_id=self.job_id[j0:j1], job_uid=self.job_uid[j0:j1],
+            job_start=self.job_start[j0:j1], job_end=self.job_end[j0:j1],
+            job_nodes=self.job_nodes[j0:j1], job_cores=self.job_cores[j0:j1],
+            pub_id=self.pub_id[p0:p1], pub_cit=self.pub_cit[p0:p1],
+            pub_auth_off=off - off[0],
+            pub_auth=self.pub_auth[int(off[0]):int(off[-1])],
+            acc_uid=self.acc_uid[a0:a1], acc_op=self.acc_op[a0:a1],
+            acc_path=self.acc_path[a0:a1],
+            pool=self._pool, pool_off=self._pool_off,
+            pool_blob=self._pool_blob)
+
+    def tail(self, skip: int) -> "EventBatch":
+        """The batch minus its first ``skip`` rows (the stream-item
+        protocol :func:`skip_stream_items` shares with :class:`BatchRun`)."""
+        return self.slice_rows(skip, self.n)
 
     def subset(self, keep) -> "EventBatch":
         """Like :meth:`compact`, but with the string pool pruned.
@@ -643,6 +695,115 @@ def merge_stream_items(sources: Iterable[Iterable[_StreamItem]],
             offs[best] = hi
 
 
+def horizon_merge(sources: Iterable[Iterable[_StreamItem]],
+                  ) -> Iterator[BatchRun]:
+    """Stable merge of time-sorted sources into mixed-kind batch runs.
+
+    Semantics: the rows come out in ``heapq.merge(key=ts)`` order over
+    the equivalent per-event streams -- smallest timestamp first, ties
+    broken by source listing order, source order kept.  Each source
+    buffers what it has delivered.  The *horizon* is the smallest
+    last-buffered timestamp of any live source: no live source can still
+    deliver a row below its own last buffered one, so every buffered row
+    strictly below the horizon is final.  Those rows are ordered by a
+    stable argsort over the sources' rows in listing order -- timestamp,
+    then listing order, then source order, exactly the heap's tie-break
+    -- and emitted as one :class:`BatchRun`; then the first source
+    holding the horizon is pulled once more.  A source that ends leaves
+    the horizon, so the last round emits everything.
+
+    Unlike :func:`merge_stream_items`, how finely the sources interleave
+    does not matter: a round costs a few array operations whether it
+    holds one run of the heap merge or thousands.  Single
+    :class:`~repro.stream.events.StreamEvent` items (fault injections
+    that pass the guard, per-event sources) are gathered into batches of
+    their source.  Rows equal to the horizon wait for it to move, so a
+    source delivering many rows of one timestamp is buffered whole.
+    """
+    iters = [iter(src) for src in sources]
+    pending: list[list] = [[] for _ in iters]  # EventBatch | [StreamEvent]
+    last = [0] * len(iters)
+
+    def pull(i: int) -> bool:
+        for item in iters[i]:
+            buf = pending[i]
+            if type(item) is StreamEvent:
+                if buf and type(buf[-1]) is list:
+                    buf[-1].append(item)
+                else:
+                    buf.append([item])
+                last[i] = item.ts
+                return True
+            if item.n:
+                buf.append(item)
+                last[i] = int(item.ts[-1])
+                return True
+        return False
+
+    live = [i for i in range(len(iters)) if pull(i)]
+    while True:
+        horizon = min(last[i] for i in live) if live else None
+        parts: list[EventBatch] = []
+        for buf in pending:
+            while buf:
+                head = buf[0]
+                if type(head) is list:
+                    builder = BatchBuilder()
+                    builder.extend(head)
+                    head = buf[0] = builder.build()
+                cut = (head.n if horizon is None else
+                       int(np.searchsorted(head.ts, horizon, side="left")))
+                if cut == head.n:
+                    parts.append(head)
+                    buf.pop(0)
+                    continue
+                if cut:
+                    parts.append(head.slice_rows(0, cut))
+                    buf[0] = head.slice_rows(cut, head.n)
+                break
+        if parts:
+            batch = parts[0] if len(parts) == 1 else _merged(parts)
+            yield BatchRun(batch, 0, batch.n)
+        if not live:
+            return
+        i = next(i for i in live if last[i] == horizon)
+        if not pull(i):
+            live.remove(i)
+
+
+def _merged(parts: list[EventBatch]) -> EventBatch:
+    """The rows of ``parts`` (listed in source order) in stable time
+    order, as one batch; access rows keep their paths through one
+    appended pool."""
+    pool: list[str] = []
+    paths = []
+    for part in parts:
+        if part.n_acc:
+            paths.append(part.acc_path.astype(_I64) + len(pool))
+            pool.extend(part.pool())
+    lens = np.concatenate([np.diff(part.pub_auth_off) for part in parts])
+    off = np.zeros(lens.size + 1, _I64)
+    np.cumsum(lens, out=off[1:])
+
+    def cat(name: str) -> np.ndarray:
+        return np.concatenate([getattr(part, name) for part in parts])
+
+    batch = EventBatch(
+        cat("kinds"), cat("ts"),
+        job_id=cat("job_id"), job_uid=cat("job_uid"),
+        job_start=cat("job_start"), job_end=cat("job_end"),
+        job_nodes=cat("job_nodes"), job_cores=cat("job_cores"),
+        pub_id=cat("pub_id"), pub_cit=cat("pub_cit"),
+        pub_auth_off=off, pub_auth=cat("pub_auth"),
+        acc_uid=cat("acc_uid"), acc_op=cat("acc_op"),
+        acc_path=(np.concatenate(paths) if paths else _EMPTY_I64
+                  ).astype(np.uint32),
+        pool=pool)
+    if bool((batch.ts[1:] >= batch.ts[:-1]).all()):
+        return batch  # the sources did not interleave
+    return batch.take(np.argsort(batch.ts, kind="stable"))
+
+
 def skip_stream_items(items: Iterable[_RunItem], n: int,
                       ) -> Iterator[_RunItem]:
     """Resume-cursor positioning: drop the first ``n`` *events*.
@@ -650,9 +811,11 @@ def skip_stream_items(items: Iterable[_RunItem], n: int,
     The checkpoint manifest stores how many merged events the engine
     consumed; replaying the deterministic merge and skipping that many
     lands exactly on the next unprocessed event.  A plain
-    :class:`~repro.stream.events.StreamEvent` counts one; a
-    :class:`BatchRun` counts its ``n_rows``, and the run the cursor lands
-    inside is sliced rather than exploded.
+    :class:`~repro.stream.events.StreamEvent` (or anything else without
+    rows) counts one; a :class:`BatchRun` or :class:`EventBatch` counts
+    its ``n_rows``, and the item the cursor lands inside is sliced
+    rather than exploded.  A file source's reopen skips its delivered
+    chunks the same way.
     """
     if n < 0:
         raise ValueError("cursor must be non-negative")

@@ -1,16 +1,17 @@
 """Event quarantine: per-source guards and a bounded dead-letter log.
 
-The merge in :mod:`repro.stream.events` assumes well-formed, time-sorted
-events; production feeds deliver neither reliably.  The quarantine sits
+The merges in :mod:`repro.stream.batch` assume well-formed, time-sorted
+rows; production feeds deliver neither reliably.  The quarantine sits
 *between each source and the merge*: every object a source emits is
-checked (is it a :class:`StreamEvent` at all, known kind, right payload
-type, monotone timestamp, not a duplicate, optionally a known uid) and
-anything that fails is **diverted** -- appended to a dead-letter JSONL
-with a reason code and dropped from the stream -- instead of poisoning
-the merge or the service state.
+checked (a columnar batch row by row, in bulk; anything else must be a
+:class:`StreamEvent` of a known kind with the right payload type), then
+for a monotone timestamp, no duplicate identity and optionally a known
+uid, and anything that fails is **diverted** -- appended to a
+dead-letter JSONL with a reason code and dropped from the stream --
+instead of poisoning the merge or the service state.
 
 Guarding per source, before the merge, preserves the merge's ordering
-contract: the heap never sees garbage, and the per-source monotonicity
+contract: the merge never sees garbage, and the per-source monotonicity
 check subsumes the ``_validated`` regression assertion (a regressed
 event is diverted rather than fatal).
 
@@ -139,7 +140,10 @@ class EventQuarantine:
         self.by_reason: dict[str, int] = {}
         self.by_source: dict[str, int] = {}
         self._last_ts: dict[str, int] = {}
-        self._seen_ids: dict[str, set] = {}
+        #: Delivered identities per (source, kind): job and publication
+        #: ids are separate namespaces, and a set of ints is a third the
+        #: size of one of (kind, id) tuples.
+        self._seen_ids: dict[tuple[str, str], set[int]] = {}
         self._known_arr: np.ndarray | None = None
         # Divert is called from the engine thread (guards) *and* from
         # listener reader threads (frame-level corruption hooks); the
@@ -219,74 +223,25 @@ class EventQuarantine:
 
     # -- guarding ------------------------------------------------------
 
-    def guard(self, source: str,
-              events: Iterable[object]) -> Iterator[StreamEvent]:
-        """Yield only the valid events of ``events``; divert the rest.
-
-        The loop body is an inlined copy of :meth:`_check`'s accept
-        conditions (this is the per-event hot path of the whole ingest
-        layer); anything that fails the inline tests falls through to
-        ``_check`` for the canonical reason code, so the two must stay
-        in lockstep.  The source's clock lives in a local and is synced
-        back to ``_last_ts`` on the slow path and on generator exit.
-        """
-        payload_types = _PAYLOAD_TYPES
-        known = self.known_uids
-        seen = self._seen_ids.setdefault(source, set())
-        last = self._last_ts.get(source)
-        try:
-            for obj in events:
-                if type(obj) is StreamEvent:
-                    ts = obj.ts
-                    kind = obj.kind
-                    expected = payload_types.get(kind)
-                    if (expected is not None
-                            and isinstance(obj.payload, expected)
-                            and type(ts) is int
-                            and (last is None or ts >= last)
-                            and (known is None
-                                 or not _unknown_uids(obj, known))):
-                        if kind == EVENT_ACCESS:
-                            last = ts
-                            yield obj
-                            continue
-                        ident = (("job", obj.payload.job_id)
-                                 if kind == EVENT_JOB
-                                 else ("pub", obj.payload.pub_id))
-                        if ident not in seen:
-                            seen.add(ident)
-                            last = ts
-                            yield obj
-                            continue
-                if last is not None:
-                    self._last_ts[source] = last
-                reason = self._check(source, obj)
-                if reason is None:
-                    # Valid, but shaped oddly enough (e.g. an int
-                    # subclass timestamp) to miss the fast path.
-                    last = obj.ts
-                    ident = _identity(obj)
-                    if ident is not None:
-                        seen.add(ident)
-                    yield obj
-                    continue
-                self.divert(source, reason[0], reason[1], obj)
-        finally:
-            if last is not None:
-                self._last_ts[source] = last
-
     def guard_hybrid(self, source: str,
                      items: Iterable[object]) -> Iterator[object]:
-        """Guard a stream mixing single events and columnar batches.
+        """Yield the valid items of one source; divert the rest.
 
-        Events take the same inlined fast path as :meth:`guard` (the
-        two must stay in lockstep); an :class:`EventBatch` is validated
-        wholesale by :meth:`validate_batch` and re-emitted compacted.
-        Yields ``StreamEvent | EventBatch`` for the hybrid merge.
+        An :class:`EventBatch` (a trace-file chunk, a v2 frame) is
+        validated whole by :meth:`validate_batch` and re-emitted
+        compacted.  Anything else -- a v1 frame's event, a fault
+        injection, garbage -- is checked one at a time: valid events
+        pass an inlined copy of :meth:`_check`'s accept conditions, and
+        whatever fails it falls through to ``_check`` for the canonical
+        reason code.  The source's clock lives in a local and is synced
+        back to ``_last_ts`` around batches, on the slow path and on
+        generator exit.  Yields ``StreamEvent | EventBatch`` for the
+        merge.
         """
         payload_types = _PAYLOAD_TYPES
         known = self.known_uids
-        seen = self._seen_ids.setdefault(source, set())
+        seen_jobs = self._seen(source, EVENT_JOB)
+        seen_pubs = self._seen(source, EVENT_PUBLICATION)
         last = self._last_ts.get(source)
         try:
             for obj in items:
@@ -304,9 +259,10 @@ class EventQuarantine:
                             last = ts
                             yield obj
                             continue
-                        ident = (("job", obj.payload.job_id)
-                                 if kind == EVENT_JOB
-                                 else ("pub", obj.payload.pub_id))
+                        if kind == EVENT_JOB:
+                            ident, seen = obj.payload.job_id, seen_jobs
+                        else:
+                            ident, seen = obj.payload.pub_id, seen_pubs
                         if ident not in seen:
                             seen.add(ident)
                             last = ts
@@ -329,7 +285,7 @@ class EventQuarantine:
                     last = obj.ts
                     ident = _identity(obj)
                     if ident is not None:
-                        seen.add(ident)
+                        self._seen(source, ident[0]).add(ident[1])
                     yield obj
                     continue
                 self.divert(source, reason[0], reason[1], obj)
@@ -339,7 +295,7 @@ class EventQuarantine:
 
     def validate_batch(self, source: str,
                        batch: EventBatch) -> EventBatch | None:
-        """Vectorized twin of :meth:`guard` for one columnar batch.
+        """The accept rules of :meth:`_check`, over one columnar batch.
 
         Applies the same accept conditions in the same canonical order
         -- structural/record invariants, then unknown uids, then time
@@ -370,10 +326,13 @@ class EventQuarantine:
         keep = np.ones(n, dtype=bool)
         reasons: dict[int, tuple[str, str]] = {}
 
-        def mark(rows: np.ndarray, reason: str, detail: str) -> None:
-            for r in rows.tolist():
+        def mark(rows: np.ndarray, reason: str, detail) -> None:
+            """Divert ``rows``; ``detail`` is one text or one per row."""
+            details = ([detail] * rows.size if isinstance(detail, str)
+                       else detail)
+            for r, text in zip(rows.tolist(), details):
                 if r not in reasons:
-                    reasons[r] = (reason, detail)
+                    reasons[r] = (reason, text)
                     keep[r] = False
 
         jidx = pidx = None
@@ -457,26 +416,28 @@ class EventQuarantine:
                     if last is not None:
                         np.maximum(prev, last, out=prev)
                     ok = sts >= prev
+                    # ``prev`` is the clock the sequential check would
+                    # hold at each row, so the details match it too.
                     mark(sidx[~ok], REASON_REGRESSION,
-                         "ts precedes the source clock")
+                         [f"ts {t} after {c} from {source}" for t, c in
+                          zip(sts[~ok].tolist(), prev[~ok].tolist())])
                     if ok.any():
                         self._last_ts[source] = int(sts[np.flatnonzero(ok)[-1]])
             else:
-                seen = self._seen_ids.setdefault(source, set())
+                seen_jobs = self._seen(source, EVENT_JOB)
+                seen_pubs = self._seen(source, EVENT_PUBLICATION)
                 accepted_all = False
                 if monotone:
-                    jsel = keep[jidx] if batch.n_jobs else None
-                    psel = keep[pidx] if batch.n_pubs else None
-                    idents = []
-                    if batch.n_jobs:
-                        idents += [("job", i)
-                                   for i in batch.job_id[jsel].tolist()]
-                    if batch.n_pubs:
-                        idents += [("pub", i)
-                                   for i in batch.pub_id[psel].tolist()]
-                    if len(set(idents)) == len(idents) \
-                            and seen.isdisjoint(idents):
-                        seen.update(idents)
+                    jids = (batch.job_id[keep[jidx]].tolist()
+                            if batch.n_jobs else [])
+                    pids = (batch.pub_id[keep[pidx]].tolist()
+                            if batch.n_pubs else [])
+                    if (len(set(jids)) == len(jids)
+                            and len(set(pids)) == len(pids)
+                            and seen_jobs.isdisjoint(jids)
+                            and seen_pubs.isdisjoint(pids)):
+                        seen_jobs.update(jids)
+                        seen_pubs.update(pids)
                         self._last_ts[source] = int(sts[-1])
                         accepted_all = True
                 if not accepted_all:
@@ -491,16 +452,15 @@ class EventQuarantine:
                             keep[r] = False
                             continue
                         code = int(kinds[r])
+                        seen = None
                         if code == KIND_JOB_CODE:
-                            ident = ("job", int(batch.job_id[kpos[r]]))
+                            ident, seen = int(batch.job_id[kpos[r]]), seen_jobs
                         elif code == KIND_PUB_CODE:
-                            ident = ("pub", int(batch.pub_id[kpos[r]]))
-                        else:
-                            ident = None
-                        if ident is not None:
+                            ident, seen = int(batch.pub_id[kpos[r]]), seen_pubs
+                        if seen is not None:
                             if ident in seen:
                                 reasons[r] = (REASON_DUPLICATE,
-                                              f"id {ident[1]} redelivered")
+                                              f"id {ident} redelivered")
                                 keep[r] = False
                                 continue
                             seen.add(ident)
@@ -541,9 +501,14 @@ class EventQuarantine:
             return (REASON_REGRESSION,
                     f"ts {obj.ts} after {last} from {source}")
         ident = _identity(obj)
-        if ident is not None and ident in self._seen_ids.get(source, ()):
+        if ident is not None and \
+                ident[1] in self._seen_ids.get((source, ident[0]), ()):
             return (REASON_DUPLICATE, f"id {ident[1]} redelivered")
         return None
+
+    def _seen(self, source: str, kind: str) -> set[int]:
+        """The ids of ``kind`` already delivered by ``source``."""
+        return self._seen_ids.setdefault((source, kind), set())
 
     # -- reporting -----------------------------------------------------
 
@@ -563,11 +528,12 @@ class EventQuarantine:
 
 
 def _identity(ev: StreamEvent) -> tuple | None:
-    """A stable identity for events that carry one; None for accesses."""
+    """``(kind, id)`` for events that carry an identity; None for
+    accesses."""
     if ev.kind == EVENT_JOB:
-        return ("job", ev.payload.job_id)
+        return (EVENT_JOB, ev.payload.job_id)
     if ev.kind == EVENT_PUBLICATION:
-        return ("pub", ev.payload.pub_id)
+        return (EVENT_PUBLICATION, ev.payload.pub_id)
     return None
 
 

@@ -15,24 +15,26 @@ Health is a three-state ladder.  ``OK`` flows; a failing source is
 ``DEGRADED`` while the retry loop works on it and returns to ``OK`` on
 the next successful record; a source whose episode exhausts its attempt
 or deadline budget goes ``DEAD`` -- it raises ``StopIteration``, so a
-``heapq.merge`` over guarded sources *naturally* continues without it
-(graceful degradation), and its last-emitted timestamp is held as an
-explicit **watermark** in the report so the operator can see exactly how
-far the dead feed got.
+merge over guarded sources *naturally* continues without it (graceful
+degradation), and its last-emitted timestamp is held as an explicit
+**watermark** in the report so the operator can see exactly how far the
+dead feed got.
 
 Position bookkeeping is the part that makes fault injection composable:
-``pos`` counts *underlying* records consumed (the counting shim advances
-it; injected faults never do), so a re-opened source skips exactly the
-records already delivered, and a :class:`~repro.faults.io.FaultyStream`
-keyed on ``pos`` fires each scripted fault exactly once across any
-number of reopens.
+``pos`` counts *underlying* rows consumed -- one per event, ``n`` per
+columnar :class:`~repro.stream.batch.EventBatch` chunk; injected faults
+never advance it -- so a re-opened source skips exactly the rows already
+delivered, slicing the chunk it lands inside, and a
+:class:`~repro.faults.io.FaultyStream` keyed on ``pos`` fires each
+scripted fault exactly once across any number of reopens.  A source a
+fault plan targets expands its chunks into events, so the faults see
+the per-event stream: each lands between the same two rows as it would
+without chunks.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
 import os
 import random
 import time
@@ -40,9 +42,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from ...traces.io import (read_app_log, read_jobs, read_publications)
-from ..events import (StreamEvent, access_events, job_events,
-                      publication_events)
+from ...traces.io import (read_app_log_chunks, read_job_chunks,
+                          read_publication_chunks)
+from ..batch import BatchRun, EventBatch, horizon_merge, skip_stream_items
 from .quarantine import DeadLetterLog, EventQuarantine
 
 __all__ = ["SourceHealth", "RetryPolicy", "ResilientSource",
@@ -98,7 +100,7 @@ class ResilientSource:
 
     ``factory`` must return a fresh iterator over the *same* sequence
     each call (file readers and pure generators qualify); recovery
-    re-opens it and skips the ``pos`` records already delivered.  When a
+    re-opens it and skips the ``pos`` rows already delivered.  When a
     fault ``plan`` targets this source's name, the underlying iterator
     is wrapped in a :class:`~repro.faults.io.FaultyStream` keyed on this
     object's ``pos`` / ``last_event``.
@@ -115,8 +117,10 @@ class ResilientSource:
         self._plan = plan
         self._sleep = sleep
         self._clock = clock
-        self.pos = 0                # underlying records consumed
-        self.last_event = None      # most recent underlying record
+        self.pos = 0                # underlying rows consumed
+        #: The most recent underlying event; kept only under a fault
+        #: plan, whose duplicate and regress faults copy it.
+        self.last_event = None
         self.watermark: int | None = None  # ts of last emitted event
         self.health = SourceHealth.OK
         self.retries = 0            # reopen attempts, lifetime total
@@ -130,17 +134,26 @@ class ResilientSource:
     def _open(self) -> Iterator:
         raw = iter(self._factory())
         if self.pos:
-            raw = itertools.islice(raw, self.pos, None)
+            raw = skip_stream_items(raw, self.pos)
         if self._faulted:
             from ...faults.io import FaultyStream
             return FaultyStream(self._count(raw), self._plan, self)
-        return raw
+        return self._rows(raw)
+
+    def _rows(self, raw: Iterator) -> Iterator:
+        for item in raw:
+            self.pos += item.n if type(item) is EventBatch else 1
+            yield item
 
     def _count(self, raw: Iterator) -> Iterator:
-        for ev in raw:
-            self.pos += 1
-            self.last_event = ev
-            yield ev
+        """The counting shim under a fault plan: one item per row, so
+        the :class:`FaultyStream` above sees ``pos`` stop on each."""
+        for item in raw:
+            for ev in (item.iter_events() if type(item) is EventBatch
+                       else (item,)):
+                self.pos += 1
+                self.last_event = ev
+                yield ev
 
     def __iter__(self) -> Iterator:
         if self._gen is None:
@@ -153,11 +166,6 @@ class ResilientSource:
         return next(self._gen)
 
     def _run(self) -> Iterator:
-        # The happy path is one C-level generator frame per event; the
-        # retry scaffolding only runs when the source actually fails.
-        # FaultyStream keeps its own counting shim (injections are keyed
-        # on pos), so the inline count applies to unfaulted sources only.
-        count_here = not self._faulted
         ok = SourceHealth.OK
         attempt = 0
         episode_start: float | None = None
@@ -168,17 +176,18 @@ class ResilientSource:
                 it = self._it
                 while True:
                     ev = next(it)
-                    if count_here:
-                        self.pos += 1
-                        self.last_event = ev
                     if attempt:
                         attempt = 0
                         episode_start = None
                     if self.health is not ok:
                         self.health = ok
-                    ts = getattr(ev, "ts", None)
-                    if type(ts) is int:
-                        self.watermark = ts
+                    if type(ev) is EventBatch:
+                        if ev.n:
+                            self.watermark = int(ev.ts[-1])
+                    else:
+                        ts = getattr(ev, "ts", None)
+                        if type(ts) is int:
+                            self.watermark = ts
                     yield ev
             except StopIteration:
                 self._exhausted = True
@@ -351,20 +360,25 @@ class ReliableEventStream:
     """The fault-tolerant replacement for ``workspace_event_stream``.
 
     Wraps each of a workspace's three trace feeds in a
-    :class:`ResilientSource`, guards every source through one shared
-    :class:`~.quarantine.EventQuarantine`, and merges the surviving
-    events into the usual time-ordered stream (sources listed in
-    jobs-publications-accesses order, preserving the merge's
+    :class:`ResilientSource` over its columnar reader, guards every
+    source through one shared :class:`~.quarantine.EventQuarantine`
+    (``guard_hybrid``: chunks are validated whole), and merges the
+    surviving rows with :func:`~repro.stream.batch.horizon_merge` into
+    mixed-kind :class:`~repro.stream.batch.BatchRun` items (sources
+    listed in jobs-publications-accesses order, preserving the merge's
     activity-before-access tie-break).  Under a fault plan that only
-    *inserts* faults, iterating this object yields exactly the clean
+    *inserts* faults, the rows of the runs are exactly the clean
     ``workspace_event_stream`` sequence -- the invariant the chaos suite
     is built on.
+
+    ``SOURCES`` lists ``(name, filename, reader, to_items)``; a source's
+    items are ``to_items(reader(path, on_error=hook))``.
     """
 
-    SOURCES = (("jobs", "jobs.txt.gz", read_jobs, job_events),
-               ("publications", "publications.txt.gz", read_publications,
-                publication_events),
-               ("accesses", "app_log.txt.gz", read_app_log, access_events))
+    SOURCES = (("jobs", "jobs.txt.gz", read_job_chunks, iter),
+               ("publications", "publications.txt.gz",
+                read_publication_chunks, iter),
+               ("accesses", "app_log.txt.gz", read_app_log_chunks, iter))
 
     def __init__(self, directory: str | None = None, *,
                  sources: Iterable | None = None,
@@ -395,19 +409,18 @@ class ReliableEventStream:
             ResilientSource(
                 name,
                 self._make_factory(os.path.join(directory, filename),
-                                   reader, to_events, name),
+                                   reader, to_items, name),
                 policy=self.retry, plan=plan, sleep=sleep, clock=clock)
-            for name, filename, reader, to_events in self.SOURCES]
+            for name, filename, reader, to_items in self.SOURCES]
 
-    def _make_factory(self, path: str, reader, to_events,
-                      name: str) -> Callable[[], Iterator[StreamEvent]]:
+    def _make_factory(self, path: str, reader, to_items,
+                      name: str) -> Callable[[], Iterator]:
         hook = self.quarantine.reader_hook(name)
-        return lambda: to_events(reader(path, on_error=hook))
+        return lambda: to_items(reader(path, on_error=hook))
 
-    def __iter__(self) -> Iterator[StreamEvent]:
-        guarded = [self.quarantine.guard(src.name, src)
-                   for src in self.sources]
-        return heapq.merge(*guarded, key=lambda ev: ev.ts)
+    def __iter__(self) -> Iterator[BatchRun]:
+        return horizon_merge(self.quarantine.guard_hybrid(src.name, src)
+                             for src in self.sources)
 
     # -- reporting -----------------------------------------------------
 

@@ -8,8 +8,8 @@ results to the batch columnar replay:
   stream does not, so pids here are assigned in arrival order and the
   two scan orders the purge triggers need (plain-string order for the
   per-user ActiveDR walk and value tie-breaks, prefix-trie order for the
-  FLT system scan) are maintained as explicit rank columns, rebuilt
-  lazily when new paths intern.  This is exactly the
+  FLT system scan) are maintained as explicit rank columns, brought up
+  to date lazily when new paths intern.  This is exactly the
   :class:`~repro.emulation.compiled.TriggerEngine` catalog protocol.
 * :class:`GrowableReplayState` -- live/atime/size/owner columns with
   amortized-doubling growth, mirroring the batch ``_ReplayState``.
@@ -27,6 +27,8 @@ results to the batch columnar replay:
 
 from __future__ import annotations
 
+import bisect
+from array import array
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -54,6 +56,27 @@ def _grown(arr: np.ndarray, capacity: int, fill) -> np.ndarray:
     return out
 
 
+def _place(keys: list[str], order: array) -> np.ndarray:
+    """Sort pids ``len(order) ..`` into ``order`` (pids by key); return
+    every pid's rank.
+
+    Equal keys keep pid order, as a stable argsort does: a new pid is the
+    highest so far, so it goes after every equal key (``bisect_right``).
+    A batch of new keys larger than an eighth of the placed ones is
+    placed by one full stable sort instead.
+    """
+    n, done = len(keys), len(order)
+    if n - done > done // 8:
+        order[:] = array("q", sorted(range(n), key=keys.__getitem__))
+    else:
+        for pid in range(done, n):
+            order.insert(bisect.bisect_right(order, keys[pid],
+                                             key=keys.__getitem__), pid)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.frombuffer(order, np.int64)] = np.arange(n, dtype=np.int64)
+    return rank
+
+
 class PathCatalog:
     """Arrival-order path interner satisfying the trigger-engine catalog.
 
@@ -67,7 +90,7 @@ class PathCatalog:
 
     __slots__ = ("_paths", "_pid_of", "_det_size", "_snap_size",
                  "version", "_scan_rank", "_order_rank", "_ranks_version",
-                 "_scan_keys")
+                 "_scan_keys", "_path_order", "_scan_order")
 
     def __init__(self) -> None:
         self._paths: list[str] = []
@@ -79,6 +102,10 @@ class PathCatalog:
         self._scan_rank: np.ndarray | None = None
         self._order_rank: np.ndarray | None = None
         self._ranks_version = -1
+        # Pids in each scan order, kept across triggers so new paths
+        # are bisected in, not re-sorted.
+        self._path_order = array("q")
+        self._scan_order = array("q")
 
     # -- catalog protocol ----------------------------------------------
 
@@ -100,27 +127,13 @@ class PathCatalog:
 
     def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
         if self._ranks_version != self.version:
-            n = len(self._paths)
-            if n == 0:
-                order_rank = scan_rank = np.empty(0, dtype=np.int64)
-            else:
-                # Plain-string order (iter_user_files / value
-                # tie-breaks).  Paths are unique, so the stable numpy
-                # argsort reproduces ``sorted()`` exactly while staying
-                # out of the interpreter -- this runs once per trigger
-                # over the whole catalog.
-                order = np.argsort(np.asarray(self._paths), kind="stable")
-                order_rank = np.empty(n, dtype=np.int64)
-                order_rank[order] = np.arange(n, dtype=np.int64)
-                # Prefix-trie order (the FLT system scan): component
-                # tuples compare identically to the components joined on
-                # NUL (below every path character), and those keys are
-                # built once per path at intern time.
-                trie = np.argsort(np.asarray(self._scan_keys),
-                                  kind="stable")
-                scan_rank = np.empty(n, dtype=np.int64)
-                scan_rank[trie] = np.arange(n, dtype=np.int64)
-            self._order_rank, self._scan_rank = order_rank, scan_rank
+            # Plain-string order (iter_user_files / value tie-breaks),
+            # and prefix-trie order (the FLT system scan): component
+            # tuples compare identically to the components joined on
+            # NUL (below every path character), and those keys are
+            # built once per path at intern time.
+            self._order_rank = _place(self._paths, self._path_order)
+            self._scan_rank = _place(self._scan_keys, self._scan_order)
             self._ranks_version = self.version
         return self._order_rank, self._scan_rank
 

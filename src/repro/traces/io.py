@@ -25,28 +25,48 @@ log stores the path as the *last* field and parses it with
 unicode round-trip; paths containing a newline cannot be represented in
 a line-oriented format and are rejected at write time.
 
+Readers end lines only at ``\\n``, so a path holding ``\\r`` reads back
+as written.  Each event family has two readers over one per-line parser
+(``parse_*_line``): the record readers (``read_jobs``, ...) yield one
+record per line; the columnar readers (``read_*_chunks``) parse the
+decompressed bytes straight into single-kind
+:class:`~repro.stream.batch.EventBatch` chunks of at most
+:data:`CHUNK_ROWS` rows.  A columnar reader converts plain-digit fields
+and known ops with NumPy over the whole chunk and decodes each distinct
+path once per chunk; any other line (a sign, spaces or ``_`` in an int,
+a bad op, a record invariant, bytes that are not UTF-8) goes through the
+per-line parser, so both readers accept exactly the same lines with the
+same values.
+
 All readers accept an optional ``on_error`` callback: a line that fails
 to parse (field count, int conversion, schema ``__post_init__``
 validation) is handed to the callback and skipped instead of raising --
 the hook the streaming quarantine uses to divert malformed rows to a
-dead-letter file while the rest of a damaged trace keeps flowing.
+dead-letter file while the rest of a damaged trace keeps flowing.  The
+columnar readers also divert a line that is not UTF-8 (the record
+readers raise ``UnicodeDecodeError``) or whose ints do not fit an int64
+column.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from typing import IO, Callable, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 from .schema import AppAccessRecord, JobRecord, PublicationRecord, UserRecord
 
 __all__ = [
-    "atomic_output", "fsync_directory",
+    "atomic_output", "fsync_directory", "CHUNK_ROWS",
     "user_line", "job_line", "access_line", "publication_line",
+    "parse_job_line", "parse_access_line", "parse_publication_line",
     "write_users", "read_users",
-    "write_jobs", "read_jobs",
-    "write_app_log", "read_app_log",
-    "write_publications", "read_publications",
+    "write_jobs", "read_jobs", "read_job_chunks",
+    "write_app_log", "read_app_log", "read_app_log_chunks",
+    "write_publications", "read_publications", "read_publication_chunks",
 ]
 
 T = TypeVar("T")
@@ -126,7 +146,9 @@ def _open_write(path: str, wrap=None) -> atomic_output:
 
 
 def _open_read(path: str) -> IO[str]:
-    return gzip.open(path, "rt") if path.endswith(".gz") else open(path)
+    # ``newline="\n"``: a ``\r`` inside a path is data, not a line end.
+    return (gzip.open(path, "rt", newline="\n") if path.endswith(".gz")
+            else open(path, newline="\n"))
 
 
 #: Lines buffered per ``writelines`` flush.  One ``f.write`` per record
@@ -202,6 +224,27 @@ def publication_line(p: PublicationRecord) -> str:
             f"{','.join(str(u) for u in p.author_uids)}\n")
 
 
+# ------------------------------------------------------- per-line parsers
+# The record readers and the columnar readers' fallback share these, so
+# both kinds of reader accept the same lines with the same values.
+
+def parse_job_line(line: str) -> JobRecord:
+    jid, uid, sub, start, end, nodes, cpn = line.split("|")
+    return JobRecord(int(jid), int(uid), int(sub), int(start), int(end),
+                     int(nodes), int(cpn))
+
+
+def parse_access_line(line: str) -> AppAccessRecord:
+    ts, uid, op, file_path = line.split("|", 3)
+    return AppAccessRecord(int(ts), int(uid), file_path, op)
+
+
+def parse_publication_line(line: str) -> PublicationRecord:
+    pid, ts, cites, authors = line.split("|")
+    uids = [int(u) for u in authors.split(",")] if authors else []
+    return PublicationRecord(int(pid), int(ts), uids, int(cites))
+
+
 # ---------------------------------------------------------------- users
 
 def write_users(path: str, users: Iterable[UserRecord], *,
@@ -225,11 +268,7 @@ def write_jobs(path: str, jobs: Iterable[JobRecord], *, wrap=None) -> int:
 
 def read_jobs(path: str,
               on_error: OnError | None = None) -> Iterator[JobRecord]:
-    def parse(line: str) -> JobRecord:
-        jid, uid, sub, start, end, nodes, cpn = line.split("|")
-        return JobRecord(int(jid), int(uid), int(sub), int(start), int(end),
-                         int(nodes), int(cpn))
-    return _read(path, parse, on_error)
+    return _read(path, parse_job_line, on_error)
 
 
 # ---------------------------------------------------------------- app log
@@ -242,10 +281,7 @@ def write_app_log(path: str, accesses: Iterable[AppAccessRecord], *,
 def read_app_log(path: str,
                  on_error: OnError | None = None,
                  ) -> Iterator[AppAccessRecord]:
-    def parse(line: str) -> AppAccessRecord:
-        ts, uid, op, file_path = line.split("|", 3)
-        return AppAccessRecord(int(ts), int(uid), file_path, op)
-    return _read(path, parse, on_error)
+    return _read(path, parse_access_line, on_error)
 
 
 # ---------------------------------------------------------------- pubs
@@ -258,8 +294,291 @@ def write_publications(path: str, pubs: Iterable[PublicationRecord], *,
 def read_publications(path: str,
                       on_error: OnError | None = None,
                       ) -> Iterator[PublicationRecord]:
-    def parse(line: str) -> PublicationRecord:
-        pid, ts, cites, authors = line.split("|")
-        uids = [int(u) for u in authors.split(",")] if authors else []
-        return PublicationRecord(int(pid), int(ts), uids, int(cites))
-    return _read(path, parse, on_error)
+    return _read(path, parse_publication_line, on_error)
+
+
+# ---------------------------------------------------------------- columnar
+
+#: Most rows in one chunk of the columnar readers.  A constant, so one
+#: trace always splits into the same chunks.
+CHUNK_ROWS = 8192
+
+#: Decompressed bytes asked for per read (a chunk's lines span ~2-4).
+_READ_BYTES = 1 << 18
+
+#: Widest int field converted in bulk: 18 digits always fit an int64.
+_MAX_DIGITS = 18
+
+_PIPE, _NEWLINE = ord("|"), ord("\n")
+
+
+def _open_read_bytes(path: str) -> IO[bytes]:
+    return gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
+
+
+def _chunks(path: str, parse, on_error: OnError | None):
+    """The non-empty batches ``parse`` makes of each block of at most
+    CHUNK_ROWS lines of ``path``.
+
+    A block is parsed as soon as its lines are read, so the decompressed
+    bytes are dropped before its batch is handed on.  ``read1`` returns
+    what one decompression step produced, so when a torn or corrupt tail
+    raises, every complete line before it is handed over first and the
+    error then propagates as it does from the record readers.
+    """
+    with _open_read_bytes(path) as fh:
+        pieces: list[bytes] = []
+        lines = 0
+        while True:
+            try:
+                piece = fh.read1(_READ_BYTES)
+            except (OSError, EOFError, zlib.error):
+                data = b"".join(pieces)
+                yield from _parse_blocks(data[:data.rfind(b"\n") + 1], True,
+                                         parse, on_error)[0]
+                raise
+            if not piece:
+                break
+            pieces.append(piece)
+            lines += piece.count(b"\n")
+            if lines >= CHUNK_ROWS:
+                batches, rest = _parse_blocks(b"".join(pieces), False, parse,
+                                              on_error)
+                pieces, lines = [rest], rest.count(b"\n")
+                yield from batches
+        data = b"".join(pieces)
+        if data and not data.endswith(b"\n"):
+            data += b"\n"
+        yield from _parse_blocks(data, True, parse, on_error)[0]
+
+
+def _parse_blocks(data: bytes, final: bool, parse,
+                  on_error: OnError | None) -> tuple[list, bytes]:
+    """``(batches, rest)``: what ``parse`` makes of each block of whole
+    CHUNK_ROWS lines in ``data`` (with ``final``, of every line), and
+    the bytes left over.
+
+    Line ``i`` of a block is ``data[starts[i]:ends[i]]`` without its
+    ``\\n``; ``parse(data, starts, ends, on_error)`` returns a batch or
+    None.
+    """
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == _NEWLINE)
+    n = ends.size if final else ends.size - ends.size % CHUNK_ROWS
+    batches = []
+    for lo in range(0, n, CHUNK_ROWS):
+        block_ends = ends[lo:min(lo + CHUNK_ROWS, n)]
+        starts = np.empty_like(block_ends)
+        starts[0] = ends[lo - 1] + 1 if lo else 0
+        starts[1:] = block_ends[:-1] + 1
+        batch = parse(data, starts, block_ends, on_error)
+        if batch is not None:
+            batches.append(batch)
+    return batches, (data[ends[n - 1] + 1:] if n else data)
+
+
+def _pipes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``(pipes, first, count)``: the positions of every ``|`` in the
+    block and, per line, the index of its first one and how many it has."""
+    lo = int(starts[0])
+    pipes = np.flatnonzero(buf[lo:int(ends[-1])] == _PIPE) + lo
+    first = np.searchsorted(pipes, starts)
+    return pipes, first, np.searchsorted(pipes, ends) - first
+
+
+def _nth(pipes: np.ndarray, first: np.ndarray, k: int) -> np.ndarray:
+    """Position of each line's ``k``-th ``|`` (junk where it has fewer)."""
+    if not pipes.size:
+        return np.zeros_like(first)
+    return pipes[np.minimum(first + k, pipes.size - 1)]
+
+
+def _digits(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``(values, ok)`` of the fields ``buf[lo:hi]``; ``ok`` where a field
+    is 1 to 18 ASCII digits, which ``int()`` reads as the same value."""
+    width = hi - lo
+    ok = (width >= 1) & (width <= _MAX_DIGITS)
+    values = np.zeros(lo.size, np.int64)
+    top = buf.size - 1
+    for j in range(int(width[ok].max()) if ok.any() else 0):
+        live = j < width
+        digit = buf[np.minimum(lo + j, top)] - np.uint8(48)  # wraps < '0'
+        ok &= ~live | (digit <= 9)
+        values = np.where(live, values * 10 + digit, values)
+    return values, ok
+
+
+def _ops(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``(codes, ok)``: the op code where ``buf[lo:hi]`` is a known op."""
+    from ..stream.batch import OP_BY_CODE
+
+    codes = np.zeros(lo.size, np.uint8)
+    ok = np.zeros(lo.size, bool)
+    top = buf.size - 1
+    for code, name in enumerate(OP_BY_CODE):
+        match = (hi - lo) == len(name)
+        for j, char in enumerate(name.encode()):
+            match &= buf[np.minimum(lo + j, top)] == char
+        codes[match] = code
+        ok |= match
+    return codes, ok
+
+
+def _settle(data: bytes, starts: np.ndarray, ends: np.ndarray,
+            ok: np.ndarray, parse: Callable[[str], T],
+            store: Callable[[int, T], None],
+            on_error: OnError | None) -> np.ndarray:
+    """Row indices of the block's records, in line order.
+
+    Lines the bulk pass converted (``ok``) are kept as they are; every
+    other non-empty line goes through ``parse`` -- the record readers'
+    per-line parser -- and is either kept via ``store(row, record)`` or
+    handed to ``on_error`` with the text a record reader would hand it.
+    """
+    keep = ok.copy()
+    for i in np.flatnonzero(~ok & (ends > starts)).tolist():
+        raw = data[starts[i]:ends[i]]
+        try:
+            store(i, parse(raw.decode("utf-8")))
+        except (ValueError, IndexError, TypeError, OverflowError) as exc:
+            if on_error is None:
+                raise
+            on_error(raw.decode("utf-8", "backslashreplace"), exc)
+            continue
+        keep[i] = True
+    return np.flatnonzero(keep)
+
+
+def read_job_chunks(path: str, on_error: OnError | None = None):
+    """The jobs trace as single-kind ``EventBatch`` chunks (row ``ts`` is
+    ``submit_ts``); the rows :func:`read_jobs` yields, in order."""
+    return _chunks(path, _job_block, on_error)
+
+
+def read_publication_chunks(path: str, on_error: OnError | None = None):
+    """The publications trace as single-kind ``EventBatch`` chunks; the
+    rows :func:`read_publications` yields, in order."""
+    return _chunks(path, _publication_block, on_error)
+
+
+def read_app_log_chunks(path: str, on_error: OnError | None = None):
+    """The app log as single-kind ``EventBatch`` chunks; the rows
+    :func:`read_app_log` yields, in order.  Each chunk's string pool
+    holds its distinct paths, each decoded once."""
+    return _chunks(path, _access_block, on_error)
+
+
+def _job_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
+               on_error: OnError | None):
+    """One block of job lines as a batch (None if no line is a job)."""
+    from ..stream.batch import KIND_JOB_CODE, EventBatch
+
+    buf = np.frombuffer(data, np.uint8)
+    pipes, first, count = _pipes(buf, starts, ends)
+    ok = count == 6
+    cols = []
+    lo = starts
+    for k in range(7):
+        hi = _nth(pipes, first, k) if k < 6 else ends
+        values, good = _digits(buf, lo, hi)
+        ok &= good
+        cols.append(values)
+        lo = hi + 1
+    jid, uid, sub, start, end, nodes, cores = cols
+    ok &= (end >= start) & (start >= sub) & (nodes >= 1) & (cores >= 1)
+
+    def store(i: int, rec: JobRecord) -> None:
+        (jid[i], uid[i], sub[i], start[i], end[i], nodes[i],
+         cores[i]) = (rec.job_id, rec.uid, rec.submit_ts, rec.start_ts,
+                      rec.end_ts, rec.num_nodes, rec.cores_per_node)
+
+    keep = _settle(data, starts, ends, ok, parse_job_line, store, on_error)
+    if not keep.size:
+        return None
+    return EventBatch(
+        np.full(keep.size, KIND_JOB_CODE, np.uint8), sub[keep],
+        job_id=jid[keep], job_uid=uid[keep], job_start=start[keep],
+        job_end=end[keep], job_nodes=nodes[keep], job_cores=cores[keep])
+
+
+def _publication_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
+                       on_error: OnError | None):
+    """One block of publication lines as a batch (or None).
+
+    Publications are a sliver of the traffic (the paper's traces hold
+    1,151 against 1.37M jobs), so every line takes the per-line parser.
+    """
+    from ..stream.batch import KIND_PUB_CODE, EventBatch
+
+    n = starts.size
+    pid, ts, cites = (np.zeros(n, np.int64) for _ in range(3))
+    authors: list[np.ndarray] = []
+
+    def store(i: int, rec: PublicationRecord) -> None:
+        uids = np.asarray(rec.author_uids, np.int64)
+        pid[i], ts[i], cites[i] = rec.pub_id, rec.ts, rec.citations
+        authors.append(uids)
+
+    keep = _settle(data, starts, ends, np.zeros(n, bool),
+                   parse_publication_line, store, on_error)
+    if not keep.size:
+        return None
+    off = np.zeros(keep.size + 1, np.int64)
+    np.cumsum([uids.size for uids in authors], out=off[1:])
+    return EventBatch(
+        np.full(keep.size, KIND_PUB_CODE, np.uint8), ts[keep],
+        pub_id=pid[keep], pub_cit=cites[keep], pub_auth_off=off,
+        pub_auth=np.concatenate(authors))
+
+
+def _access_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
+                  on_error: OnError | None):
+    """One block of app-log lines as a batch (or None)."""
+    from ..stream.batch import KIND_ACC_CODE, OP_CODES, EventBatch
+
+    buf = np.frombuffer(data, np.uint8)
+    pipes, first, count = _pipes(buf, starts, ends)
+    p1, p2, p3 = (_nth(pipes, first, k) for k in range(3))
+    ts, ok = _digits(buf, starts, p1)
+    uid, good = _digits(buf, p1 + 1, p2)
+    ok &= good
+    op, good = _ops(buf, p2 + 1, p3)
+    ok &= good & (count >= 3)
+    # Each distinct path is decoded once, in first-occurrence order;
+    # map() keeps the per-row slicing and lookup out of bytecode.
+    rows = np.flatnonzero(ok)
+    raw_paths = list(map(data.__getitem__, map(
+        slice, (p3[rows] + 1).tolist(), ends[rows].tolist())))
+    index = dict.fromkeys(raw_paths)
+    index = dict(zip(index, range(len(index))))
+    path_idx = np.zeros(starts.size, np.int64)
+    path_idx[rows] = np.fromiter(map(index.__getitem__, raw_paths),
+                                 np.int64, rows.size)
+    try:
+        pool = list(map(bytes.decode, index))
+    except UnicodeDecodeError:
+        pool, undecodable = [], []
+        for k, raw in enumerate(index):
+            try:
+                pool.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                pool.append("")  # no kept row names it
+                undecodable.append(k)
+        ok[rows[np.isin(path_idx[rows], undecodable)]] = False
+
+    def store(i: int, rec: AppAccessRecord) -> None:
+        key = rec.path.encode("utf-8")
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(pool)
+            pool.append(rec.path)
+        ts[i], uid[i], op[i], path_idx[i] = (rec.ts, rec.uid,
+                                             OP_CODES[rec.op], k)
+
+    keep = _settle(data, starts, ends, ok, parse_access_line, store,
+                   on_error)
+    if not keep.size:
+        return None
+    return EventBatch(
+        np.full(keep.size, KIND_ACC_CODE, np.uint8), ts[keep],
+        acc_uid=uid[keep], acc_op=op[keep],
+        acc_path=path_idx[keep].astype(np.uint32), pool=pool)

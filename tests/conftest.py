@@ -1,10 +1,12 @@
-"""Shared fixtures: tiny deterministic datasets and file-system builders."""
+"""Shared fixtures: tiny deterministic datasets, file-system builders,
+and the merged-stream expander."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import ActivenessParams, RetentionConfig
+from repro.stream import BatchRun, EventBatch
 from repro.synth import TitanConfig, generate_dataset
 from repro.vfs import DAY_SECONDS, FileMeta, VirtualFileSystem
 
@@ -24,6 +26,18 @@ def make_fs(entries, capacity=None):
     else:
         fs.capacity_bytes = capacity
     return fs
+
+
+def expand_events(items):
+    """A stream as a list of events, every BatchRun (or EventBatch) row
+    by row."""
+    out = []
+    for item in items:
+        if isinstance(item, (BatchRun, EventBatch)):
+            out.extend(item.iter_events())
+        else:
+            out.append(item)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -272,3 +272,23 @@ def test_serve_resume_keeps_the_checkpoint_tenants(ws_dir, capsys,
     replayed = capsys.readouterr().out
     assert resumed.out.split("=== tenant activedr [activedr] ===\n")[1] \
         == replayed
+
+
+def test_serve_quarantines_a_trace_line_that_is_not_utf8(ws_dir, capsys,
+                                                         tmp_path):
+    import gzip
+    import shutil
+
+    poisoned = str(tmp_path / "poisoned")
+    shutil.copytree(ws_dir, poisoned)
+    with gzip.open(os.path.join(poisoned, "app_log.txt.gz"), "ab") as fh:
+        fh.write(b"1400000000|1|access|/proj/\xff\xfe/file\n")
+    assert main(["serve", "--workspace", poisoned, "--policy",
+                 "activedr"]) == 0
+    served = capsys.readouterr()
+    assert "quarantined=1" in served.err
+    assert main(["replay", "--workspace", ws_dir, "--policy", "activedr",
+                 "--engine", "fast"]) == 0
+    replayed = capsys.readouterr().out
+    assert served.out.split("=== tenant activedr [activedr] ===\n")[1] \
+        == replayed

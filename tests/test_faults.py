@@ -17,6 +17,8 @@ import pytest
 from repro.faults import (FaultPlan, FaultSpec, FaultyIO, FaultyStream,
                           InjectedIOError, corrupt_file, trace_writer_wrap)
 
+from conftest import expand_events
+
 
 # ---------------------------------------------------------------- plans
 
@@ -366,7 +368,7 @@ def test_torn_gzip_trace_tail_survives_reliable_stream(tmp_path):
                                   max_delay=0.0, jitter=0.0),
             sleep=lambda s: None)
 
-    clean = list(stream(clean_ws))
+    clean = expand_events(stream(clean_ws))
     jobs_path = os.path.join(torn_ws, "jobs.txt.gz")
     # Tear repeatedly until the cut is deep enough to eat real records,
     # not just the 8-byte gzip trailer.
@@ -375,7 +377,7 @@ def test_torn_gzip_trace_tail_survives_reliable_stream(tmp_path):
         corrupt_file(jobs_path, "torn_tail", seed=13)
 
     torn = stream(torn_ws)
-    events = list(torn)
+    events = expand_events(torn)
 
     clean_jobs = [ev for ev in clean if ev.kind == EVENT_JOB]
     got_jobs = [ev for ev in events if ev.kind == EVENT_JOB]

@@ -12,6 +12,7 @@ import pytest
 from repro.traces.io import (
     atomic_output,
     read_app_log,
+    read_app_log_chunks,
     read_users,
     write_app_log,
     write_users,
@@ -56,15 +57,19 @@ def test_snapshot_shards_round_trip_hostile_paths(tmp_path):
     assert loaded == sorted(records, key=lambda r: r.path)
 
 
-@pytest.mark.parametrize("path", HOSTILE_PATHS + ["/proj/pipe|name/file"])
+@pytest.mark.parametrize("path", HOSTILE_PATHS + ["/proj/pipe|name/file",
+                                                 "/proj/cr\rname/file"])
 def test_app_log_round_trip_hostile_paths(tmp_path, path):
     # The app log carries the path as the *last* field, so even '|' is
-    # legal there -- the reader splits at most three times.
+    # legal there -- the reader splits at most three times -- and lines
+    # end only at '\n', so '\r' is legal too.  Both readers agree.
     log = str(tmp_path / "app_log.txt.gz")
     records = [AppAccessRecord(1000 + i, 7, path, op)
                for i, op in enumerate(("access", "create", "touch"))]
     assert write_app_log(log, records) == 3
     assert list(read_app_log(log)) == records
+    assert [ev.payload for chunk in read_app_log_chunks(log)
+            for ev in chunk.iter_events()] == records
 
 
 def test_app_log_rejects_newline_in_path(tmp_path):

@@ -36,6 +36,7 @@ from repro.stream.reliability.quarantine import (REASON_BAD_KIND,
 from repro.stream.events import EVENT_JOB, StreamEvent
 from repro.traces.schema import JobRecord
 
+from conftest import expand_events
 from test_compiled_replay import assert_results_equal
 
 _FAST = RetryPolicy(base_delay=0.0, max_delay=0.0, jitter=0.0)
@@ -292,7 +293,7 @@ def test_quarantine_reason_codes():
         (_job_event(job_id=1), REASON_DUPLICATE),
     ]
     stream = [good] + [obj for obj, _reason in bad]
-    out = list(quarantine.guard("jobs", stream))
+    out = list(quarantine.guard_hybrid("jobs", stream))
     assert out == [good]
     summary = quarantine.summary()
     assert summary["quarantined"] == len(bad)
@@ -304,16 +305,16 @@ def test_quarantine_reason_codes():
 def test_quarantine_unknown_uid_is_opt_in():
     quarantine = EventQuarantine()  # no known_uids: anything goes
     ev = _job_event(uid=424242)
-    assert list(quarantine.guard("jobs", [ev])) == [ev]
+    assert list(quarantine.guard_hybrid("jobs", [ev])) == [ev]
     assert quarantine.total == 0
 
 
 def test_quarantine_duplicate_ids_scoped_per_source():
     quarantine = EventQuarantine()
     a, b = _job_event(job_id=5), _job_event(job_id=5)
-    assert list(quarantine.guard("jobs", [a])) == [a]
+    assert list(quarantine.guard_hybrid("jobs", [a])) == [a]
     # Same id from a *different* source is a different feed's counter.
-    assert list(quarantine.guard("jobs2", [b])) == [b]
+    assert list(quarantine.guard_hybrid("jobs2", [b])) == [b]
     assert quarantine.total == 0
 
 
@@ -416,7 +417,7 @@ def test_reader_hook_diverts_unparsable_rows(tmp_path):
 # ---------------------------------------------------------------- property
 
 def _guarded_merge(dataset, plan, quarantine):
-    """The ReliableEventStream wiring, over in-memory trace lists."""
+    """The ReliableEventStream merge, over in-memory trace lists."""
     sources = [
         ResilientSource("jobs", lambda: job_events(dataset.jobs),
                         policy=_FAST, plan=plan, sleep=lambda s: None),
@@ -426,8 +427,7 @@ def _guarded_merge(dataset, plan, quarantine):
         ResilientSource("accesses", lambda: access_events(dataset.accesses),
                         policy=_FAST, plan=plan, sleep=lambda s: None),
     ]
-    guarded = [quarantine.guard(src.name, src) for src in sources]
-    return heapq.merge(*guarded, key=lambda ev: ev.ts)
+    return iter(ReliableEventStream(sources=sources, quarantine=quarantine))
 
 
 def _random_plan(rng, sizes):
@@ -460,7 +460,7 @@ def test_property_guarded_stream_equals_valid_subsequence(tiny_dataset):
     for trial in range(25):
         plan = _random_plan(rng, sizes)
         quarantine = EventQuarantine()
-        got = list(_guarded_merge(tiny_dataset, plan, quarantine))
+        got = expand_events(_guarded_merge(tiny_dataset, plan, quarantine))
         assert got == clean, (
             f"trial {trial}: guarded stream diverged under plan "
             f"{plan.to_dict()}")
@@ -508,10 +508,178 @@ def test_reliable_event_stream_survives_missing_file(tmp_path):
     stream = ReliableEventStream(
         ws, retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0,
                               jitter=0.0), sleep=lambda s: None)
-    events = list(stream)
+    events = expand_events(stream)
     assert events  # jobs + accesses still flowed
     report = stream.report()
     assert report["sources"]["publications"]["health"] == "dead"
     assert "publications" in report["held_watermarks"]
     assert report["sources"]["jobs"]["health"] == "ok"
     assert stream.degraded
+
+
+# ---------------------------------------------------------------- columnar
+
+def _chunked(events, size):
+    """``events`` as EventBatch chunks of ``size`` rows, as a trace
+    file's columnar reader delivers them."""
+    from repro.stream import BatchBuilder
+
+    for lo in range(0, len(events), size):
+        builder = BatchBuilder()
+        builder.extend(events[lo:lo + size])
+        yield builder.build()
+
+
+def test_faulted_source_expands_chunks_into_events():
+    events = [StreamEvent(100 + i, EVENT_JOB,
+                          JobRecord(i, 1, 100 + i, 100 + i, 110 + i, 1))
+              for i in range(20)]
+    plan = FaultPlan([{"target": "jobs", "kind": "duplicate", "at": 5},
+                      {"target": "jobs", "kind": "stall", "at": 9},
+                      {"target": "jobs", "kind": "malformed", "at": 12}],
+                     seed=3)
+    src = ResilientSource("jobs", lambda: _chunked(events, 8), policy=_FAST,
+                          plan=plan, sleep=lambda s: None)
+    items = list(src)
+    # One item per row: each fault lands between the same two rows as in
+    # a per-event stream, and the stall's reopen skips exactly the 9 rows
+    # already delivered.
+    injected = [5, 13]
+    assert [item for i, item in enumerate(items)
+            if i not in injected] == events
+    # The duplicate copies the row before its position.
+    assert items[5] == events[4]
+    assert (src.pos, src.retries) == (20, 1)
+    quarantine = EventQuarantine()
+    src = ResilientSource("jobs", lambda: _chunked(events, 8), policy=_FAST,
+                          plan=FaultPlan(plan.specs, seed=3),
+                          sleep=lambda s: None)
+    assert list(quarantine.guard_hybrid("jobs", src)) == events
+    assert quarantine.by_reason[REASON_DUPLICATE] == 1
+    assert quarantine.total == 2
+
+
+def _write_job_lines(directory, lines):
+    """A workspace whose jobs trace is ``lines`` verbatim and whose other
+    two traces are empty."""
+    import gzip
+
+    from repro.traces import write_app_log, write_publications
+
+    with gzip.open(os.path.join(directory, "jobs.txt.gz"), "wt") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    write_publications(os.path.join(directory, "publications.txt.gz"), [])
+    write_app_log(os.path.join(directory, "app_log.txt.gz"), [])
+
+
+def test_reopened_file_source_rediverts_its_chunks_malformed_lines(
+        tmp_path):
+    """A stall on a file source holding malformed lines.  The reopen
+    re-reads the chunk that holds ``pos``, so that chunk's malformed
+    lines are diverted again on both sides of ``pos``: 4 diversions
+    here, where a per-event reader, which re-diverts only the lines
+    before ``pos``, makes 3."""
+    lines = [f"{i}|1|{100 + i}|{100 + i}|{110 + i}|1|1" for i in range(20)]
+    lines.insert(3, "not|a|job")            # before the stall's row 9
+    lines.insert(16, "15|x|115|115|125|1|1")  # after it
+    _write_job_lines(str(tmp_path), lines)
+    plan = FaultPlan([{"target": "jobs", "kind": "stall", "at": 9}], seed=1)
+    stream = ReliableEventStream(str(tmp_path), plan=plan, retry=_FAST,
+                                 sleep=lambda s: None)
+    events = expand_events(stream)
+    assert [ev.payload.job_id for ev in events] == list(range(20))
+    report = stream.report()
+    assert report["sources"]["jobs"]["retries"] == 1
+    assert report["quarantine"]["by_reason"] == {"unparsable_row": 4}
+
+
+def test_file_row_dead_letters_hold_the_row_columns(tmp_path):
+    """A row the guard diverts from a trace-file chunk is logged as its
+    raw columns (``EventBatch.row_debug``), not as a StreamEvent repr."""
+    lines = [f"{i}|1|{100 + i}|{100 + i}|{110 + i}|1|1" for i in range(5)]
+    lines.append("2|1|104|104|114|1|1")  # job 2 again
+    _write_job_lines(str(tmp_path), lines)
+    path = str(tmp_path / "dead.jsonl")
+    with DeadLetterLog(path) as log:
+        stream = ReliableEventStream(str(tmp_path), dead_letter=log)
+        assert len(expand_events(stream)) == 5
+    with open(path) as fh:
+        (record,) = [json.loads(line) for line in fh]
+    assert (record["reason"], record["detail"]) == (
+        REASON_DUPLICATE, "id 2 redelivered")
+    assert record["event"] == repr(
+        {"kind": "job", "ts": 104, "job_id": 2, "uid": 1, "start_ts": 104,
+         "end_ts": 114, "num_nodes": 1, "cores_per_node": 1})
+
+
+def test_property_chunked_sources_fault_like_event_sources(tiny_dataset,
+                                                           tmp_path):
+    """The same random plan fires at the same rows, with the same
+    dead-letter reasons and details, whether a source delivers events
+    or columnar chunks."""
+    clean = list(dataset_event_stream(tiny_dataset))
+    feeds = {"jobs": list(job_events(tiny_dataset.jobs)),
+             "publications": list(publication_events(
+                 tiny_dataset.publications)),
+             "accesses": list(access_events(tiny_dataset.accesses))}
+    sizes = {name: len(events) for name, events in feeds.items()}
+    rng = random.Random(99)
+    for trial in range(8):
+        specs = _random_plan(rng, sizes).to_dict()
+        letters = []
+        for chunk in (None, 37):
+            plan = FaultPlan.from_dict(specs)
+            path = str(tmp_path / f"dead-{trial}-{chunk}.jsonl")
+            with DeadLetterLog(path) as log:
+                quarantine = EventQuarantine(dead_letter=log)
+                sources = [
+                    ResilientSource(
+                        name, (lambda ev=events: iter(ev)) if chunk is None
+                        else (lambda ev=events: _chunked(ev, chunk)),
+                        policy=_FAST, plan=plan, sleep=lambda s: None)
+                    for name, events in feeds.items()]
+                got = expand_events(ReliableEventStream(
+                    sources=sources, quarantine=quarantine))
+            assert got == clean, f"trial {trial}, chunk {chunk}"
+            with open(path) as fh:
+                records = [json.loads(line) for line in fh]
+            letters.append(sorted(
+                (rec["source"], rec["source_seq"], rec["reason"],
+                 rec["detail"]) for rec in records))
+        assert letters[0] == letters[1], f"trial {trial}"
+
+
+def test_reliable_stream_rows_equal_the_per_event_merge(tmp_path):
+    from repro.cli.workspace import save_workspace
+    from repro.stream import workspace_event_stream
+    from repro.synth import TitanConfig, generate_dataset
+
+    ws = str(tmp_path / "ws")
+    save_workspace(generate_dataset(TitanConfig(n_users=40, seed=8)), ws,
+                   n_shards=1)
+    runs = list(ReliableEventStream(ws))
+    assert expand_events(runs) == list(workspace_event_stream(ws))
+    assert any(not run.batch.single_kind for run in runs)
+
+
+def test_reliable_stream_breaks_timestamp_ties_like_the_heap(tmp_path):
+    """Equal timestamps across all three sources, in runs that cross
+    chunk borders: activity first, then accesses, each in file order."""
+    from repro.stream import workspace_event_stream
+    from repro.traces import (AppAccessRecord, PublicationRecord,
+                              write_app_log, write_jobs, write_publications)
+    from repro.traces.io import CHUNK_ROWS
+
+    n = 3 * CHUNK_ROWS
+    ts = [100 * (i // 5000) for i in range(n)]   # long same-ts runs
+    write_app_log(str(tmp_path / "app_log.txt.gz"),
+                  [AppAccessRecord(t, i % 9, f"/p/{i % 300}")
+                   for i, t in enumerate(ts)])
+    write_jobs(str(tmp_path / "jobs.txt.gz"),
+               [JobRecord(i, i % 9, t, t, t + 5, 1)
+                for i, t in enumerate(ts)])
+    write_publications(str(tmp_path / "publications.txt.gz"),
+                       [PublicationRecord(i, t, [i % 9], 1)
+                        for i, t in enumerate(ts[::2500])])
+    clean = list(workspace_event_stream(str(tmp_path)))
+    assert expand_events(ReliableEventStream(str(tmp_path))) == clean

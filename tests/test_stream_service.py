@@ -8,6 +8,8 @@ it folds must match the batch store."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,17 @@ from repro.emulation import (
 )
 from repro.server import MultiTenantService, TenantSpec
 from repro.stream import (
+    BatchBuilder,
+    BatchRun,
     CheckpointManager,
     IncrementalActivenessState,
+    PathCatalog,
     StreamEvent,
     dataset_event_stream,
     skip_stream_items,
 )
 from repro.traces.schema import AppAccessRecord
+from repro.vfs.path_trie import split_path
 
 from test_compiled_replay import POLICIES, assert_results_equal
 from test_server import build_policy, make_fleet
@@ -145,6 +151,47 @@ def test_checkpoint_kill_resume_is_bit_identical(dataset, compiled,
     assert resumed.stats["events_job"] == len(dataset.jobs)
     assert resumed.stats["events_publication"] == len(dataset.publications)
     assert resumed.stats["events_access"] == len(dataset.accesses)
+
+
+def test_stop_inside_a_batch_run_is_exact(dataset, compiled):
+    events = list(dataset_event_stream(dataset))
+    builder = BatchBuilder()
+    builder.extend(events)
+    batch = builder.build()
+    runs = [BatchRun(batch, lo, min(lo + 4096, batch.n))
+            for lo in range(0, batch.n, 4096)]
+    stop = 4096 + 1234
+    service = make_service(dataset, "activedr", EmulatorConfig())
+    assert service.run(iter(runs), stop_after_events=stop) is None
+    assert service.cursor == stop
+    # The rest of the stream, from the cursor on, completes the run.
+    streamed = service.run(skip_stream_items(iter(runs), stop))["activedr"]
+    assert_results_equal(streamed, fast_result(
+        dataset, compiled, dict(POLICIES)["activedr"], EmulatorConfig()))
+    assert service.stats["events_access"] == len(dataset.accesses)
+
+
+def test_catalog_ranks_match_a_full_stable_sort():
+    """The rank columns are kept sorted across interns; they must equal
+    a fresh stable argsort however paths arrive, including paths with
+    equal scan keys (``/a/b`` and ``/a//b``) and non-ASCII paths."""
+    rng = random.Random(5)
+    parts = ["a", "b", "é", "结果", "x y", "v1.2", "B"]
+    catalog = PathCatalog()
+    for _step in range(40):
+        for _ in range(rng.choice([0, 1, 3, 50, 400])):
+            path = "/" + "/".join(rng.choice(parts)
+                                  for _ in range(rng.randint(1, 4)))
+            if rng.random() < 0.3:
+                path = path.replace("/", "//", rng.randint(1, 2))
+            catalog.intern(path)
+        n = catalog.n_paths
+        order = np.argsort(np.asarray(catalog.paths), kind="stable")
+        trie = np.argsort(np.asarray(["\x00".join(split_path(p))
+                                      for p in catalog.paths]),
+                          kind="stable")
+        assert (catalog.order_rank[order] == np.arange(n)).all()
+        assert (catalog.scan_rank[trie] == np.arange(n)).all()
 
 
 def test_resume_rejects_fingerprint_mismatch(dataset, tmp_path):
