@@ -3,10 +3,12 @@
 Measures, on one seeded dataset:
 
 * merged-stream ingest throughput (events/sec) of the multi-tenant
-  retention server fed from an in-memory file replay vs. over a Unix
-  socket, for both wire protocols -- v1 JSON-per-event frames and the
-  negotiated v2 binary columnar batch frames -- each with one producer
-  connection and with four concurrent producer shards.  Socket rows use
+  retention server fed from an in-memory file replay (the merged
+  stream as pre-built 8,192-row runs, what a merge hands the engine)
+  vs. over a Unix socket, for both wire protocols -- v1
+  JSON-per-event frames and the negotiated v2 binary columnar batch
+  frames -- each with one producer connection and with four concurrent
+  producer shards.  Socket rows use
   the standard load-generator methodology (iperf/wrk style): producers
   pre-encode their wire bytes *outside* the timed window and then blast
   them down the socket, so the clock measures the server's ingest
@@ -48,6 +50,8 @@ import threading
 import time
 
 import numpy as np
+
+from bench_stream_ingest import merged_runs
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -107,12 +111,13 @@ def run_bench(n_users: int, seed: int) -> dict:
     # throughput row reports the best of REPEATS runs.
     REPEATS = 3
 
-    # -- file replay baseline: the engine fed straight from memory -----
+    # -- file replay baseline: the engine fed pre-built runs from memory
     file_seconds = file_results = None
     for _ in range(REPEATS):
         service = make_fleet(ONE_TENANT)
+        runs = merged_runs(events)
         t0 = time.perf_counter()
-        results = service.run(iter(events))
+        results = service.run(iter(runs))
         elapsed = time.perf_counter() - t0
         if file_seconds is None or elapsed < file_seconds:
             file_seconds, file_results = elapsed, results
@@ -271,7 +276,6 @@ def run_bench(n_users: int, seed: int) -> dict:
     # scripted byte offsets; each failure->next-successful-handshake
     # latency is a recovery sample.
     from repro.faults import ChaosProxy, FaultPlan
-    from repro.stream.batch import BatchRun
 
     def preencode_binary_seq(shards):
         per_shard = []
@@ -317,9 +321,8 @@ def run_bench(n_users: int, seed: int) -> dict:
                         "retry_seed": 17, "stats": stats}, daemon=True)
             publisher.start()
             rows_seen = 0
-            for item in stream:
-                rows_seen += (item.n_rows
-                              if isinstance(item, BatchRun) else 1)
+            for run in stream:
+                rows_seen += run.n_rows
             publisher.join()
             severed = proxy.severed
         listener.close()
@@ -344,7 +347,7 @@ def run_bench(n_users: int, seed: int) -> dict:
     # -- binary-path crash fidelity: stop a four-tenant server mid-feed,
     #    resume from its newest checkpoint, re-feed over fresh binary
     #    connections, and demand bit-identity for every tenant ----------
-    four_file_results = make_fleet(FOUR_TENANTS).run(iter(events))
+    four_file_results = make_fleet(FOUR_TENANTS).run(iter(merged_runs(events)))
 
     def quiet_publish(address, name, feed):
         try:
@@ -427,8 +430,9 @@ def run_bench(n_users: int, seed: int) -> dict:
         best = fleet = None
         for _ in range(repeats):
             fleet = make_fleet(spec_texts)
+            runs = merged_runs(events)
             t0 = time.perf_counter()
-            fleet.run(iter(events))
+            fleet.run(iter(runs))
             elapsed = time.perf_counter() - t0
             best = elapsed if best is None else min(best, elapsed)
         return best, fleet

@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "seconds when the server is down or restarting")
     pub.add_argument("--batch", type=int, default=None, metavar="N",
                      help="events per binary batch frame (0 forces the "
-                          "v1 JSON-per-event path; default 2048)")
+                          "v1 JSON-per-event path; default 8192)")
     pub.add_argument("--compress", action="store_true",
                      help="zlib-compress batch frames when the server "
                           "grants the capability")

@@ -8,10 +8,10 @@ on the plan, cumulatively across every handle opened for the same
 target, so "kill during the 3rd checkpoint's write" is expressible as a
 single absolute write index.
 
-:class:`FaultyStream` wraps an event iterator and *inserts* faults --
+:class:`FaultyStream` wraps a batch iterator and *inserts* faults --
 stalls (a transient ``InjectedIOError`` the retry layer must absorb),
-malformed garbage, duplicate and time-regressed copies of real events.
-Injections never consume or replace an underlying event, so the valid
+malformed garbage, duplicate and time-regressed copies of real rows.
+Injections never consume or replace an underlying row, so the valid
 subsequence is exactly the clean stream: a pipeline that quarantines
 every injection provably computes the fault-free answer.
 
@@ -142,19 +142,23 @@ class FaultyIO:
 
 
 class FaultyStream:
-    """An event-iterator proxy that *inserts* scripted stream faults.
+    """A batch-iterator proxy that *inserts* scripted stream faults.
 
     ``source`` is any object with an integer ``pos`` (absolute index of
-    the next underlying event -- typically maintained by the replayable
-    source that owns the iterator) and a ``last_event`` attribute;
-    faults fire when ``pos`` reaches a spec's ``at``.  Because firing
-    state lives on the plan, a retry that re-opens the stream (and thus
-    rebuilds this wrapper) resumes exactly where the fault schedule left
-    off instead of replaying already-fired faults.
+    the next underlying row -- typically maintained by the replayable
+    source that owns the iterator, which cuts its chunks so ``pos``
+    stops at every scripted position) and a ``last_batch`` attribute;
+    faults fire when ``pos`` reaches a spec's ``at``.  ``duplicate``
+    re-inserts the last delivered row as a one-row batch, ``regress``
+    the same row with its ``ts`` shifted back, and ``malformed``
+    something that is not a batch at all.  Because firing state lives
+    on the plan, a retry that re-opens the stream (and thus rebuilds
+    this wrapper) resumes exactly where the fault schedule left off
+    instead of replaying already-fired faults.
     """
 
-    def __init__(self, events: Iterator, plan: FaultPlan, source) -> None:
-        self._events = events
+    def __init__(self, batches: Iterator, plan: FaultPlan, source) -> None:
+        self._batches = batches
         self._plan = plan
         self._source = source
         self._specs = plan.for_target(source.name)
@@ -166,7 +170,7 @@ class FaultyStream:
         injected = self._inject_at(self._source.pos)
         if injected is not _NOTHING:
             return injected
-        return next(self._events)
+        return next(self._batches)
 
     def _inject_at(self, pos: int):
         for spec in self._specs.get(pos, ()):
@@ -180,14 +184,14 @@ class FaultyStream:
                                          f"{self._source.name}")
             if spec.kind == "malformed":
                 return self._garbage(spec, pos)
-            last = self._source.last_event
-            if last is None:
-                continue  # nothing to duplicate/regress yet; spec spent
-            if spec.kind == "duplicate":
-                return last
+            last = self._source.last_batch
+            if last is None or spec.kind not in ("duplicate", "regress"):
+                continue  # nothing to copy yet (spec spent), or no-op kind
+            row = last.take([last.n - 1])
             if spec.kind == "regress":
-                delta = int(spec.arg) if spec.arg is not None else 86_400
-                return type(last)(last.ts - delta, last.kind, last.payload)
+                row.ts = row.ts - (int(spec.arg) if spec.arg is not None
+                                   else 86_400)
+            return row
         return _NOTHING
 
     def _garbage(self, spec: FaultSpec, pos: int):
@@ -196,20 +200,12 @@ class FaultyStream:
         # one spec (count > 1) differ, yet the sequence stays seeded.
         for _ in range(self._plan.fired(spec)):
             rng.random()
-        last = self._source.last_event
-        shapes = ["none", "text", "object"]
-        if last is not None:
-            shapes += ["bad_kind", "bad_payload"]
-        shape = rng.choice(shapes)
+        shape = rng.choice(["none", "text", "object"])
         if shape == "none":
             return None
         if shape == "text":
             return f"garbage|{self._source.name}|{pos}|{rng.random():.6f}"
-        if shape == "object":
-            return object()
-        if shape == "bad_kind":
-            return type(last)(last.ts, f"garbage-{pos}", last.payload)
-        return type(last)(last.ts, last.kind, None)
+        return object()
 
 
 _NOTHING = object()

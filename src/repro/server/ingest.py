@@ -10,11 +10,11 @@ the engine falls behind, queues fill, reader threads block on ``put``,
 and TCP flow control pushes back on the producers.
 
 :class:`SocketSource` is the consuming half: a named, health-tracked
-iterator draining one source queue, satisfying the same contract the
-file-backed :class:`~repro.stream.reliability.sources.ResilientSource`
-satisfies, so :class:`NetworkEventStream` can reuse the reliability
-layer's quarantine unchanged, in front of the run-granular
-``merge_stream_items``.  **Out-of-order events
+iterator draining one source queue into batches, satisfying the same
+contract the file-backed
+:class:`~repro.stream.reliability.sources.ResilientSource` satisfies, so
+:class:`NetworkEventStream` can reuse the reliability layer's
+quarantine and ``horizon_merge`` unchanged.  **Out-of-order events
 hit the quarantine, never the engine**: every socket source is guarded
 by the shared :class:`~repro.stream.reliability.quarantine.EventQuarantine`
 before the merge, so a producer that regresses in time, redelivers a
@@ -74,8 +74,9 @@ import time
 from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ..stream.batch import (BatchBuilder, BatchRun, EventBatch,
-                            merge_stream_items)
+import numpy as np
+
+from ..stream.batch import BatchBuilder, EventBatch, horizon_merge
 from ..stream.events import StreamEvent, job_events, publication_events, access_events
 from ..stream.reliability.quarantine import (REASON_CORRUPT_FRAME,
                                              REASON_UNPARSABLE)
@@ -111,8 +112,10 @@ _END = object()  # queue sentinel: the source has finished
 class SocketSource:
     """One named event source fed by producer connections.
 
-    Iterating blocks on the queue until events arrive or the source
-    finishes.  ``pos``/``last_event``/``watermark``/``health`` mirror
+    Iterating blocks on the queue until items arrive or the source
+    finishes, and yields :class:`EventBatch` items: each v2 batch as
+    admitted, and each run of consecutively queued v1 events as one
+    batch.  ``pos``/``watermark``/``health`` mirror
     :class:`ResilientSource` so the reliability report treats socket and
     file sources uniformly.
 
@@ -132,8 +135,7 @@ class SocketSource:
         self.name = name
         self.expected_producers = expected_producers
         self.queue: queue.Queue = queue.Queue(maxsize=queue_size)
-        self.pos = 0                 # events yielded to the merge
-        self.last_event: StreamEvent | None = None
+        self.pos = 0                 # rows yielded to the merge
         self.watermark: int | None = None
         self.health = SourceHealth.OK
         self.episodes = 0            # kept 0: sockets have no retry loop
@@ -148,10 +150,6 @@ class SocketSource:
         #: Highest contiguously received sequence number.
         self.start_seq = int(start_seq)
         self.acked_seq = int(start_seq)
-        #: Sequence number of the last item *yielded to the merge*
-        #: (i.e. covering every row pulled so far); the SequenceLedger
-        #: samples this at guard exit.
-        self.last_seq = int(start_seq)
         self.duplicate_rows = 0      # resent rows discarded at the edge
         self.sequence_gaps = 0       # frames refused for leaving a gap
         self._lock = threading.Lock()
@@ -279,28 +277,47 @@ class SocketSource:
     # -- merge side ----------------------------------------------------
 
     def __iter__(self) -> Iterator:
+        """Drain the queue in admission order.
+
+        A v1 event is batched with the v1 events queued right behind it
+        -- only what is already queued, at most ``DEFAULT_BATCH_EVENTS``
+        -- and stamped with the run's sequence numbers, so the batch
+        size follows the backlog with no flush rule or timer.
+        """
+        q = self.queue
+        held = None
         while True:
-            try:
-                entry = self.queue.get_nowait()
-            except queue.Empty:
-                if self._finished.is_set():
-                    return
-                entry = self.queue.get()
+            if held is not None:
+                entry, held = held, None
+            else:
+                try:
+                    entry = q.get_nowait()
+                except queue.Empty:
+                    if self._finished.is_set():
+                        return
+                    entry = q.get()
             if entry is _END:
                 return
             seq, item = entry
-            self.last_seq = seq
-            if type(item) is EventBatch:
+            if type(item) is StreamEvent:
+                events = [item]
+                while len(events) < DEFAULT_BATCH_EVENTS:
+                    try:
+                        entry = q.get_nowait()
+                    except queue.Empty:
+                        break
+                    if entry is _END or type(entry[1]) is not StreamEvent:
+                        held = entry
+                        break
+                    events.append(entry[1])
+                builder = BatchBuilder()
+                builder.extend(events)
+                item = builder.build()
+                item.first_seq = seq
+                item.seq_width = len(events)
+            if type(item) is EventBatch and item.n:
                 self.pos += item.n
-                if item.n:
-                    self.watermark = int(item.ts[-1])
-                yield item
-                continue
-            self.pos += 1
-            self.last_event = item
-            ts = getattr(item, "ts", None)
-            if type(ts) is int:
-                self.watermark = ts
+                self.watermark = int(item.ts[-1])
             yield item
 
     def describe(self) -> dict:
@@ -789,88 +806,58 @@ class SequenceLedger:
     The durable cursor problem: a checkpoint stores *one* number -- how
     many merged events the service consumed -- but producers resume by
     *per-source* sequence number.  Engine counters cannot be decomposed
-    after the fact (events sitting in merge heads or diverted rows
+    after the fact (rows sitting in merge buffers or diverted rows
     would be mis-attributed), so the ledger records the decomposition
-    as it happens: the stream wrapper notes which source every merged
-    item came from and which sequence number consuming it (and any
-    quarantine-diverted rows before it) covers, and
-    :meth:`snapshot` walks those entries up to the checkpoint's
-    consumed count to produce exact per-source cursors -- including a
-    cut *inside* a batch run, where ``orig_rows`` recovers the wire
-    offset of the k-th surviving row.
+    as it happens: every merged run carries its rows' ``lineage`` --
+    per row, the source it came from and the wire seq consuming it
+    covers (the last surviving row of a batch covers the batch's whole
+    wire width, trailing diverted rows included) -- and each source's
+    cursor is the seq its last consumed row covers, a cut *inside* a
+    run included.
 
-    Single-threaded by construction: entries are appended by the
-    engine thread as it pulls the merge, and snapshots run inside the
-    engine's checkpoint hook.  Consecutive single events from one
-    source with contiguous seqs coalesce into one entry, so the ledger
-    stays O(batches + diversion boundaries), not O(events).
+    Single-threaded by construction: runs are noted by the engine
+    thread as it pulls the merge, and snapshots run inside the engine's
+    checkpoint hook.  The engine ingests a run whole before it pulls
+    the next, so a snapshot always falls inside the newest run, and the
+    ledger keeps only that run's lineage.
     """
 
     def __init__(self, names: Iterable[str],
                  start_seqs: Mapping[str, int]) -> None:
+        self.names = list(names)
         self.watermarks: dict[str, int] = {
-            name: int(start_seqs.get(name, 0)) for name in names}
+            name: int(start_seqs.get(name, 0)) for name in self.names}
         #: Consumed-count offset: the service's ``cursor`` at the point
         #: this ledger started observing the stream (resume support).
         self.origin = 0
-        # Entry: (cum_end, source, wm_full, first_seq, orig_rows, lo).
-        # ``first_seq is None`` marks a coalesced run of single events
-        # (contiguous seqs ending at wm_full).
-        self._entries: deque = deque()
-        self._cum = 0    # rows yielded to the engine since origin
-        self._done = 0   # cum_end of the last fully resolved entry
+        self._rows = None   # lineage of the newest run
+        self._done = 0      # rows yielded to the engine before it
 
-    def note_run(self, name: str, run) -> None:
-        """Record one merged :class:`BatchRun` in engine order."""
-        batch = run.batch
-        hi = run.hi
-        orig = batch.orig_rows
-        if hi >= batch.n:
-            # The last run of a batch also covers any trailing diverted
-            # rows: the whole wire width is consumed once this run is.
-            wm = batch.first_seq + batch.seq_width - 1
-        else:
-            wm = batch.first_seq + (int(orig[hi - 1]) if orig is not None
-                                    else hi - 1)
-        self._cum += run.n_rows
-        self._entries.append((self._cum, name, wm, batch.first_seq,
-                              orig, run.lo))
-
-    def note_event(self, name: str, seq: int) -> None:
-        """Record one merged single event whose consumption covers
-        sequence numbers up to ``seq`` (diverted predecessors included).
-        """
-        self._cum += 1
-        entries = self._entries
-        if entries:
-            last = entries[-1]
-            if last[1] == name and last[3] is None and last[2] == seq - 1:
-                entries[-1] = (self._cum, name, seq, None, None, 0)
-                return
-        entries.append((self._cum, name, seq, None, None, 0))
+    def note_run(self, run) -> None:
+        """Record the next merged :class:`BatchRun`; the one before it
+        has been consumed whole."""
+        if self._rows is not None:
+            self._cover(self._rows)
+            self._done += len(self._rows)
+        self._rows = run.batch.lineage[run.lo:run.hi]
 
     def snapshot(self, consumed: int) -> dict:
         """Per-source cursors after the engine consumed ``consumed``
-        merged events (the number a checkpoint stores as ``cursor``).
-        """
-        c = consumed - self.origin
-        dq = self._entries
-        wm = self.watermarks
-        while dq and dq[0][0] <= c:
-            cum_end, name, wm_full, _fs, _orig, _lo = dq.popleft()
-            wm[name] = wm_full
-            self._done = cum_end
-        if dq and c > self._done:
-            cum_end, name, wm_full, fs, orig, lo = dq[0]
-            if fs is None:
-                # Coalesced single events with contiguous seqs.
-                wm[name] = wm_full - (cum_end - c)
-            else:
-                row = lo + (c - self._done) - 1
-                wm[name] = fs + (int(orig[row]) if orig is not None
-                                 else row)
-        return {"source_seqs": {k: int(v) for k, v in wm.items()},
+        merged events (the number a checkpoint stores as ``cursor``),
+        a position inside the newest run."""
+        k = consumed - self.origin - self._done
+        if k > 0:
+            self._cover(self._rows[:k])
+        return {"source_seqs": {name: int(seq)
+                                for name, seq in self.watermarks.items()},
                 "cursor": int(consumed)}
+
+    def _cover(self, rows) -> None:
+        """Advance each source's cursor to the seq its last row among
+        ``rows`` covers (a source's rows come in seq order)."""
+        src, last = np.unique(rows[::-1, 0], return_index=True)
+        for s, i in zip(src.tolist(), last.tolist()):
+            self.watermarks[self.names[s]] = int(rows[len(rows) - 1 - i, 1])
 
 
 class NetworkEventStream(ReliableEventStream):
@@ -879,13 +866,11 @@ class NetworkEventStream(ReliableEventStream):
     Construction wires the listener's decode-error hook into the shared
     quarantine (reason code ``unparsable_row`` for JSON rows, matching
     a malformed trace line; ``corrupt_frame`` for a binary batch that
-    fails its CRC or self-checks), then overrides the merge with the
-    *hybrid* variant: each source is guarded by ``guard_hybrid`` (single
-    events and columnar batches alike) and merged by the run-granular
-    k-way merge, which yields ``StreamEvent`` and ``BatchRun`` items in
-    exactly the order the per-event merge would yield the underlying
-    events.  ``report()`` has the same shape for socket-fed and
-    file-fed servers.
+    fails its CRC or self-checks), then merges as the file-fed stream
+    does: each source's batches are guarded by ``guard`` and merged by
+    ``horizon_merge`` into mixed-kind ``BatchRun`` items, the rows in
+    exactly the order a per-event merge would yield them.  ``report()``
+    has the same shape for socket-fed and file-fed servers.
 
     The stream also feeds the :class:`SequenceLedger`:
     ``sequence_snapshot`` is the hook a
@@ -921,40 +906,27 @@ class NetworkEventStream(ReliableEventStream):
         """Checkpoint hook: exact per-source cursors at ``consumed``."""
         return self.ledger.snapshot(consumed)
 
-    def _provenance(self, source: SocketSource,
-                    guarded: Iterator, pending: dict) -> Iterator:
-        """Tag every guarded item with its source + covered seq."""
-        for item in guarded:
-            if type(item) is EventBatch:
-                pending[id(item)] = source.name
-            else:
-                # ``last_seq`` covers this event and every row the
-                # quarantine diverted before it (the guard has no
-                # lookahead, so the source's counter is exact here).
-                pending[id(item)] = (source.name, source.last_seq)
-            yield item
-
-    def _sequenced(self, merged: Iterator, pending: dict) -> Iterator:
-        ledger = self.ledger
-        for item in merged:
-            if type(item) is BatchRun:
-                batch = item.batch
-                name = pending[id(batch)]
-                ledger.note_run(name, item)
-                if item.hi >= batch.n:
-                    del pending[id(batch)]
-            else:
-                name, seq = pending.pop(id(item))
-                ledger.note_event(name, seq)
-            yield item
+    @staticmethod
+    def _stamped(index: int, guarded: Iterator) -> Iterator[EventBatch]:
+        """Stamp every guarded batch with its rows' lineage."""
+        for batch in guarded:
+            orig = (batch.orig_rows if batch.orig_rows is not None
+                    else np.arange(batch.n))
+            lineage = np.empty((batch.n, 2), np.int64)
+            lineage[:, 0] = index
+            lineage[:, 1] = batch.first_seq + orig
+            # The last surviving row covers any trailing diverted rows.
+            lineage[-1, 1] = batch.first_seq + batch.seq_width - 1
+            batch.lineage = lineage
+            yield batch
 
     def __iter__(self) -> Iterator:
-        pending: dict = {}
-        merged = merge_stream_items(
-            self._provenance(source, self.quarantine.guard_hybrid(
-                source.name, source), pending)
-            for source in self.sources)
-        return self._sequenced(merged, pending)
+        ledger = self.ledger
+        for run in horizon_merge(
+                self._stamped(i, self.quarantine.guard(source.name, source))
+                for i, source in enumerate(self.sources)):
+            ledger.note_run(run)
+            yield run
 
     def report(self) -> dict:
         out = super().report()

@@ -97,7 +97,7 @@ from typing import Union
 
 import numpy as np
 
-from ..stream.batch import EventBatch, pack_strings
+from ..stream.batch import EventBatch
 from ..stream.events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
                              StreamEvent)
 from ..traces.schema import AppAccessRecord, JobRecord, PublicationRecord
@@ -334,24 +334,40 @@ def encode_event(event: StreamEvent) -> dict:
     raise ValueError(f"cannot encode stream event of kind {kind!r}")
 
 
+#: The range of the int64 batch columns every decoded event lands in.
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _ints(*values) -> list[int]:
+    """``values`` as ints; ``ValueError`` unless each fits an int64
+    column, the rule the columnar trace readers apply to files."""
+    try:
+        out = [int(v) for v in values]
+    except OverflowError as exc:  # int(inf): JSON admits Infinity
+        raise ValueError(str(exc)) from None
+    if out and (max(out) > _I64_MAX or min(out) < _I64_MIN):
+        raise ValueError("integer field does not fit an int64 column")
+    return out
+
+
 def decode_event(obj: dict) -> StreamEvent:
     """Rebuild the exact :class:`StreamEvent` an event frame encodes.
 
-    Schema violations (missing fields, wrong types, ``__post_init__``
-    failures) raise ``ValueError``/``TypeError``/``KeyError`` -- the
-    listener routes those to the quarantine as unparsable rows.
+    Schema violations (missing fields, wrong types, ints outside the
+    int64 range, ``__post_init__`` failures) raise
+    ``ValueError``/``TypeError``/``KeyError`` -- the listener routes
+    those to the quarantine as unparsable rows.
     """
     kind = obj.get("kind")
     if kind == EVENT_JOB:
-        rec = JobRecord(int(obj["job_id"]), int(obj["uid"]),
-                        int(obj["submit_ts"]), int(obj["start_ts"]),
-                        int(obj["end_ts"]), int(obj["num_nodes"]),
-                        int(obj["cores_per_node"]))
+        rec = JobRecord(*_ints(obj["job_id"], obj["uid"], obj["submit_ts"],
+                               obj["start_ts"], obj["end_ts"],
+                               obj["num_nodes"], obj["cores_per_node"]))
         return StreamEvent(rec.submit_ts, EVENT_JOB, rec)
     if kind == EVENT_PUBLICATION:
-        rec = PublicationRecord(int(obj["pub_id"]), int(obj["ts"]),
-                                [int(u) for u in obj["author_uids"]],
-                                int(obj["citations"]))
+        pub_id, ts, citations, *authors = _ints(
+            obj["pub_id"], obj["ts"], obj["citations"], *obj["author_uids"])
+        rec = PublicationRecord(pub_id, ts, authors, citations)
         return StreamEvent(rec.ts, EVENT_PUBLICATION, rec)
     if kind == EVENT_ACCESS:
         path = obj["path"]
@@ -365,8 +381,8 @@ def decode_event(obj: dict) -> StreamEvent:
         except UnicodeEncodeError as exc:
             raise ValueError(f"access path is not valid UTF-8: "
                              f"{exc.reason} at {exc.start}") from None
-        rec = AppAccessRecord(int(obj["ts"]), int(obj["uid"]), path,
-                              str(obj["op"]))
+        ts, uid = _ints(obj["ts"], obj["uid"])
+        rec = AppAccessRecord(ts, uid, path, str(obj["op"]))
         return StreamEvent(rec.ts, EVENT_ACCESS, rec)
     raise ValueError(f"unknown event kind {kind!r}")
 
@@ -390,7 +406,7 @@ _SEQ = struct.Struct("<Q")
 
 def _batch_columns(batch: EventBatch) -> bytes:
     """The packed column body of ``batch`` (uncompressed form)."""
-    pool_off, blob = pack_strings(batch.pool())
+    pool_off, blob = batch.packed_pool()
     parts = [
         _HEADER.pack(batch.n, batch.n_jobs, batch.n_pubs, batch.n_acc,
                      batch.pub_auth.size, pool_off.size - 1, len(blob)),

@@ -19,12 +19,13 @@ Pieces, front to back:
   reassigns alternating points of one donor so *only donor keys move*.
 * :class:`ShardRouter` -- a full :class:`SocketListener` front (same
   auth/TLS/sequencing/backpressure as a single server) whose sources
-  are drained by pump threads instead of the merge.  Rows are
+  are drained by pump threads instead of the merge.  Every source
+  yields batches (v1 frames are batched at the edge); rows are
   classified per user (publications are duplicated to every shard
   owning a co-author; the worker-side ``owned_filter`` keeps foreign
-  authors out of that shard's classification) and forwarded over the
-  normal v1/v2 wire protocol on per-``(source, worker)``
-  :class:`ShardLane`\\ s with deterministic forwarded sequence numbers.
+  authors out of that shard's classification) and forwarded as v2
+  batch frames on per-``(source, worker)`` :class:`ShardLane`\\ s with
+  deterministic forwarded sequence numbers.
 * Exactly-once across the hop: each lane retains sent items until the
   owning worker reports them *durable* (its last checkpoint's ingest
   cursors, polled off ``admin health``).  A worker kill -9 costs a
@@ -83,22 +84,19 @@ from ..emulation.metrics import DailyMetrics
 from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
                             EventBatch)
 from ..stream.checkpoint import reports_from_jsonable
-from ..stream.events import EVENT_PUBLICATION, StreamEvent
 from ..vfs.file_meta import DAY_SECONDS
 from .admin import PROMETHEUS_CONTENT_TYPE, admin_request
-from .ingest import _END, DEFAULT_SOURCES, PublishRefused, SocketListener
+from .ingest import DEFAULT_SOURCES, PublishRefused, SocketListener
 from .metrics import Counter, tail_stats
 from .protocol import (BATCH_MAX_FRAME_BYTES, CAP_BATCH, CAP_ZLIB,
                        PROTOCOL_V2, FrameError, FrameReader, connect_socket,
                        create_listener, encode_batch, encode_batch_frame,
-                       encode_event, format_address, parse_address,
-                       write_frame)
+                       format_address, parse_address, write_frame)
 from .supervisor import BackoffPolicy, Supervisor
 
 __all__ = ["HashRing", "splitmix64", "ShardLane", "ShardRouter",
            "FleetAdmin", "ShardFleet", "WorkerSpec",
-           "batch_worker_masks", "event_worker_indices",
-           "merge_tenant_results"]
+           "batch_worker_masks", "merge_tenant_results"]
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +339,6 @@ def batch_worker_masks(batch: EventBatch, ring: HashRing,
     return masks
 
 
-def event_worker_indices(event: StreamEvent, ring: HashRing,
-                         order: Sequence[str]) -> list[int]:
-    """Positions in ``order`` of the workers that must see ``event``."""
-    payload = event.payload
-    if event.kind == EVENT_PUBLICATION:
-        # Author-less publications route to uid 0's owner (no score to
-        # fold, but consumption must match a single-process serve; same
-        # fallback as batch_worker_masks).
-        uids = list(payload.author_uids) or [0]
-    else:
-        uids = [payload.uid]
-    pos = {name: i for i, name in enumerate(order)}
-    owners = ring.owner_indices(np.asarray(uids, dtype=np.int64))
-    return sorted({pos[ring.shards[int(i)]] for i in owners})
-
-
 # ---------------------------------------------------------------------------
 # lanes: one sequenced producer per (source, worker)
 
@@ -373,6 +355,12 @@ class ShardLane:
     checkpointed ingest cursors -- releases them; a lane built with
     ``retain=False`` (benchmarks without checkpoints, where the durable
     cursor would never advance) keeps nothing.
+
+    The send queue is bounded in rows, not items: :meth:`submit` blocks
+    while ``queue_rows`` or more rows wait, so a lane holds at most
+    ``queue_rows`` plus one batch whatever the batches' sizes -- the
+    same bound for a feed of full v2 frames and for a trickle of v1
+    frames the front source batched.
     """
 
     def __init__(self, source: str, worker: str, address: str, *,
@@ -381,7 +369,7 @@ class ShardLane:
                  frame_cap: int = BATCH_MAX_FRAME_BYTES,
                  connect_timeout: float = 10.0,
                  retry_interval: float = 0.2, retry_cap: float = 2.0,
-                 queue_size: int = 512) -> None:
+                 queue_rows: int = 512) -> None:
         self.source = source
         self.worker = worker
         self.address = address
@@ -398,7 +386,10 @@ class ShardLane:
         self.rows_resent = Counter()
         self.connects = Counter()
         self.last_error: str | None = None
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
+        self.queue_rows = int(queue_rows)
+        self._queued_rows = 0
+        self._room = threading.Condition()
+        self._queue: queue.Queue = queue.Queue()
         self._retained: deque = deque()  # (first_seq, n_rows, item)
         self._rlock = threading.Lock()
         self._next_seq = 1
@@ -413,9 +404,13 @@ class ShardLane:
 
     # -- pump side ------------------------------------------------------
 
-    def submit(self, item, n_rows: int) -> None:
-        """Enqueue one batch/event; blocks when the lane is backlogged
+    def submit(self, item: EventBatch, n_rows: int) -> None:
+        """Enqueue one batch; blocks while ``queue_rows`` rows wait
         (backpressure flows to the front listener's queues)."""
+        with self._room:
+            while self._queued_rows >= self.queue_rows:
+                self._room.wait()
+            self._queued_rows += n_rows
         first = self._next_seq
         self._next_seq += n_rows
         self.rows_submitted += n_rows
@@ -527,6 +522,9 @@ class ShardLane:
                     self._end_pending = True
                     self._send_end(sock, reader)
                     return
+                with self._room:
+                    self._queued_rows -= entry[1]
+                    self._room.notify_all()
                 with self._rlock:
                     if self.retain:
                         self._retained.append(entry)
@@ -540,13 +538,8 @@ class ShardLane:
     def _send(self, sock: socket.socket, entry, cap: int,
               use_zlib: bool) -> None:
         first_seq, n_rows, item = entry
-        if type(item) is EventBatch:
-            sock.sendall(encode_batch_frame(
-                encode_batch(item, compress=use_zlib, seq=first_seq), cap))
-        else:
-            frame = encode_event(item)
-            frame["seq"] = first_seq
-            write_frame(sock, frame)
+        sock.sendall(encode_batch_frame(
+            encode_batch(item, compress=use_zlib, seq=first_seq), cap))
         self.rows_sent += n_rows
 
     def _send_end(self, sock: socket.socket, reader: FrameReader) -> None:
@@ -580,8 +573,9 @@ class ShardRouter:
     Producers speak to the router exactly as they would to a single
     server (same hello/auth/TLS, same v1 and v2 frames, same
     exactly-once edge sequencing).  Pump threads -- one per source, so
-    per-source admission order is preserved -- drain the front queues
-    and classify every row by owning shard under the *epoch* that
+    per-source admission order is preserved -- iterate the front
+    sources' batches and classify every row by owning shard under the
+    *epoch* that
     covers its timestamp: a rebalance installs ``(cut_ts, new_ring)``
     and rows route by ``(uid, ts)``, which is what makes the flip exact
     at a day boundary instead of racy at a wall-clock instant.
@@ -594,7 +588,7 @@ class ShardRouter:
                  auth_token: str | None = None,
                  worker_auth_token: str | None = None,
                  ssl_context=None, compress: bool = False,
-                 retain: bool = True, lane_queue_size: int = 512,
+                 retain: bool = True, lane_queue_rows: int = 512,
                  max_connections: int | None = None,
                  write_deadline: float | None = 30.0) -> None:
         if not workers:
@@ -608,7 +602,7 @@ class ShardRouter:
         self._worker_auth_token = worker_auth_token
         self._compress = compress
         self._retain = retain
-        self._lane_queue_size = lane_queue_size
+        self._lane_queue_rows = lane_queue_rows
         #: Epochs ascending by cut; the first covers all history.
         self._epochs: list[tuple[int, HashRing]] = [(-(1 << 62), ring)]
         self._remaps: dict[int, np.ndarray] = {}
@@ -645,7 +639,7 @@ class ShardRouter:
         return ShardLane(source, worker, self._addresses[worker],
                          auth_token=self._worker_auth_token,
                          compress=self._compress, retain=self._retain,
-                         queue_size=self._lane_queue_size)
+                         queue_rows=self._lane_queue_rows)
 
     def lane(self, source: str, worker: str) -> ShardLane:
         return self._lanes[(source, worker)]
@@ -657,27 +651,19 @@ class ShardRouter:
     # -- pumps ----------------------------------------------------------
 
     def _pump(self, source) -> None:
-        q = source.queue
-        while True:
-            entry = q.get()
-            if entry is _END:
-                with self._lock:
-                    self._source_ended.add(source.name)
-                    for worker in self._order:
-                        lane = self._lanes.get((source.name, worker))
-                        if lane is not None:   # pending workers: later
-                            lane.finish()
-                return
-            _seq, item = entry
+        for batch in source:
             with self._lock:
                 try:
-                    if type(item) is EventBatch:
-                        self._route_batch(source.name, item)
-                    else:
-                        self._route_event(source.name, item)
+                    self._route_batch(source.name, batch)
                 except Exception as exc:  # noqa: BLE001 -- keep pumping
                     self.routing_errors += 1
                     self._last_routing_error = f"{type(exc).__name__}: {exc}"
+        with self._lock:
+            self._source_ended.add(source.name)
+            for worker in self._order:
+                lane = self._lanes.get((source.name, worker))
+                if lane is not None:   # pending workers: later
+                    lane.finish()
 
     def _remap(self, ring: HashRing) -> np.ndarray:
         cached = self._remaps.get(id(ring))
@@ -731,22 +717,6 @@ class ShardRouter:
                     gate["buffer"].append((source, post))
                     continue
                 self._submit(source, name, sub, count)
-
-    def _route_event(self, source: str, event: StreamEvent) -> None:
-        self.watermarks[source] = max(self.watermarks.get(source, 0),
-                                      int(event.ts))
-        ring = self._epochs[0][1]
-        for cut, epoch_ring in self._epochs:
-            if event.ts >= cut:
-                ring = epoch_ring
-        gate = self._gate
-        for wi in event_worker_indices(event, ring, self._order):
-            name = self._order[wi]
-            if (gate is not None and name == gate["donor"]
-                    and event.ts >= gate["cut_ts"]):
-                gate["buffer"].append((source, event))
-                continue
-            self._submit(source, name, event, 1)
 
     def _submit(self, source: str, worker: str, item, n_rows: int) -> None:
         pending = self._pending
@@ -802,11 +772,8 @@ class ShardRouter:
             self._epochs.append((int(cut_ts), new_ring))
             self.ring = new_ring
             self._gate = None
-            for source, item in gate["buffer"]:
-                if type(item) is EventBatch:
-                    self._route_batch(source, item)
-                else:
-                    self._route_event(source, item)
+            for source, batch in gate["buffer"]:
+                self._route_batch(source, batch)
 
     def activate_worker(self, name: str) -> int:
         """Wire a rebalance-born worker's lanes once its process is up,
@@ -834,11 +801,8 @@ class ShardRouter:
             if gate is None:
                 return
             self._gate = None
-            for source, item in gate["buffer"]:
-                if type(item) is EventBatch:
-                    self._route_batch(source, item)
-                else:
-                    self._route_event(source, item)
+            for source, batch in gate["buffer"]:
+                self._route_batch(source, batch)
 
     # -- fleet hooks ----------------------------------------------------
 

@@ -93,9 +93,7 @@ from ..stream.checkpoint import (SERVER_CHECKPOINT_FORMAT, CheckpointManager,
                                  metrics_to_arrays, reports_from_jsonable,
                                  reports_to_jsonable)
 from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
-                            OP_CODES as _OP_CODES, BatchRun, EventBatch)
-from ..stream.events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
-                             StreamEvent)
+                            BatchRun, EventBatch)
 from ..stream.state import (GrowableReplayState, IncrementalActivenessState,
                             PathCatalog)
 from ..traces.schema import PublicationRecord
@@ -633,55 +631,29 @@ class MultiTenantService:
     # ------------------------------------------------------------------
     # ingestion
 
-    def ingest(self, event: StreamEvent) -> None:
-        """Consume one merged event; may fire any number of boundaries."""
-        kind = event.kind
-        # Counters bump only after boundaries fire: a checkpoint inside
-        # the cascade must not have counted the not-yet-consumed current
-        # event, or a resumed run would count it twice.
-        if kind == EVENT_ACCESS:
-            rec = event.payload
-            if self.replay_start <= rec.ts < self.window_end:
-                day = (rec.ts - self.replay_start) // DAY_SECONDS
-                self._advance_boundaries(day)
-                self.stats["events_access"] += 1
-                self._buf_pid.append(self.catalog.intern(rec.path))
-                self._buf_uid.append(rec.uid)
-                self._buf_ts.append(rec.ts)
-                self._buf_op.append(_OP_CODES[rec.op])
-            else:
-                self.stats["events_access"] += 1
-                self.dropped_accesses += 1
-        elif kind == EVENT_JOB:
-            self._advance_boundaries_before(event.ts)
-            self.stats["events_job"] += 1
-            self.activity.add_job(event.payload)
-        elif kind == EVENT_PUBLICATION:
-            self._advance_boundaries_before(event.ts)
-            self.stats["events_publication"] += 1
-            self.activity.add_publication(event.payload)
-        else:
-            raise ValueError(f"unknown stream event kind {kind!r}")
-        self._consumed += 1
-
     def ingest_run(self, run: BatchRun) -> None:
         """Consume one merged batch run columnarly -- no per-event objects.
 
-        Strategy: boundaries fire only at specific rows (the first
-        in-window access of a not-yet-flushed day; the first job or
-        publication whose timestamp passes the next pending boundary),
-        and *between* two firings every observable effect of
-        :meth:`ingest` commutes across kinds -- accesses only append to
-        the day buffers, jobs and publications only append to disjoint
-        pending activity lists, and the counters are sums.  So the run
-        is cut at the exact rows where the per-event path would fire a
-        boundary, each boundary-free span is ingested with three bulk
-        per-kind appends, and the firing row's own advance call is
+        The row rule is the module's boundary protocol: an in-window
+        access of day ``d`` forces boundaries through ``d``, a job or
+        publication at ``ts`` forces the boundaries strictly before
+        ``ts``, an out-of-window access is counted and dropped, and
+        counters bump only after the row's boundaries fire (a checkpoint
+        inside the cascade must not count the row it has not consumed).
+        Boundaries fire only at specific rows (the first in-window
+        access of a not-yet-flushed day; the first job or publication
+        whose timestamp passes the next pending boundary), and *between*
+        two firings every observable effect of a row commutes across
+        kinds -- accesses only append to the day buffers, jobs and
+        publications only append to disjoint pending activity lists, and
+        the counters are sums.  So the run is cut at the exact rows that
+        fire a boundary, each boundary-free span is ingested with three
+        bulk per-kind appends, and the firing row's own advance call is
         issued verbatim.  The result -- boundary cascade order, buffer
         contents, pid assignment order, float fold order, the
         ``_consumed`` value any checkpoint inside a cascade observes --
-        is bit-identical to feeding the rows through :meth:`ingest` one
-        at a time.
+        is bit-identical to applying the rule one row at a time, however
+        the rows are cut into runs.
         """
         batch = run.batch
         lo, hi = run.lo, run.hi
@@ -828,25 +800,22 @@ class MultiTenantService:
             self.activity.add_publication(rec)
             self._consumed += 1
 
-    def run(self, events: Iterator[StreamEvent | BatchRun],
+    def run(self, runs: Iterator[BatchRun],
             stop_after_events: int | None = None,
             ) -> dict[str, EmulationResult] | None:
-        """Drive the fleet from an event/run iterator (None = stopped
-        early).  A stop lands exactly on ``stop_after_events``: a batch
-        run crossing it is cut at the stop row."""
-        for event in events:
+        """Drive the fleet from a merged run iterator (None = stopped
+        early).  A stop lands exactly on ``stop_after_events``: a run
+        crossing it is cut at the stop row."""
+        for run in runs:
             if stop_after_events is not None:
                 room = stop_after_events - self._consumed
                 if room <= 0:
                     return None
-                if type(event) is BatchRun and event.n_rows > room:
-                    self.ingest_run(BatchRun(event.batch, event.lo,
-                                             event.lo + room))
+                if run.n_rows > room:
+                    self.ingest_run(BatchRun(run.batch, run.lo,
+                                             run.lo + room))
                     return None
-            if type(event) is BatchRun:
-                self.ingest_run(event)
-            else:
-                self.ingest(event)
+            self.ingest_run(run)
         return self.finalize()
 
     # ------------------------------------------------------------------

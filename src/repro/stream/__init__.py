@@ -13,8 +13,7 @@ to the batch ``FastEmulator`` across the full retention spectrum,
 including across a checkpoint / kill / resume cycle.
 """
 
-from .batch import (BatchBuilder, BatchRun, EventBatch, merge_stream_items,
-                    skip_stream_items)
+from .batch import BatchBuilder, BatchRun, EventBatch, skip_stream_items
 from .checkpoint import (CheckpointCorruption, CheckpointManager,
                          atomic_write_npz, ingest_cursors, load_checkpoint,
                          verify_checkpoint)
@@ -31,7 +30,6 @@ __all__ = [
     "BatchBuilder",
     "BatchRun",
     "EventBatch",
-    "merge_stream_items",
     "skip_stream_items",
     "CheckpointCorruption",
     "CheckpointManager",

@@ -20,25 +20,20 @@ framing to this repo's three trace families:
 
 Ordering contract: rows within a batch are non-decreasing in ``ts`` --
 the producer emits them straight off a merged (or per-source sorted)
-stream -- so a batch can participate in a k-way merge as a *run*, not
-row by row.  Two merges generalize the stable ``heapq.merge`` used for
-per-event streams, and both emit rows in exactly the order it would
-produce event by event -- the property the bit-identity contract rests
-on:
-
-* :func:`merge_stream_items` (socket sources): at every step the
-  earliest head wins (listing order breaks ties), and a winning batch
-  emits the longest prefix that cannot interleave with any other
-  source's head, yielding per-source :class:`BatchRun` slices (the
-  sequence ledger needs to know which source every row came from);
-* :func:`horizon_merge` (trace files): every buffered row below the
-  sources' common horizon is final, so it is emitted in one mixed-kind
-  batch per round, however finely the sources interleave.
+stream -- so a batch can take part in a merge in bulk, not row by row.
+:func:`horizon_merge` generalizes the stable ``heapq.merge`` of
+per-event streams and emits rows in exactly the order it would produce
+event by event -- the property the bit-identity contract rests on:
+every buffered row below the sources' common horizon is final, so it is
+emitted in one mixed-kind batch per round, however finely the sources
+interleave.  Trace files and sockets share it; a socket stream's
+sequence ledger follows its rows through the merge by their
+``lineage``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,7 +44,7 @@ __all__ = ["KIND_JOB_CODE", "KIND_PUB_CODE", "KIND_ACC_CODE",
            "KIND_BY_CODE", "OP_BY_CODE", "OP_CODES",
            "EventBatch", "BatchBuilder", "BatchRun",
            "pack_strings", "unpack_strings",
-           "merge_stream_items", "horizon_merge", "skip_stream_items"]
+           "horizon_merge", "skip_stream_items"]
 
 #: Row kind codes, in activity-before-access tie-break order.
 KIND_JOB_CODE = 0
@@ -104,11 +99,6 @@ class EventBatch:
     engine thread, never per row.
     """
 
-    #: Structural marker checked by the quarantine/merge layers, so the
-    #: reliability package needs no import of this module at its hot
-    #: per-event paths.
-    is_event_batch = True
-
     __slots__ = ("kinds", "ts",
                  "job_id", "job_uid", "job_start", "job_end", "job_nodes",
                  "job_cores",
@@ -116,7 +106,7 @@ class EventBatch:
                  "acc_uid", "acc_op", "acc_path",
                  "single_kind", "_pool", "_pool_off", "_pool_blob",
                  "_kpos", "pid_map",
-                 "first_seq", "seq_width", "orig_rows")
+                 "first_seq", "seq_width", "orig_rows", "lineage")
 
     def __init__(self, kinds, ts, *,
                  job_id=_EMPTY_I64, job_uid=_EMPTY_I64,
@@ -167,6 +157,12 @@ class EventBatch:
         self.first_seq = None
         self.seq_width = None
         self.orig_rows = None
+        #: Per-row ``(source index, covering wire seq)`` pairs, an
+        #: ``(n, 2)`` int64 array a socket stream stamps on its guarded
+        #: batches so its sequence ledger can follow every row through
+        #: :func:`horizon_merge`; :meth:`take`, :meth:`slice_rows` and
+        #: the merge carry it along.  ``None`` elsewhere.
+        self.lineage = None
 
     # -- shape ----------------------------------------------------------
 
@@ -175,7 +171,7 @@ class EventBatch:
         return self.kinds.size
 
     #: Uniform "how many events does this stream item cover" protocol,
-    #: shared with :class:`BatchRun` (a plain ``StreamEvent`` counts 1).
+    #: shared with :class:`BatchRun`.
     @property
     def n_rows(self) -> int:
         return self.kinds.size
@@ -280,7 +276,7 @@ class EventBatch:
         np.cumsum(lens, out=off[1:])
         auth = self.pub_auth[np.repeat(self.pub_auth_off[pk] - off[:-1], lens)
                              + np.arange(off[-1], dtype=_I64)]
-        return EventBatch(
+        out = EventBatch(
             kinds, self.ts[rows],
             job_id=self.job_id[jk], job_uid=self.job_uid[jk],
             job_start=self.job_start[jk], job_end=self.job_end[jk],
@@ -291,6 +287,9 @@ class EventBatch:
             acc_path=self.acc_path[ak],
             pool=self._pool, pool_off=self._pool_off,
             pool_blob=self._pool_blob)
+        if self.lineage is not None:
+            out.lineage = self.lineage[rows]
+        return out
 
     def _kind_range(self, code: int, lo: int, hi: int) -> tuple[int, int]:
         """Kind-local index range of the ``code`` rows among ``[lo, hi)``."""
@@ -310,7 +309,7 @@ class EventBatch:
         p0, p1 = self._kind_range(KIND_PUB_CODE, lo, hi)
         a0, a1 = self._kind_range(KIND_ACC_CODE, lo, hi)
         off = self.pub_auth_off[p0:p1 + 1]
-        return EventBatch(
+        out = EventBatch(
             self.kinds[lo:hi], self.ts[lo:hi],
             job_id=self.job_id[j0:j1], job_uid=self.job_uid[j0:j1],
             job_start=self.job_start[j0:j1], job_end=self.job_end[j0:j1],
@@ -322,6 +321,9 @@ class EventBatch:
             acc_path=self.acc_path[a0:a1],
             pool=self._pool, pool_off=self._pool_off,
             pool_blob=self._pool_blob)
+        if self.lineage is not None:
+            out.lineage = self.lineage[lo:hi]
+        return out
 
     def tail(self, skip: int) -> "EventBatch":
         """The batch minus its first ``skip`` rows (the stream-item
@@ -335,24 +337,42 @@ class EventBatch:
         is right for in-process quarantine but wrong for a shard router
         re-encoding the surviving rows onto a new wire frame -- the
         frame would carry every path of the original batch.  Here the
-        pool is rebuilt to exactly the paths the kept access rows
-        reference, and ``acc_path`` is remapped to the new indices.
-        Sequencing provenance is dropped: a routed sub-batch lives in
-        the *lane's* sequence domain, which the router assigns fresh.
+        pool is cut down to exactly the paths the kept access rows
+        reference, and ``acc_path`` is remapped to the new indices; an
+        index past the pool stays past the new one.  A pool that came
+        off the wire is pruned by byte ranges, never decoded, so a path
+        that is not UTF-8 travels on to the quarantine that diverts its
+        row.  Sequencing provenance is dropped: a routed sub-batch lives
+        in the *lane's* sequence domain, which the router assigns fresh.
         """
         out = self.compact(keep)
         out.first_seq = out.seq_width = out.orig_rows = None
-        if out.acc_path.size:
-            used = np.unique(out.acc_path)
+        used = np.unique(out.acc_path)
+        used = used[used < self.n_pool]
+        out.acc_path = np.searchsorted(used, out.acc_path).astype(np.uint32)
+        if self._pool_off is not None:
+            offs = self._pool_off.astype(_I64)
+            lo, hi = offs[used], offs[used + 1]
+            blob = self._pool_blob
+            out._pool_blob = b"".join(
+                blob[a:b] for a, b in zip(lo.tolist(), hi.tolist()))
+            out._pool_off = np.zeros(used.size + 1, _I64)
+            np.cumsum(hi - lo, out=out._pool_off[1:])
+            out._pool = None
+        else:
             pool = self.pool()
             out._pool = [pool[i] for i in used.tolist()]
-            out._pool_off = out._pool_blob = None
-            out.acc_path = np.searchsorted(
-                used, out.acc_path).astype(np.uint32)
-        else:
-            out._pool = []
-            out._pool_off = out._pool_blob = None
         return out
+
+    def packed_pool(self) -> tuple[np.ndarray, bytes]:
+        """The string pool as :func:`pack_strings` ``(offsets, blob)``.
+
+        A pool that came off the wire is returned as received, so
+        re-encoding a routed batch neither decodes nor re-encodes it.
+        """
+        if self._pool_off is not None:
+            return self._pool_off, self._pool_blob
+        return pack_strings(self.pool())
 
     def split_at_ts(self, cut_ts: int) -> tuple["EventBatch", "EventBatch"]:
         """``(rows with ts < cut_ts, rows with ts >= cut_ts)``.
@@ -472,10 +492,10 @@ class BatchRun:
 class BatchBuilder:
     """Producer-side accumulator: events in, :class:`EventBatch` out.
 
-    Appends are plain list operations (the producer hot loop); ``build``
-    converts to columns in bulk.  ``approx_bytes`` tracks a conservative
-    wire-size estimate so the publisher can flush before a frame would
-    exceed the negotiated cap.
+    :meth:`extend` appends to plain lists (the producer hot loop);
+    ``build`` converts to columns in bulk.  ``approx_bytes`` tracks a
+    conservative wire-size estimate so the publisher can flush before a
+    frame would exceed the negotiated cap.
     """
 
     __slots__ = ("_kinds", "_ts", "_jobs", "_pubs", "_acc",
@@ -497,34 +517,8 @@ class BatchBuilder:
     def __len__(self) -> int:
         return len(self._ts)
 
-    def append(self, event: StreamEvent) -> None:
-        kind = event.kind
-        p = event.payload
-        self._ts.append(event.ts)
-        if kind == EVENT_ACCESS:
-            self._kinds.append(KIND_ACC_CODE)
-            idx = self._pool_index.get(p.path)
-            if idx is None:
-                idx = len(self._pool)
-                self._pool_index[p.path] = idx
-                self._pool.append(p.path)
-                self.approx_bytes += len(p.path) + 8
-            self._acc.append((p.uid, OP_CODES[p.op], idx))
-            self.approx_bytes += self._ROW_COST
-        elif kind == EVENT_JOB:
-            self._kinds.append(KIND_JOB_CODE)
-            self._jobs.append((p.job_id, p.uid, p.start_ts, p.end_ts,
-                               p.num_nodes, p.cores_per_node))
-            self.approx_bytes += self._ROW_COST + 24
-        elif kind == EVENT_PUBLICATION:
-            self._kinds.append(KIND_PUB_CODE)
-            self._pubs.append((p.pub_id, p.citations, list(p.author_uids)))
-            self.approx_bytes += self._ROW_COST + 8 * len(p.author_uids)
-        else:
-            raise ValueError(f"cannot batch stream event of kind {kind!r}")
-
     def extend(self, events: Iterable[StreamEvent]) -> None:
-        """Bulk :meth:`append` with the per-event costs hoisted.
+        """Append ``events``, with the per-event costs hoisted.
 
         The publisher hot loop spends its time here, competing with the
         engine thread for the interpreter, so every loop iteration
@@ -599,143 +593,39 @@ class BatchBuilder:
 
 
 # ---------------------------------------------------------------------------
-# hybrid merge and cursor skip
-
-_StreamItem = Union[StreamEvent, EventBatch]
-_RunItem = Union[StreamEvent, BatchRun]
+# merge and cursor skip
 
 
-def _head_ts(item, off: int) -> int:
-    """Timestamp of a source head (event, or batch row at ``off``)."""
-    if type(item) is StreamEvent:
-        return item.ts
-    return int(item.ts[off])
-
-
-def merge_stream_items(sources: Iterable[Iterable[_StreamItem]],
-                       ) -> Iterator[_RunItem]:
-    """Stable k-way merge over sources yielding events *or* batches.
-
-    Semantics: identical to ``heapq.merge(key=ts)`` over the equivalent
-    per-event streams -- smallest head timestamp first, ties broken by
-    source listing order, original order kept within a source.  When the
-    winning head is a batch, the longest prefix that stays below every
-    *earlier* source's head (strictly) and at-or-below every *later*
-    source's head is emitted as one :class:`BatchRun`; the two
-    ``searchsorted`` bounds reproduce the heap's tie-break exactly.
-    """
-    iters = [iter(src) for src in sources]
-    heads: list[object] = []
-    offs: list[int] = []
-    order: list[int] = []
-
-    def _advance(slot: int, it) -> None:
-        for item in it:
-            if type(item) is not StreamEvent and item.n == 0:
-                continue  # empty batch: nothing to merge
-            heads[slot] = item
-            return
-        heads[slot] = None
-
-    for i, it in enumerate(iters):
-        heads.append(None)
-        offs.append(0)
-        order.append(i)
-        _advance(i, it)
-
-    while True:
-        active = [i for i in order if heads[i] is not None]
-        if not active:
-            return
-        if len(active) == 1:
-            # Sole surviving source: drain it without per-item scans.
-            i = active[0]
-            item = heads[i]
-            if type(item) is StreamEvent:
-                yield item
-            else:
-                yield BatchRun(item, offs[i], item.n)
-            offs[i] = 0
-            for item in iters[i]:
-                if type(item) is StreamEvent:
-                    yield item
-                elif item.n:
-                    yield BatchRun(item, 0, item.n)
-            return
-        best = active[0]
-        best_ts = _head_ts(heads[best], offs[best])
-        for i in active[1:]:
-            ts_i = _head_ts(heads[i], offs[i])
-            if ts_i < best_ts:
-                best, best_ts = i, ts_i
-        item = heads[best]
-        if type(item) is StreamEvent:
-            yield item
-            _advance(best, iters[best])
-            continue
-        # Batch head: emit the longest non-interleaving prefix as a run.
-        lo = offs[best]
-        hi = item.n
-        ts_col = item.ts
-        for i in active:
-            if i == best:
-                continue
-            other = _head_ts(heads[i], offs[i])
-            side = "left" if i < best else "right"
-            cut = int(np.searchsorted(ts_col, other, side=side))
-            if cut < hi:
-                hi = cut
-        if hi <= lo:
-            hi = lo + 1  # the winning row itself always qualifies
-        yield BatchRun(item, lo, hi)
-        if hi >= item.n:
-            offs[best] = 0
-            _advance(best, iters[best])
-        else:
-            offs[best] = hi
-
-
-def horizon_merge(sources: Iterable[Iterable[_StreamItem]],
+def horizon_merge(sources: Iterable[Iterable[EventBatch]],
                   ) -> Iterator[BatchRun]:
     """Stable merge of time-sorted sources into mixed-kind batch runs.
 
     Semantics: the rows come out in ``heapq.merge(key=ts)`` order over
-    the equivalent per-event streams -- smallest timestamp first, ties
-    broken by source listing order, source order kept.  Each source
-    buffers what it has delivered.  The *horizon* is the smallest
-    last-buffered timestamp of any live source: no live source can still
-    deliver a row below its own last buffered one, so every buffered row
-    strictly below the horizon is final.  Those rows are ordered by a
-    stable argsort over the sources' rows in listing order -- timestamp,
-    then listing order, then source order, exactly the heap's tie-break
-    -- and emitted as one :class:`BatchRun`; then the first source
-    holding the horizon is pulled once more.  A source that ends leaves
-    the horizon, so the last round emits everything.
+    the sources' rows -- smallest timestamp first, ties broken by source
+    listing order, source order kept.  Each source buffers what it has
+    delivered.  The *horizon* is the smallest last-buffered timestamp of
+    any live source: no live source can still deliver a row below its
+    own last buffered one, so every buffered row strictly below the
+    horizon is final.  Those rows are ordered by a stable argsort over
+    the sources' rows in listing order -- timestamp, then listing order,
+    then source order, exactly the heap's tie-break -- and emitted as
+    one :class:`BatchRun`; then the first source holding the horizon is
+    pulled once more.  A source that ends leaves the horizon, so the
+    last round emits everything.
 
-    Unlike :func:`merge_stream_items`, how finely the sources interleave
-    does not matter: a round costs a few array operations whether it
-    holds one run of the heap merge or thousands.  Single
-    :class:`~repro.stream.events.StreamEvent` items (fault injections
-    that pass the guard, per-event sources) are gathered into batches of
-    their source.  Rows equal to the horizon wait for it to move, so a
+    How finely the sources interleave does not matter: a round costs a
+    few array operations whether it holds one run of the heap merge or
+    thousands.  Rows equal to the horizon wait for it to move, so a
     source delivering many rows of one timestamp is buffered whole.
     """
     iters = [iter(src) for src in sources]
-    pending: list[list] = [[] for _ in iters]  # EventBatch | [StreamEvent]
+    pending: list[list[EventBatch]] = [[] for _ in iters]
     last = [0] * len(iters)
 
     def pull(i: int) -> bool:
         for item in iters[i]:
-            buf = pending[i]
-            if type(item) is StreamEvent:
-                if buf and type(buf[-1]) is list:
-                    buf[-1].append(item)
-                else:
-                    buf.append([item])
-                last[i] = item.ts
-                return True
             if item.n:
-                buf.append(item)
+                pending[i].append(item)
                 last[i] = int(item.ts[-1])
                 return True
         return False
@@ -747,10 +637,6 @@ def horizon_merge(sources: Iterable[Iterable[_StreamItem]],
         for buf in pending:
             while buf:
                 head = buf[0]
-                if type(head) is list:
-                    builder = BatchBuilder()
-                    builder.extend(head)
-                    head = buf[0] = builder.build()
                 cut = (head.n if horizon is None else
                        int(np.searchsorted(head.ts, horizon, side="left")))
                 if cut == head.n:
@@ -799,23 +685,22 @@ def _merged(parts: list[EventBatch]) -> EventBatch:
         acc_path=(np.concatenate(paths) if paths else _EMPTY_I64
                   ).astype(np.uint32),
         pool=pool)
+    if parts[0].lineage is not None:
+        batch.lineage = cat("lineage")
     if bool((batch.ts[1:] >= batch.ts[:-1]).all()):
         return batch  # the sources did not interleave
     return batch.take(np.argsort(batch.ts, kind="stable"))
 
 
-def skip_stream_items(items: Iterable[_RunItem], n: int,
-                      ) -> Iterator[_RunItem]:
-    """Resume-cursor positioning: drop the first ``n`` *events*.
+def skip_stream_items(items: Iterable, n: int) -> Iterator:
+    """Resume-cursor positioning: drop the first ``n`` *rows*.
 
-    The checkpoint manifest stores how many merged events the engine
+    The checkpoint manifest stores how many merged rows the engine
     consumed; replaying the deterministic merge and skipping that many
-    lands exactly on the next unprocessed event.  A plain
-    :class:`~repro.stream.events.StreamEvent` (or anything else without
-    rows) counts one; a :class:`BatchRun` or :class:`EventBatch` counts
-    its ``n_rows``, and the item the cursor lands inside is sliced
-    rather than exploded.  A file source's reopen skips its delivered
-    chunks the same way.
+    lands exactly on the next unprocessed row.  Each item (a
+    :class:`BatchRun` or an :class:`EventBatch`) counts its ``n_rows``,
+    and the item the cursor lands inside is sliced rather than exploded.
+    A file source's reopen skips its delivered chunks the same way.
     """
     if n < 0:
         raise ValueError("cursor must be non-negative")
@@ -824,7 +709,7 @@ def skip_stream_items(items: Iterable[_RunItem], n: int,
         remaining = n
         for item in items:
             if remaining:
-                size = getattr(item, "n_rows", 1)
+                size = item.n_rows
                 if size <= remaining:
                     remaining -= size
                     continue

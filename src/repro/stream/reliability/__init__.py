@@ -10,8 +10,7 @@ composes both into a drop-in replacement for
 ``workspace_event_stream`` that degrades instead of crashing.
 """
 
-from .quarantine import (REASON_BAD_KIND, REASON_BAD_PAYLOAD,
-                         REASON_DUPLICATE, REASON_NOT_EVENT,
+from .quarantine import (REASON_DUPLICATE, REASON_NOT_EVENT,
                          REASON_REGRESSION, REASON_UNKNOWN_UID,
                          REASON_UNPARSABLE, DeadLetterLog, EventQuarantine)
 from .sources import (ReliableEventStream, ResilientSource, RetryPolicy,
@@ -22,8 +21,6 @@ __all__ = [
     "EventQuarantine",
     "REASON_UNPARSABLE",
     "REASON_NOT_EVENT",
-    "REASON_BAD_KIND",
-    "REASON_BAD_PAYLOAD",
     "REASON_REGRESSION",
     "REASON_DUPLICATE",
     "REASON_UNKNOWN_UID",

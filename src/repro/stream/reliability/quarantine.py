@@ -2,21 +2,21 @@
 
 The merges in :mod:`repro.stream.batch` assume well-formed, time-sorted
 rows; production feeds deliver neither reliably.  The quarantine sits
-*between each source and the merge*: every object a source emits is
-checked (a columnar batch row by row, in bulk; anything else must be a
-:class:`StreamEvent` of a known kind with the right payload type), then
-for a monotone timestamp, no duplicate identity and optionally a known
-uid, and anything that fails is **diverted** -- appended to a
-dead-letter JSONL with a reason code and dropped from the stream --
-instead of poisoning the merge or the service state.
+*between each source and the merge*: every object a source emits must
+be a columnar :class:`~repro.stream.batch.EventBatch`, whose rows are
+checked in bulk for record invariants, optionally a known uid, a
+monotone timestamp and no duplicate identity, and anything that fails
+is **diverted** -- appended to a dead-letter JSONL with a reason code
+and dropped from the stream -- instead of poisoning the merge or the
+service state.
 
 Guarding per source, before the merge, preserves the merge's ordering
 contract: the merge never sees garbage, and the per-source monotonicity
 check subsumes the ``_validated`` regression assertion (a regressed
-event is diverted rather than fatal).
+row is diverted rather than fatal).
 
-The decisive property for testing: diverting an event never perturbs the
-events around it, so for a fault plan that only *inserts* faults, the
+The decisive property for testing: diverting a row never perturbs the
+rows around it, so for a fault plan that only *inserts* faults, the
 guarded stream is exactly the clean stream -- which is what lets the
 chaos suite demand bit-identical results under 1% malformed input.
 
@@ -39,30 +39,20 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ...traces.io import OnError, fsync_directory
-from ...traces.schema import AppAccessRecord, JobRecord, PublicationRecord
 from ..batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE, OP_BY_CODE,
                      EventBatch)
-from ..events import EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION, StreamEvent
+from ..events import EVENT_JOB, EVENT_PUBLICATION
 
 __all__ = ["DeadLetterLog", "EventQuarantine",
-           "REASON_UNPARSABLE", "REASON_NOT_EVENT", "REASON_BAD_KIND",
-           "REASON_BAD_PAYLOAD", "REASON_REGRESSION", "REASON_DUPLICATE",
-           "REASON_UNKNOWN_UID", "REASON_CORRUPT_FRAME"]
+           "REASON_UNPARSABLE", "REASON_NOT_EVENT", "REASON_REGRESSION",
+           "REASON_DUPLICATE", "REASON_UNKNOWN_UID", "REASON_CORRUPT_FRAME"]
 
 REASON_UNPARSABLE = "unparsable_row"      # reader could not parse the line
-REASON_NOT_EVENT = "not_an_event"         # not a StreamEvent at all
-REASON_BAD_KIND = "unknown_kind"          # kind outside the event schema
-REASON_BAD_PAYLOAD = "bad_payload"        # payload type does not match kind
+REASON_NOT_EVENT = "not_an_event"         # not an EventBatch at all
 REASON_REGRESSION = "time_regression"     # ts precedes the source's clock
 REASON_DUPLICATE = "duplicate"            # identity already delivered
 REASON_UNKNOWN_UID = "unknown_uid"        # uid outside the known set
 REASON_CORRUPT_FRAME = "corrupt_frame"    # binary batch frame failed CRC/shape
-
-_PAYLOAD_TYPES = {
-    EVENT_JOB: JobRecord,
-    EVENT_PUBLICATION: PublicationRecord,
-    EVENT_ACCESS: AppAccessRecord,
-}
 
 
 class DeadLetterLog:
@@ -122,11 +112,11 @@ class DeadLetterLog:
 
 
 class EventQuarantine:
-    """Divert malformed / disordered / duplicate events from a stream.
+    """Divert malformed / disordered / duplicate rows from a stream.
 
     One quarantine instance guards all sources of a merge (its per-source
     clocks and identity sets are keyed by source name).  ``known_uids``
-    is opt-in: when given, events referencing uids outside the set are
+    is opt-in: when given, rows referencing uids outside the set are
     diverted too -- off by default because a merely *new* user is not an
     error in every deployment.
     """
@@ -223,90 +213,42 @@ class EventQuarantine:
 
     # -- guarding ------------------------------------------------------
 
-    def guard_hybrid(self, source: str,
-                     items: Iterable[object]) -> Iterator[object]:
-        """Yield the valid items of one source; divert the rest.
+    def guard(self, source: str,
+              items: Iterable[object]) -> Iterator[EventBatch]:
+        """Yield the valid rows of one source; divert the rest.
 
-        An :class:`EventBatch` (a trace-file chunk, a v2 frame) is
-        validated whole by :meth:`validate_batch` and re-emitted
-        compacted.  Anything else -- a v1 frame's event, a fault
-        injection, garbage -- is checked one at a time: valid events
-        pass an inlined copy of :meth:`_check`'s accept conditions, and
-        whatever fails it falls through to ``_check`` for the canonical
-        reason code.  The source's clock lives in a local and is synced
-        back to ``_last_ts`` around batches, on the slow path and on
-        generator exit.  Yields ``StreamEvent | EventBatch`` for the
-        merge.
+        Every :class:`EventBatch` (a trace-file chunk, a v2 frame, a run
+        of v1 frames, a fault injection) is validated whole by
+        :meth:`validate_batch` and re-emitted compacted; anything else
+        is garbage and is diverted as ``not_an_event``.
         """
-        payload_types = _PAYLOAD_TYPES
-        known = self.known_uids
-        seen_jobs = self._seen(source, EVENT_JOB)
-        seen_pubs = self._seen(source, EVENT_PUBLICATION)
-        last = self._last_ts.get(source)
-        try:
-            for obj in items:
-                if type(obj) is StreamEvent:
-                    ts = obj.ts
-                    kind = obj.kind
-                    expected = payload_types.get(kind)
-                    if (expected is not None
-                            and isinstance(obj.payload, expected)
-                            and type(ts) is int
-                            and (last is None or ts >= last)
-                            and (known is None
-                                 or not _unknown_uids(obj, known))):
-                        if kind == EVENT_ACCESS:
-                            last = ts
-                            yield obj
-                            continue
-                        if kind == EVENT_JOB:
-                            ident, seen = obj.payload.job_id, seen_jobs
-                        else:
-                            ident, seen = obj.payload.pub_id, seen_pubs
-                        if ident not in seen:
-                            seen.add(ident)
-                            last = ts
-                            yield obj
-                            continue
-                elif getattr(obj, "is_event_batch", False):
-                    # Batch validation reads/writes the shared per-source
-                    # clock, so sync the local one around the call.
-                    if last is not None:
-                        self._last_ts[source] = last
-                    out = self.validate_batch(source, obj)
-                    last = self._last_ts.get(source)
-                    if out is not None:
-                        yield out
-                    continue
-                if last is not None:
-                    self._last_ts[source] = last
-                reason = self._check(source, obj)
-                if reason is None:
-                    last = obj.ts
-                    ident = _identity(obj)
-                    if ident is not None:
-                        self._seen(source, ident[0]).add(ident[1])
-                    yield obj
-                    continue
-                self.divert(source, reason[0], reason[1], obj)
-        finally:
-            if last is not None:
-                self._last_ts[source] = last
+        for obj in items:
+            if type(obj) is EventBatch:
+                out = self.validate_batch(source, obj)
+                if out is not None:
+                    yield out
+            else:
+                self.divert(source, REASON_NOT_EVENT,
+                            f"expected EventBatch, got "
+                            f"{type(obj).__name__}", obj)
 
     def validate_batch(self, source: str,
                        batch: EventBatch) -> EventBatch | None:
-        """The accept rules of :meth:`_check`, over one columnar batch.
+        """The accept rules, over one columnar batch.
 
-        Applies the same accept conditions in the same canonical order
-        -- structural/record invariants, then unknown uids, then time
-        regression, then duplicate identities -- and diverts failing
-        rows *in row order* with the same reason codes, so a batched
-        source dead-letters exactly what the per-event source would.
-        Returns the surviving rows (compacted when any were diverted)
-        or ``None`` when nothing survived.
+        A row is accepted when it holds its record's invariants, names
+        only known uids (when ``known_uids`` is set), does not precede
+        the source's clock and, for a job or publication, carries an id
+        the source has not delivered before.  The conditions are checked
+        in that canonical order, the first failure naming the reason,
+        and failing rows are diverted *in row order*; accepted rows
+        advance the source's clock and identity sets exactly as checking
+        them one row at a time would.  Returns the surviving rows
+        (compacted when any were diverted) or ``None`` when nothing
+        survived.
 
         Equivalence argument for the vectorized regression check: the
-        sequential guard's clock only advances on *accepted* rows, and
+        sequential clock only advances on *accepted* rows, and
         any row rejected for regression has ``ts`` strictly below the
         running maximum -- so including rejected rows in a running
         maximum cannot change it, and ``ts[i] >= max(last, ts[:i])``
@@ -336,8 +278,8 @@ class EventQuarantine:
                     keep[r] = False
 
         jidx = pidx = None
-        # 1. record invariants (a v1 peer's decode_event would have
-        #    refused to construct these rows: same reason code).
+        # 1. record invariants (a v1 frame's decode_event refuses to
+        #    construct these rows: same reason code).
         if batch.n_jobs:
             jidx = np.flatnonzero(kinds == KIND_JOB_CODE)
             jbad = ((batch.job_end < batch.job_start)
@@ -477,35 +419,6 @@ class EventQuarantine:
             return batch.compact(keep)
         return batch
 
-    def _check(self, source: str,
-               obj: object) -> tuple[str, str] | None:
-        if not isinstance(obj, StreamEvent):
-            return (REASON_NOT_EVENT,
-                    f"expected StreamEvent, got {type(obj).__name__}")
-        expected = _PAYLOAD_TYPES.get(obj.kind)
-        if expected is None:
-            return (REASON_BAD_KIND, f"kind {obj.kind!r}")
-        if not isinstance(obj.payload, expected):
-            return (REASON_BAD_PAYLOAD,
-                    f"{obj.kind} event carries "
-                    f"{type(obj.payload).__name__}, "
-                    f"expected {expected.__name__}")
-        if not isinstance(obj.ts, int) or isinstance(obj.ts, bool):
-            return (REASON_BAD_PAYLOAD, f"non-integer ts {obj.ts!r}")
-        if self.known_uids is not None:
-            unknown = _unknown_uids(obj, self.known_uids)
-            if unknown:
-                return (REASON_UNKNOWN_UID, f"uid(s) {sorted(unknown)}")
-        last = self._last_ts.get(source)
-        if last is not None and obj.ts < last:
-            return (REASON_REGRESSION,
-                    f"ts {obj.ts} after {last} from {source}")
-        ident = _identity(obj)
-        if ident is not None and \
-                ident[1] in self._seen_ids.get((source, ident[0]), ()):
-            return (REASON_DUPLICATE, f"id {ident[1]} redelivered")
-        return None
-
     def _seen(self, source: str, kind: str) -> set[int]:
         """The ids of ``kind`` already delivered by ``source``."""
         return self._seen_ids.setdefault((source, kind), set())
@@ -526,19 +439,3 @@ class EventQuarantine:
             }
         return out
 
-
-def _identity(ev: StreamEvent) -> tuple | None:
-    """``(kind, id)`` for events that carry an identity; None for
-    accesses."""
-    if ev.kind == EVENT_JOB:
-        return (EVENT_JOB, ev.payload.job_id)
-    if ev.kind == EVENT_PUBLICATION:
-        return (EVENT_PUBLICATION, ev.payload.pub_id)
-    return None
-
-
-def _unknown_uids(ev: StreamEvent, known: frozenset) -> set:
-    if ev.kind == EVENT_PUBLICATION:
-        return {u for u in ev.payload.author_uids if u not in known}
-    uid = ev.payload.uid
-    return set() if uid in known else {uid}

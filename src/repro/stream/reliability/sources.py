@@ -21,15 +21,15 @@ degradation), and its last-emitted timestamp is held as an explicit
 dead feed got.
 
 Position bookkeeping is the part that makes fault injection composable:
-``pos`` counts *underlying* rows consumed -- one per event, ``n`` per
-columnar :class:`~repro.stream.batch.EventBatch` chunk; injected faults
-never advance it -- so a re-opened source skips exactly the rows already
+``pos`` counts *underlying* rows consumed -- ``n`` per columnar
+:class:`~repro.stream.batch.EventBatch` chunk; injected faults never
+advance it -- so a re-opened source skips exactly the rows already
 delivered, slicing the chunk it lands inside, and a
 :class:`~repro.faults.io.FaultyStream` keyed on ``pos`` fires each
 scripted fault exactly once across any number of reopens.  A source a
-fault plan targets expands its chunks into events, so the faults see
-the per-event stream: each lands between the same two rows as it would
-without chunks.
+fault plan targets cuts its chunks at the plan's positions for it, so
+``pos`` stops at each and every fault lands between the same two rows
+whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from ...traces.io import (read_app_log_chunks, read_job_chunks,
+from ...traces.io import (parse_blocks, read_app_log_chunks, read_job_chunks,
                           read_publication_chunks)
 from ..batch import BatchRun, EventBatch, horizon_merge, skip_stream_items
 from .quarantine import DeadLetterLog, EventQuarantine
@@ -98,12 +98,13 @@ class RetryPolicy:
 class ResilientSource:
     """A retrying, health-tracked iterator over a replayable source.
 
-    ``factory`` must return a fresh iterator over the *same* sequence
-    each call (file readers and pure generators qualify); recovery
-    re-opens it and skips the ``pos`` rows already delivered.  When a
-    fault ``plan`` targets this source's name, the underlying iterator
-    is wrapped in a :class:`~repro.faults.io.FaultyStream` keyed on this
-    object's ``pos`` / ``last_event``.
+    ``factory`` must return a fresh iterator over the *same* sequence of
+    :class:`~repro.stream.batch.EventBatch` chunks each call (file
+    readers and pure generators qualify); recovery re-opens it and skips
+    the ``pos`` rows already delivered.  When a fault ``plan`` targets
+    this source's name, the underlying iterator is wrapped in a
+    :class:`~repro.faults.io.FaultyStream` keyed on this object's
+    ``pos`` / ``last_batch``.
     """
 
     def __init__(self, name: str, factory: Callable[[], Iterable], *,
@@ -118,10 +119,10 @@ class ResilientSource:
         self._sleep = sleep
         self._clock = clock
         self.pos = 0                # underlying rows consumed
-        #: The most recent underlying event; kept only under a fault
-        #: plan, whose duplicate and regress faults copy it.
-        self.last_event = None
-        self.watermark: int | None = None  # ts of last emitted event
+        #: The most recent underlying chunk; kept only under a fault
+        #: plan, whose duplicate and regress faults copy its last row.
+        self.last_batch: EventBatch | None = None
+        self.watermark: int | None = None  # ts of last emitted row
         self.health = SourceHealth.OK
         self.retries = 0            # reopen attempts, lifetime total
         self.episodes = 0           # failure episodes entered
@@ -137,23 +138,25 @@ class ResilientSource:
             raw = skip_stream_items(raw, self.pos)
         if self._faulted:
             from ...faults.io import FaultyStream
-            return FaultyStream(self._count(raw), self._plan, self)
+            return FaultyStream(self._rows(raw), self._plan, self)
         return self._rows(raw)
 
-    def _rows(self, raw: Iterator) -> Iterator:
+    def _rows(self, raw: Iterator) -> Iterator[EventBatch]:
+        """Count each chunk's rows into ``pos``.  Under a fault plan a
+        chunk is cut at this source's scripted positions, so the
+        :class:`FaultyStream` above sees ``pos`` stop on each."""
+        cuts = sorted(self._plan.for_target(self.name)) if self._faulted \
+            else ()
         for item in raw:
-            self.pos += item.n if type(item) is EventBatch else 1
-            yield item
-
-    def _count(self, raw: Iterator) -> Iterator:
-        """The counting shim under a fault plan: one item per row, so
-        the :class:`FaultyStream` above sees ``pos`` stop on each."""
-        for item in raw:
-            for ev in (item.iter_events() if type(item) is EventBatch
-                       else (item,)):
-                self.pos += 1
-                self.last_event = ev
-                yield ev
+            start, lo = self.pos, 0
+            for hi in [at - start for at in cuts
+                       if start < at < start + item.n] + [item.n]:
+                part = item.slice_rows(lo, hi) if hi - lo < item.n else item
+                self.pos += part.n
+                if self._faulted:
+                    self.last_batch = part
+                yield part
+                lo = hi
 
     def __iter__(self) -> Iterator:
         if self._gen is None:
@@ -181,13 +184,8 @@ class ResilientSource:
                         episode_start = None
                     if self.health is not ok:
                         self.health = ok
-                    if type(ev) is EventBatch:
-                        if ev.n:
-                            self.watermark = int(ev.ts[-1])
-                    else:
-                        ts = getattr(ev, "ts", None)
-                        if type(ts) is int:
-                            self.watermark = ts
+                    if type(ev) is EventBatch and ev.n:
+                        self.watermark = int(ev.ts[-1])
                     yield ev
             except StopIteration:
                 self._exhausted = True
@@ -234,12 +232,18 @@ class ResilientSource:
 class TailingFileSource:
     """A replayable factory that follows a growing line-oriented file.
 
-    Calling the instance opens the file from the start and yields one
-    parsed record per complete line (a trailing line without ``\\n`` is
-    a write in progress and is left for the next poll).  At end of file
-    it polls until the file grows, ``stop_when()`` goes true, or no
-    growth is seen for ``idle_timeout`` seconds -- whichever comes
-    first.  Plain text only: a gzip stream cannot be tailed mid-member.
+    Calling the instance opens the file from the start and yields the
+    complete lines of each read as single-kind :class:`EventBatch`
+    chunks, parsed by ``parse`` -- one of the columnar trace readers'
+    block parsers (:func:`~repro.traces.io.job_block`,
+    :func:`~repro.traces.io.publication_block`,
+    :func:`~repro.traces.io.access_block`) -- so a line is diverted to
+    ``on_error`` (or raises) exactly when the trace reader would divert
+    it.  A trailing line without ``\\n`` is a write in progress and is
+    left for the next poll.  At end of file it polls until the file
+    grows, ``stop_when()`` goes true, or no growth is seen for
+    ``idle_timeout`` seconds -- whichever comes first.  Plain text only:
+    a gzip stream cannot be tailed mid-member.
 
     Rotation and truncation are handled at the poll point, where the
     path is re-stat'ed whenever the current handle hits EOF:
@@ -259,11 +263,13 @@ class TailingFileSource:
     incarnation is a torn write that will never be completed; it is
     routed to ``on_error`` (or raised), never spliced onto new content.
 
-    As a factory it slots straight into :class:`ResilientSource`, whose
-    reopen-and-skip recovery then also covers tail sources.
+    As a factory of chunks it slots straight into
+    :class:`ResilientSource`, whose reopen-and-skip recovery then also
+    covers tail sources, and a guard over it validates the chunks
+    whole.
     """
 
-    def __init__(self, path: str, parse: Callable[[str], object], *,
+    def __init__(self, path: str, parse: Callable, *,
                  poll_interval: float = 0.05,
                  idle_timeout: float = 5.0,
                  stop_when: Callable[[], bool] | None = None,
@@ -297,22 +303,11 @@ class TailingFileSource:
                     idle_since = None
                     offset += len(chunk)
                     buffer += chunk
-                    while True:
-                        raw, sep, rest = buffer.partition(b"\n")
-                        if not sep:
-                            break
-                        buffer = rest
-                        if not raw:
-                            continue
-                        try:
-                            rec = self.parse(raw.decode("utf-8"))
-                        except (ValueError, IndexError, TypeError) as exc:
-                            if self.on_error is None:
-                                raise
-                            self.on_error(raw.decode("utf-8", "replace"),
-                                          exc)
-                            continue
-                        yield rec
+                    cut = buffer.rfind(b"\n") + 1
+                    if cut:
+                        lines, buffer = buffer[:cut], buffer[cut:]
+                        yield from parse_blocks(lines, True, self.parse,
+                                                self.on_error)[0]
                     continue
                 # EOF on the current handle: did the path move on
                 # without us?
@@ -362,7 +357,7 @@ class ReliableEventStream:
     Wraps each of a workspace's three trace feeds in a
     :class:`ResilientSource` over its columnar reader, guards every
     source through one shared :class:`~.quarantine.EventQuarantine`
-    (``guard_hybrid``: chunks are validated whole), and merges the
+    (``guard``: chunks are validated whole), and merges the
     surviving rows with :func:`~repro.stream.batch.horizon_merge` into
     mixed-kind :class:`~repro.stream.batch.BatchRun` items (sources
     listed in jobs-publications-accesses order, preserving the merge's
@@ -419,7 +414,7 @@ class ReliableEventStream:
         return lambda: to_items(reader(path, on_error=hook))
 
     def __iter__(self) -> Iterator[BatchRun]:
-        return horizon_merge(self.quarantine.guard_hybrid(src.name, src)
+        return horizon_merge(self.quarantine.guard(src.name, src)
                              for src in self.sources)
 
     # -- reporting -----------------------------------------------------

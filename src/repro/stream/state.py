@@ -38,7 +38,7 @@ from ..core.activeness import (ActivenessParams, RankAccumulator,
                                evaluate_type_bulk)
 from ..core.activity import JOB_SUBMISSION, PUBLICATION, ActivityType
 from ..emulation.emulator import deterministic_file_size
-from ..traces.schema import JobRecord, PublicationRecord
+from ..traces.schema import PublicationRecord
 from ..vfs.path_trie import split_path
 
 __all__ = ["PathCatalog", "GrowableReplayState",
@@ -348,22 +348,15 @@ class IncrementalActivenessState:
 
     # -- ingestion -----------------------------------------------------
 
-    def add_job(self, job: JobRecord,
-                activity_type: ActivityType = JOB_SUBMISSION) -> None:
-        state = self._types.setdefault(activity_type, _TypeState())
-        state.pend_uid.append(job.uid)
-        state.pend_ts.append(job.submit_ts)
-        state.pend_imp.append(job.core_hours() * activity_type.weight)
-
     def add_jobs(self, uids: np.ndarray, ts: np.ndarray,
                  core_hours: np.ndarray,
                  activity_type: ActivityType = JOB_SUBMISSION) -> None:
-        """Bulk :meth:`add_job` for a columnar run of job rows.
+        """Append a columnar run of job submissions.
 
         ``core_hours`` carries each job's unweighted core-hour impact;
         the weight multiply happens here so the per-row float is the
-        same ``core_hours() * weight`` expression (same operand order)
-        that :meth:`add_job` computes, keeping the pending-buffer
+        ``JobRecord.core_hours() * weight`` expression (same operand
+        order) the batch store folds, keeping the pending-buffer
         contents -- and every fold downstream -- bit-identical.
         """
         state = self._types.setdefault(activity_type, _TypeState())

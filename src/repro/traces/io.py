@@ -45,7 +45,9 @@ the hook the streaming quarantine uses to divert malformed rows to a
 dead-letter file while the rest of a damaged trace keeps flowing.  The
 columnar readers also divert a line that is not UTF-8 (the record
 readers raise ``UnicodeDecodeError``) or whose ints do not fit an int64
-column.
+column.  Their block parsers (:func:`job_block`, :func:`publication_block`,
+:func:`access_block`, driven by :func:`parse_blocks`) also parse the lines
+a tail source reads from a growing file.
 """
 
 from __future__ import annotations
@@ -334,26 +336,26 @@ def _chunks(path: str, parse, on_error: OnError | None):
                 piece = fh.read1(_READ_BYTES)
             except (OSError, EOFError, zlib.error):
                 data = b"".join(pieces)
-                yield from _parse_blocks(data[:data.rfind(b"\n") + 1], True,
-                                         parse, on_error)[0]
+                yield from parse_blocks(data[:data.rfind(b"\n") + 1], True,
+                                        parse, on_error)[0]
                 raise
             if not piece:
                 break
             pieces.append(piece)
             lines += piece.count(b"\n")
             if lines >= CHUNK_ROWS:
-                batches, rest = _parse_blocks(b"".join(pieces), False, parse,
-                                              on_error)
+                batches, rest = parse_blocks(b"".join(pieces), False, parse,
+                                             on_error)
                 pieces, lines = [rest], rest.count(b"\n")
                 yield from batches
         data = b"".join(pieces)
         if data and not data.endswith(b"\n"):
             data += b"\n"
-        yield from _parse_blocks(data, True, parse, on_error)[0]
+        yield from parse_blocks(data, True, parse, on_error)[0]
 
 
-def _parse_blocks(data: bytes, final: bool, parse,
-                  on_error: OnError | None) -> tuple[list, bytes]:
+def parse_blocks(data: bytes, final: bool, parse,
+                 on_error: OnError | None) -> tuple[list, bytes]:
     """``(batches, rest)``: what ``parse`` makes of each block of whole
     CHUNK_ROWS lines in ``data`` (with ``final``, of every line), and
     the bytes left over.
@@ -451,24 +453,24 @@ def _settle(data: bytes, starts: np.ndarray, ends: np.ndarray,
 def read_job_chunks(path: str, on_error: OnError | None = None):
     """The jobs trace as single-kind ``EventBatch`` chunks (row ``ts`` is
     ``submit_ts``); the rows :func:`read_jobs` yields, in order."""
-    return _chunks(path, _job_block, on_error)
+    return _chunks(path, job_block, on_error)
 
 
 def read_publication_chunks(path: str, on_error: OnError | None = None):
     """The publications trace as single-kind ``EventBatch`` chunks; the
     rows :func:`read_publications` yields, in order."""
-    return _chunks(path, _publication_block, on_error)
+    return _chunks(path, publication_block, on_error)
 
 
 def read_app_log_chunks(path: str, on_error: OnError | None = None):
     """The app log as single-kind ``EventBatch`` chunks; the rows
     :func:`read_app_log` yields, in order.  Each chunk's string pool
     holds its distinct paths, each decoded once."""
-    return _chunks(path, _access_block, on_error)
+    return _chunks(path, access_block, on_error)
 
 
-def _job_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
-               on_error: OnError | None):
+def job_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
+              on_error: OnError | None):
     """One block of job lines as a batch (None if no line is a job)."""
     from ..stream.batch import KIND_JOB_CODE, EventBatch
 
@@ -500,8 +502,8 @@ def _job_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
         job_end=end[keep], job_nodes=nodes[keep], job_cores=cores[keep])
 
 
-def _publication_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
-                       on_error: OnError | None):
+def publication_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
+                      on_error: OnError | None):
     """One block of publication lines as a batch (or None).
 
     Publications are a sliver of the traffic (the paper's traces hold
@@ -530,8 +532,8 @@ def _publication_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
         pub_auth=np.concatenate(authors))
 
 
-def _access_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
-                  on_error: OnError | None):
+def access_block(data: bytes, starts: np.ndarray, ends: np.ndarray,
+                 on_error: OnError | None):
     """One block of app-log lines as a batch (or None)."""
     from ..stream.batch import KIND_ACC_CODE, OP_CODES, EventBatch
 

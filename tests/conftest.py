@@ -1,12 +1,15 @@
 """Shared fixtures: tiny deterministic datasets, file-system builders,
-and the merged-stream expander."""
+the batch-run builder and the merged-stream expander."""
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
 from repro.core import ActivenessParams, RetentionConfig
-from repro.stream import BatchRun, EventBatch
+from repro.server.ingest import DEFAULT_BATCH_EVENTS
+from repro.stream import BatchBuilder, BatchRun, EventBatch
 from repro.synth import TitanConfig, generate_dataset
 from repro.vfs import DAY_SECONDS, FileMeta, VirtualFileSystem
 
@@ -26,6 +29,25 @@ def make_fs(entries, capacity=None):
     else:
         fs.capacity_bytes = capacity
     return fs
+
+
+def as_runs(events, size=DEFAULT_BATCH_EVENTS):
+    """``events`` as whole-batch ``BatchRun``s of at most ``size`` rows,
+    the form ``MultiTenantService.run`` consumes (``run.batch`` is the
+    chunk a columnar source delivers).
+
+    The batches are built afresh on every call: a batch caches the pids
+    of the first catalog that ingests it (``EventBatch.pid_map``), so
+    two services must never share one.
+    """
+    it = iter(events)
+    while True:
+        builder = BatchBuilder()
+        builder.extend(itertools.islice(it, size))
+        if not len(builder):
+            return
+        batch = builder.build()
+        yield BatchRun(batch, 0, batch.n)
 
 
 def expand_events(items):

@@ -44,6 +44,8 @@ from repro.stream.reliability.quarantine import (REASON_CORRUPT_FRAME,
 from repro.traces.schema import AppAccessRecord, JobRecord
 from repro.synth import TitanConfig, generate_dataset
 
+from conftest import as_runs
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -93,8 +95,7 @@ def v2_connect(address, source, *, caps=(CAP_BATCH,),
 
 def drain_rows(stream):
     """Total event rows the guarded merge delivers."""
-    return sum(1 if type(item) is StreamEvent else item.n_rows
-               for item in iter(stream))
+    return sum(item.n_rows for item in iter(stream))
 
 
 def _wait(predicate, seconds, what):
@@ -203,7 +204,7 @@ def test_frame_reader_refuses_oversized_prefix_without_body():
 
 def test_malformed_batch_rows_quarantined_with_reason_codes(
         tmp_path, dataset, events, known):
-    clean = make_service(dataset, known).run(iter(events))
+    clean = make_service(dataset, known).run(as_runs(events))
 
     # Splice two poison rows into the stream at monotone positions: a
     # job a v1 decode_event would refuse (node count zero -- forged

@@ -38,6 +38,8 @@ from repro.stream.events import workspace_event_stream
 from repro.cli.workspace import load_workspace, save_workspace
 from repro.synth import TitanConfig, generate_dataset
 
+from conftest import as_runs
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 N_USERS, SEED = 30, 7
@@ -189,7 +191,7 @@ def _checkpoint_write_bounds(ws_dir, probe_dir):
                        opener=lambda p: FaultyIO(open(p, "wb"), plan,
                                                  "checkpoint"))
     service = _fresh_service(ws_dir, manager)
-    service.run(workspace_event_stream(ws_dir))
+    service.run(as_runs(workspace_event_stream(ws_dir)))
     return bounds
 
 
@@ -248,7 +250,7 @@ def test_gc_bound_holds_and_all_links_verify(chaos_workspace, tmp_path):
 
     manager = Auditor(str(tmp_path / "ck"), retain=3)
     service = _fresh_service(chaos_workspace, manager)
-    result = service.run(workspace_event_stream(chaos_workspace))
+    result = service.run(as_runs(workspace_event_stream(chaos_workspace)))
     assert result is not None
     assert service.stats["checkpoints_written"] >= 6
     assert violations == []

@@ -41,10 +41,12 @@ from repro.server.protocol import (BinaryFrame, FrameError, FrameReader,
                                    connect_socket, encode_batch,
                                    encode_batch_frame, encode_frame,
                                    write_frame)
-from repro.stream.batch import BatchBuilder, BatchRun
-from repro.stream.events import job_events
+from repro.stream.batch import BatchBuilder
+from repro.stream.events import EVENT_JOB, StreamEvent, job_events
+from repro.traces import JobRecord
 from repro.synth import TitanConfig, generate_dataset
 
+from conftest import as_runs, expand_events
 from test_server import (SERVE_TENANTS, _cli_env, _sock,
                          _tenant_args, _tenant_summaries, _wait_for,
                          server_batch_summaries, server_workspace)
@@ -64,13 +66,7 @@ def jobs_events():
 
 def _drain(stream):
     """Expand a NetworkEventStream into a flat event list."""
-    out = []
-    for item in stream:
-        if isinstance(item, BatchRun):
-            out.extend(item.iter_events())
-        else:
-            out.append(item)
-    return out
+    return expand_events(stream)
 
 
 def _payloads(events):
@@ -321,28 +317,118 @@ def test_relay_seq_offset_holdoff(jobs_events):
         listener.close()
 
 
+def test_queued_v1_events_leave_the_source_as_one_batch(jobs_events):
+    """v1 events queued between two v2 batches leave their socket source
+    as one batch carrying their sequence numbers, and the ledger maps
+    every consumed row back to its exact wire seq."""
+    events = jobs_events[:30]
+
+    def feed(listener):
+        (before,) = (run.batch for run in as_runs(events[:10]))
+        (after,) = (run.batch for run in as_runs(events[20:]))
+        source = listener.sources()[0]
+        assert source.admit_batch(before, 1) == ("ok", 0)
+        for seq, ev in enumerate(events[10:20], start=11):
+            assert source.admit_event(ev, seq) == "ok"
+        assert source.admit_batch(after, 21) == ("ok", 0)
+        source.producer_ended()
+        return source, before, after
+
+    with SocketListener("127.0.0.1:0", expected={"jobs": 1}) as listener:
+        source, before, after = feed(listener)
+        batches = list(source)
+    assert batches[0] is before and batches[2] is after
+    assert [(b.first_seq, b.seq_width, b.n) for b in batches] == [
+        (1, 10, 10), (11, 10, 10), (21, 10, 10)]
+    assert expand_events(batches) == events
+
+    with SocketListener("127.0.0.1:0", expected={"jobs": 1}) as listener:
+        stream = NetworkEventStream(listener)
+        feed(listener)
+        runs = _snapshots(stream, lambda consumed: {"jobs": consumed})
+    assert expand_events(runs) == events
+
+
+def _snapshots(stream, want):
+    """Drain ``stream`` the way the engine does, checking the ledger's
+    cursors at every row of each run before pulling the next."""
+    runs, consumed = [], 0
+    for run in stream:
+        runs.append(run)
+        for c in range(consumed, consumed + run.n_rows + 1):
+            assert stream.sequence_snapshot(c)["source_seqs"] == want(c)
+        consumed += run.n_rows
+    return runs
+
+
+def test_ledger_cursors_follow_rows_through_the_merge():
+    """Two finely interleaved sources, one with a diverted row inside a
+    batch and one at its end: after every consumed row, each source's
+    cursor is the seq its last consumed row covers (a batch's last
+    surviving row covers the batch's trailing diverted rows)."""
+    def job(ts, job_id):
+        return StreamEvent(ts, EVENT_JOB,
+                           JobRecord(job_id, 1, ts, ts, ts + 5, 1))
+
+    a = [job(100 + 2 * k, k) for k in range(10)]
+    a.insert(5, job(50, 100))        # seq 6: a time regression
+    a.append(job(130, 0))            # seq 12: job 0 again
+    b = [job(101 + 2 * k, 200 + k) for k in range(10)]
+    with SocketListener("127.0.0.1:0",
+                        expected={"a": 1, "b": 1}) as listener:
+        stream = NetworkEventStream(listener)
+        src_a, src_b = listener.sources()
+        (batch,) = (run.batch for run in as_runs(a))
+        assert src_a.admit_batch(batch, 1) == ("ok", 0)
+        for first, rows in ((1, b[:4]), (5, b[4:])):
+            (batch,) = (run.batch for run in as_runs(rows))
+            assert src_b.admit_batch(batch, first) == ("ok", 0)
+        src_a.producer_ended()
+        src_b.producer_ended()
+        kept = [(ev.ts, 0, seq) for seq, ev in enumerate(a, 1)
+                if seq not in (6, 12)]
+        kept += [(ev.ts, 1, seq) for seq, ev in enumerate(b, 1)]
+        kept.sort()
+
+        def want(consumed):
+            cursors = {"a": 0, "b": 0}
+            for _ts, i, seq in kept[:consumed]:
+                cursors["ab"[i]] = 12 if (i, seq) == (0, 11) else seq
+            return cursors
+
+        runs = _snapshots(stream, want)
+    assert [ev.ts for ev in expand_events(runs)] == [t for t, _, _ in kept]
+
+
 # ---------------------------------------------------------------------------
 # 5. chaos proxy: severs, stalls, splits, corruption -- exactly once
 
 
-def test_sever_stall_split_corrupt_exactly_once(jobs_events):
+@pytest.mark.parametrize("batch_size", [5, 0])
+def test_sever_stall_split_corrupt_exactly_once(jobs_events, batch_size):
+    """Sequenced v2 batches (``batch_size`` 5) and sequenced v1 frames
+    (0), which the listener batches as they queue."""
     listener = SocketListener("127.0.0.1:0", expected={"jobs": 1})
     stream = NetworkEventStream(listener)
-    plan = FaultPlan([
+    specs = [
         {"target": "net:jobs", "kind": "sever", "at": 900},
         {"target": "net:jobs", "kind": "sever", "at": 2400},
         {"target": "net:jobs", "kind": "sever", "at": 5000},
         {"target": "net:jobs", "kind": "stall", "at": 3100, "arg": 0.01},
         {"target": "net:jobs", "kind": "split", "at": 3200, "arg": 40},
-        {"target": "net:jobs", "kind": "corrupt", "at": 4000},
-    ], seed=7)
+    ]
+    if batch_size:
+        # A v1 frame carries no CRC, so a flipped bit there can decode
+        # as a different valid event: only v2 is corrupted.
+        specs.append({"target": "net:jobs", "kind": "corrupt", "at": 4000})
+    plan = FaultPlan(specs, seed=7)
     with ChaosProxy("127.0.0.1:0", listener.address, plan) as proxy:
         stats: dict = {}
         done: dict = {}
 
         def produce():
             done["n"] = publish_events(
-                proxy.address, "jobs", jobs_events, batch_size=5,
+                proxy.address, "jobs", jobs_events, batch_size=batch_size,
                 retry_for=60.0, retry_interval=0.05, retry_seed=3,
                 stats=stats)
 
@@ -354,11 +440,14 @@ def test_sever_stall_split_corrupt_exactly_once(jobs_events):
     assert done["n"] == len(jobs_events)
     # Exactly once, in order: nothing lost, nothing doubled.
     assert _payloads(got) == _payloads(jobs_events)
-    assert proxy.severed == 3 and proxy.corrupted == 1
+    assert proxy.severed == 3
     assert proxy.stalled == 1 and proxy.splits == 1
-    # The corrupt frame was caught by CRC and recovered via gap-resend.
-    assert int(listener.decode_errors) >= 1
-    assert int(listener.sequence_gaps) >= 1
+    if batch_size:
+        # The corrupt frame was caught by CRC and recovered via
+        # gap-resend.
+        assert proxy.corrupted == 1
+        assert int(listener.decode_errors) >= 1
+        assert int(listener.sequence_gaps) >= 1
     assert stats["retries"] >= 3
     assert len(stats.get("recovery_seconds", [])) >= 3
     # The ledger decomposes the final cursor exactly.

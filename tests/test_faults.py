@@ -16,8 +16,10 @@ import pytest
 
 from repro.faults import (FaultPlan, FaultSpec, FaultyIO, FaultyStream,
                           InjectedIOError, corrupt_file, trace_writer_wrap)
+from repro.stream import EVENT_JOB, EventBatch, StreamEvent
+from repro.traces import JobRecord
 
-from conftest import expand_events
+from conftest import as_runs, expand_events
 
 
 # ---------------------------------------------------------------- plans
@@ -152,38 +154,29 @@ def test_faulty_io_passthrough():
 # ---------------------------------------------------------------- streams
 
 class _Source:
-    """Minimal stand-in for a ResilientSource: owns pos / last_event."""
+    """Minimal stand-in for a ResilientSource: owns pos / last_batch."""
 
     def __init__(self, name, items):
         self.name = name
         self.pos = 0
-        self.last_event = None
+        self.last_batch = None
         self._items = items
 
     def events(self):
         # Like ResilientSource's reopen: resume after already-consumed
-        # records, counting from the current position.
+        # rows, counting from the current position.
         for item in self._items[self.pos:]:
-            self.pos += 1
-            self.last_event = item
+            self.pos += item.n
+            self.last_batch = item
             yield item
 
 
-class _Event:
-    def __init__(self, ts, kind, payload):
-        self.ts, self.kind, self.payload = ts, kind, payload
-
-    def __eq__(self, other):
-        return (isinstance(other, _Event)
-                and (self.ts, self.kind, self.payload)
-                == (other.ts, other.kind, other.payload))
-
-    def __repr__(self):
-        return f"_Event({self.ts}, {self.kind!r}, {self.payload!r})"
-
-
 def _events(n):
-    return [_Event(100 + i, "job", f"p{i}") for i in range(n)]
+    """``n`` job rows as one-row batches."""
+    return [run.batch for run in as_runs(
+        [StreamEvent(100 + i, EVENT_JOB,
+                     JobRecord(i, 1, 100 + i, 100 + i, 110 + i, 1))
+         for i in range(n)], size=1)]
 
 
 def _drain(plan, items):
@@ -229,11 +222,13 @@ def test_stream_duplicate_and_regress_shapes():
         {"target": "jobs", "kind": "regress", "at": 3, "arg": 10},
     ])
     out = _drain(plan, items)
-    dup = out[2]
-    assert dup == items[1]  # verbatim copy of the last delivered event
+    # A verbatim one-row copy of the last delivered row...
+    assert expand_events(out[2:3]) == expand_events(items[1:2])
+    # ...and a copy of it with ts shifted back, every column else kept.
     regressed = out[4]
-    assert regressed.ts == items[2].ts - 10
-    assert regressed.payload == items[2].payload
+    assert regressed.ts.tolist() == [int(items[2].ts[0]) - 10]
+    assert regressed.row_debug(0) == dict(items[2].row_debug(0),
+                                          ts=int(items[2].ts[0]) - 10)
 
 
 def test_stream_stall_is_transient_and_single_shot():
@@ -254,7 +249,7 @@ def test_stream_malformed_shapes_are_deterministic():
         plan = FaultPlan([{"target": "jobs", "kind": "malformed", "at": 2,
                            "count": 6}], seed=5)
         out = _drain(plan, _events(6))
-        return [type(x).__name__ for x in out if x not in _events(6)]
+        return [type(x).__name__ for x in out if type(x) is not EventBatch]
 
     assert garbage_kinds() == garbage_kinds()
     assert len(garbage_kinds()) == 6

@@ -35,6 +35,7 @@ from repro.server.metrics import render_prometheus
 from repro.stream import (CheckpointManager, dataset_event_stream,
                           skip_stream_items)
 
+from conftest import as_runs
 from test_server import HETERO, batch_result, build_policy, make_fleet
 from test_compiled_replay import assert_results_equal
 
@@ -180,7 +181,7 @@ def test_two_interleaved_pollers_see_consistent_positive_rate(
                              clock=lambda: clock[0])
     service = make_fleet(dataset, HETERO[:2], metrics_history=history)
     stop = len(events) // 2
-    assert service.run(iter(events), stop_after_events=stop) is None
+    assert service.run(as_runs(events), stop_after_events=stop) is None
     newest = history.last()
     assert newest is not None and newest["cursor"] < service.cursor, \
         "precondition: events consumed past the last boundary sample"
@@ -224,11 +225,10 @@ def test_concurrent_socket_pollers_during_ingest(dataset, events, tmp_path):
     release = threading.Event()
 
     def gated():
-        for i, ev in enumerate(events):
-            if i == hold_at:
-                holding.set()
-                assert release.wait(60)
-            yield ev
+        yield from as_runs(events[:hold_at])
+        holding.set()
+        assert release.wait(60)
+        yield from as_runs(events[hold_at:])
 
     address = _sock(tmp_path, "admin2.sock")
     with AdminServer(address, service):
@@ -277,7 +277,7 @@ def test_resume_continues_history_from_restored_cursor(
     service = make_fleet(dataset, HETERO, checkpoint_dir=ckdir,
                          checkpoint_every_days=7, metrics_history=history)
     stop = int(len(events) * 0.6)
-    assert service.run(iter(events), stop_after_events=stop) is None
+    assert service.run(as_runs(events), stop_after_events=stop) is None
     pre_crash = history.samples()
     assert pre_crash, "boundaries fired before the crash"
     history.close()  # the process dies here; every sample already flushed
@@ -296,7 +296,7 @@ def test_resume_continues_history_from_restored_cursor(
         assert (sample["cursor"] < resumed.cursor
                 or sample["boundary"] < resumed.next_boundary)
 
-    results = resumed.run(skip_stream_items(iter(events), resumed.cursor))
+    results = resumed.run(skip_stream_items(as_runs(events), resumed.cursor))
     for spec in HETERO:
         assert_results_equal(results[spec.name],
                              batch_result(dataset, compiled, spec))
@@ -335,7 +335,7 @@ def test_checkpoint_age_same_clock_never_negative(dataset, events, tmp_path):
     service = make_fleet(dataset, HETERO[:1],
                          checkpoint_dir=str(tmp_path / "ck"),
                          wall=lambda: wall[0])
-    service.run(iter(events))
+    service.run(as_runs(events))
     assert service.stats["checkpoints_written"] >= 1
     wall[0] += 12.5
     assert service.checkpoint_age() == pytest.approx(12.5)
@@ -350,7 +350,7 @@ def test_checkpoint_age_same_clock_never_negative(dataset, events, tmp_path):
 def test_next_boundary_is_public(dataset, events):
     service = make_fleet(dataset, HETERO[:1])
     assert service.next_boundary == 0
-    service.run(iter(events), stop_after_events=len(events) // 2)
+    service.run(as_runs(events), stop_after_events=len(events) // 2)
     assert service.next_boundary == service._next_boundary > 0
 
 
@@ -400,7 +400,7 @@ def test_prometheus_exposition_parses_with_required_series(
     service = make_fleet(dataset, HETERO[:2],
                          checkpoint_dir=str(tmp_path / "ck"),
                          metrics_history=history)
-    service.run(iter(events))
+    service.run(as_runs(events))
     text = render_prometheus(service, history=history, rate=123.0,
                              uptime=5.0)
     seen = _parse_exposition(text)
@@ -430,7 +430,7 @@ def test_prometheus_label_escaping():
 def test_http_scrape_on_admin_socket(dataset, events, tmp_path):
     history = MetricsHistory(str(tmp_path / "hist.jsonl"))
     service = make_fleet(dataset, HETERO[:2], metrics_history=history)
-    service.run(iter(events), stop_after_events=len(events) // 2)
+    service.run(as_runs(events), stop_after_events=len(events) // 2)
     address = _sock(tmp_path, "scrape.sock")
     with AdminServer(address, service) as admin:
         body = scrape_metrics(address)
@@ -473,7 +473,7 @@ def _http_get(address, path):
 def test_admin_metrics_history_and_export(dataset, events, tmp_path):
     history = MetricsHistory(str(tmp_path / "hist.jsonl"))
     service = make_fleet(dataset, HETERO[:2], metrics_history=history)
-    service.run(iter(events))
+    service.run(as_runs(events))
     address = _sock(tmp_path, "exp.sock")
     with AdminServer(address, service):
         out = admin_request(address, {"cmd": "metrics", "history": 3})
@@ -509,7 +509,7 @@ def test_dashboard_renders_live_and_offline(dataset, events, tmp_path):
     service = make_fleet(dataset, HETERO[:2],
                          checkpoint_dir=str(tmp_path / "ck"),
                          metrics_history=history)
-    service.run(iter(events))
+    service.run(as_runs(events))
     address = _sock(tmp_path, "dash.sock")
     with AdminServer(address, service):
         data = fetch_dashboard_data(address, samples=50)
@@ -535,7 +535,7 @@ def test_dashboard_cli_offline(dataset, events, tmp_path, capsys):
     hist_path = str(tmp_path / "hist.jsonl")
     history = MetricsHistory(hist_path)
     service = make_fleet(dataset, HETERO[:2], metrics_history=history)
-    service.run(iter(events))
+    service.run(as_runs(events))
     history.close()
 
     assert main(["dashboard", "--history-file", hist_path]) == 0
@@ -559,7 +559,7 @@ def test_samples_carry_tenant_stats_and_stream_extra(dataset, events,
     history = MetricsHistory(str(tmp_path / "hist.jsonl"))
     service = make_fleet(dataset, HETERO[:2], metrics_history=history)
     service.sample_extra = lambda: {"quarantined": 7}
-    service.run(iter(events))
+    service.run(as_runs(events))
     newest = history.last()
     assert newest is not None
     assert newest["stream"] == {"quarantined": 7}
@@ -580,6 +580,6 @@ def test_sampling_failure_never_stops_the_engine(dataset, events, tmp_path):
     history = MetricsHistory(str(tmp_path / "hist.jsonl"))
     service = make_fleet(dataset, HETERO[:1], metrics_history=history)
     history._fh.close()  # simulate the history file going away mid-run
-    results = service.run(iter(events))
+    results = service.run(as_runs(events))
     assert results is not None  # the engine finished regardless
     assert service.last_metrics_error is not None

@@ -8,7 +8,6 @@ what the valid subsequence alone produces.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import os
@@ -26,20 +25,27 @@ from repro.stream.reliability import (DeadLetterLog, EventQuarantine,
                                       ReliableEventStream, ResilientSource,
                                       RetryPolicy, SourceHealth,
                                       TailingFileSource)
-from repro.stream.reliability.quarantine import (REASON_BAD_KIND,
-                                                 REASON_BAD_PAYLOAD,
-                                                 REASON_DUPLICATE,
+from repro.stream.reliability.quarantine import (REASON_DUPLICATE,
                                                  REASON_NOT_EVENT,
                                                  REASON_REGRESSION,
                                                  REASON_UNKNOWN_UID,
                                                  REASON_UNPARSABLE)
+from repro.server.ingest import DEFAULT_BATCH_EVENTS
+from repro.stream.batch import EventBatch, horizon_merge
 from repro.stream.events import EVENT_JOB, StreamEvent
+from repro.traces.io import job_block
 from repro.traces.schema import JobRecord
 
-from conftest import expand_events
+from conftest import as_runs, expand_events
 from test_compiled_replay import assert_results_equal
 
 _FAST = RetryPolicy(base_delay=0.0, max_delay=0.0, jitter=0.0)
+
+
+def _chunks(events, size=DEFAULT_BATCH_EVENTS):
+    """``events`` as EventBatch chunks of ``size`` rows, as a trace
+    file's columnar reader delivers them."""
+    return [run.batch for run in as_runs(events, size)]
 
 
 # ---------------------------------------------------------------- retry
@@ -83,8 +89,16 @@ class _FlakyFactory:
             yield item
 
 
+def _jobs(n, start=100, step=10):
+    return [StreamEvent(start + step * i, EVENT_JOB,
+                        JobRecord(start + i, 1, start + step * i,
+                                  start + step * i,
+                                  start + step * i + 10, 1))
+            for i in range(n)]
+
+
 def test_resilient_source_retries_and_recovers():
-    items = list(range(20))
+    items = _chunks(_jobs(20), 1)
     factory = _FlakyFactory(items, fail_at={0, 7, 15}, fail_opens=2)
     src = ResilientSource("jobs", factory, policy=_FAST,
                           sleep=lambda s: None)
@@ -132,25 +146,18 @@ def test_resilient_source_deadline():
 
 
 def test_dead_source_excluded_from_merge_with_watermark():
-    def evts(n, start=100, step=10):
-        return [StreamEvent(start + step * i, EVENT_JOB,
-                            JobRecord(start + i, 1, start + step * i,
-                                      start + step * i,
-                                      start + step * i + 10, 1))
-                for i in range(n)]
-
-    good = evts(5)
-    dying_items = evts(3, start=105)
-    factory = _FlakyFactory(dying_items, fail_at={2})
+    good = _jobs(5)
+    dying_items = _jobs(3, start=105)
+    factory = _FlakyFactory(_chunks(dying_items, 1), fail_at={2})
     # One retry budget: the mid-stream failure at index 2 kills it.
     dying = ResilientSource(
         "dying", factory,
         policy=RetryPolicy(max_attempts=1, base_delay=0.0, max_delay=0.0,
                            jitter=0.0),
         sleep=lambda s: None)
-    healthy = ResilientSource("healthy", lambda: iter(good), policy=_FAST,
-                              sleep=lambda s: None)
-    merged = list(heapq.merge(healthy, dying, key=lambda ev: ev.ts))
+    healthy = ResilientSource("healthy", lambda: _chunks(good, 1),
+                              policy=_FAST, sleep=lambda s: None)
+    merged = expand_events(horizon_merge([healthy, dying]))
     # The merge finished (no exception) with everything the dead source
     # managed to deliver plus the full healthy feed.
     assert [ev for ev in merged if ev in good] == good
@@ -160,10 +167,19 @@ def test_dead_source_excluded_from_merge_with_watermark():
 
 # ---------------------------------------------------------------- tailing
 
+def _jl(*ids):
+    """Job trace lines whose job ids (and timestamps) are ``ids``."""
+    return "".join(f"{i}|1|{i}|{i}|{i}|1|1\n" for i in ids)
+
+
+def _ids(chunks):
+    return [int(i) for chunk in chunks for i in chunk.job_id]
+
+
 def test_tailing_file_source_yields_complete_lines(tmp_path):
     path = str(tmp_path / "feed.txt")
     with open(path, "w") as fh:
-        fh.write("1\n2\n3")  # "3" has no newline: a write in progress
+        fh.write(_jl(1, 2) + "3|1|3|3|3|1|1")  # no newline: in progress
 
     polls = []
 
@@ -172,20 +188,22 @@ def test_tailing_file_source_yields_complete_lines(tmp_path):
         if len(polls) == 1:
             # The writer finishes the line and closes the feed mid-poll.
             with open(path, "a") as fh:
-                fh.write("\n4\n")
+                fh.write("\n" + _jl(4))
 
-    tail = TailingFileSource(path, int, poll_interval=0.01,
+    tail = TailingFileSource(path, job_block, poll_interval=0.01,
                              stop_when=lambda: len(polls) >= 2,
                              sleep=sleep, clock=lambda: 0.0)
-    assert list(tail()) == [1, 2, 3, 4]
+    chunks = list(tail())
+    assert all(type(c) is EventBatch for c in chunks)
+    assert [_ids([c]) for c in chunks] == [[1, 2], [3, 4]]  # one per read
     # As a replayable factory it restarts from the head.
-    assert list(itertools.islice(tail(), 2)) == [1, 2]
+    assert _ids(itertools.islice(tail(), 1)) == [1, 2, 3, 4]
 
 
 def test_tailing_file_source_follows_rotation(tmp_path):
     path = str(tmp_path / "feed.txt")
     with open(path, "w") as fh:
-        fh.write("1\n2\n")
+        fh.write(_jl(1, 2))
     polls = []
 
     def sleep(seconds):
@@ -194,20 +212,20 @@ def test_tailing_file_source_follows_rotation(tmp_path):
             # Classic logrotate: rename the full file, recreate the path.
             os.replace(path, path + ".1")
             with open(path, "w") as fh:
-                fh.write("3\n4\n")
+                fh.write(_jl(3, 4))
 
-    tail = TailingFileSource(path, int, poll_interval=0.01,
+    tail = TailingFileSource(path, job_block, poll_interval=0.01,
                              stop_when=lambda: len(polls) >= 2,
                              sleep=sleep, clock=lambda: 0.0)
     # Old-incarnation lines delivered exactly once, new file read from
     # offset 0 -- nothing duplicated, nothing skipped.
-    assert list(tail()) == [1, 2, 3, 4]
+    assert _ids(tail()) == [1, 2, 3, 4]
 
 
 def test_tailing_rotation_abandons_torn_line(tmp_path):
     path = str(tmp_path / "feed.txt")
     with open(path, "w") as fh:
-        fh.write("1\npart")  # "part" is a write in progress, never finished
+        fh.write(_jl(1) + "part")  # a write in progress, never finished
     polls = []
     bad = []
 
@@ -216,23 +234,23 @@ def test_tailing_rotation_abandons_torn_line(tmp_path):
         if len(polls) == 1:
             os.replace(path, path + ".1")
             with open(path, "w") as fh:
-                fh.write("2\n")
+                fh.write(_jl(2))
 
     tail = TailingFileSource(
-        path, int, poll_interval=0.01,
+        path, job_block, poll_interval=0.01,
         stop_when=lambda: len(polls) >= 2, sleep=sleep,
         clock=lambda: 0.0,
         on_error=lambda line, exc: bad.append((line, str(exc))))
     # The torn fragment is routed to on_error, never spliced onto the
     # new file's first line (which would parse as garbage like "part2").
-    assert list(tail()) == [1, 2]
+    assert _ids(tail()) == [1, 2]
     assert bad == [("part", "torn line abandoned by rotation")]
 
 
 def test_tailing_file_source_detects_truncation(tmp_path):
     path = str(tmp_path / "feed.txt")
     with open(path, "w") as fh:
-        fh.write("100\n200\n20")  # trailing "20" torn by the rewrite
+        fh.write(_jl(100, 200) + "20")  # trailing "20" torn by the rewrite
     polls = []
     bad = []
 
@@ -241,24 +259,24 @@ def test_tailing_file_source_detects_truncation(tmp_path):
         if len(polls) == 1:
             # copytruncate-style rewrite in place: same inode, shorter.
             with open(path, "w") as fh:
-                fh.write("3\n")
+                fh.write(_jl(3))
 
     tail = TailingFileSource(
-        path, int, poll_interval=0.01,
+        path, job_block, poll_interval=0.01,
         stop_when=lambda: len(polls) >= 2, sleep=sleep,
         clock=lambda: 0.0,
         on_error=lambda line, exc: bad.append((line, str(exc))))
-    # Without the st_size check the stale 10-byte offset would swallow
-    # the new content entirely; with it, the handle rewinds and parses
-    # the rewritten file from its beginning.
-    assert list(tail()) == [100, 200, 3]
+    # Without the st_size check the stale offset would swallow the new
+    # content entirely; with it, the handle rewinds and parses the
+    # rewritten file from its beginning.
+    assert _ids(tail()) == [100, 200, 3]
     assert bad == [("20", "torn line abandoned by truncation")]
 
 
 def test_tailing_file_source_idle_timeout_and_on_error(tmp_path):
     path = str(tmp_path / "feed.txt")
     with open(path, "w") as fh:
-        fh.write("1\nnot-a-number\n2\n")
+        fh.write(_jl(1) + "not-a-number\n" + _jl(2))
     clock_value = [0.0]
 
     def clock():
@@ -266,11 +284,45 @@ def test_tailing_file_source_idle_timeout_and_on_error(tmp_path):
         return clock_value[0]
 
     bad = []
-    tail = TailingFileSource(path, int, idle_timeout=3.0,
+    tail = TailingFileSource(path, job_block, idle_timeout=3.0,
                              on_error=lambda line, exc: bad.append(line),
                              sleep=lambda s: None, clock=clock)
-    assert list(tail()) == [1, 2]
+    assert _ids(tail()) == [1, 2]
     assert bad == ["not-a-number"]
+
+
+def test_tailing_file_source_feeds_a_guarded_resilient_source(tmp_path):
+    # The tail is a ResilientSource factory: a read error mid-feed costs
+    # a reopen that skips the rows already delivered, the trace reader's
+    # rule diverts a line it cannot hold (an id no int64 holds), and the
+    # guard validates the chunks whole (a repeated job id).
+    path = str(tmp_path / "jobs.txt")
+    with open(path, "w") as fh:
+        fh.write(_jl(1, 2))
+
+    def writer_catches_up(seconds):
+        with open(path, "a") as fh:
+            fh.write("99999999999999999999|1|3|3|3|1|1\n" + _jl(2, 4))
+
+    quarantine = EventQuarantine()
+    tail = TailingFileSource(path, job_block, idle_timeout=0.0,
+                             sleep=lambda s: None,
+                             on_error=quarantine.reader_hook("jobs"))
+    opened = []
+
+    def factory():
+        opened.append(1)
+        for chunk in tail():
+            if len(opened) == 1:
+                yield chunk.slice_rows(0, 1)
+                raise OSError("EIO")
+            yield chunk
+
+    source = ResilientSource("jobs", factory, sleep=writer_catches_up)
+    assert _ids(quarantine.guard("jobs", source)) == [1, 2, 4]
+    assert source.pos == 4 and source.retries == 1
+    assert quarantine.by_reason == {REASON_UNPARSABLE: 1,
+                                    REASON_DUPLICATE: 1}
 
 
 # ---------------------------------------------------------------- quarantine
@@ -280,20 +332,23 @@ def _job_event(ts=1000, job_id=1, uid=1):
                        JobRecord(job_id, uid, ts, ts, ts + 10, 1))
 
 
+def _job_batch(ts=1000, job_id=1, uid=1):
+    return _chunks([_job_event(ts, job_id, uid)])[0]
+
+
 def test_quarantine_reason_codes():
     quarantine = EventQuarantine(known_uids=[1, 2])
-    good = _job_event()
+    good = _job_batch()
     bad = [
         ("garbage line", REASON_NOT_EVENT),
         (None, REASON_NOT_EVENT),
-        (StreamEvent(1000, "meteor", good.payload), REASON_BAD_KIND),
-        (StreamEvent(1000, EVENT_JOB, "not a record"), REASON_BAD_PAYLOAD),
-        (_job_event(uid=99, job_id=7), REASON_UNKNOWN_UID),
-        (_job_event(ts=900, job_id=8), REASON_REGRESSION),
-        (_job_event(job_id=1), REASON_DUPLICATE),
+        (_job_event(job_id=3), REASON_NOT_EVENT),  # rows travel in batches
+        (_job_batch(uid=99, job_id=7), REASON_UNKNOWN_UID),
+        (_job_batch(ts=900, job_id=8), REASON_REGRESSION),
+        (_job_batch(job_id=1), REASON_DUPLICATE),
     ]
     stream = [good] + [obj for obj, _reason in bad]
-    out = list(quarantine.guard_hybrid("jobs", stream))
+    out = list(quarantine.guard("jobs", stream))
     assert out == [good]
     summary = quarantine.summary()
     assert summary["quarantined"] == len(bad)
@@ -304,17 +359,17 @@ def test_quarantine_reason_codes():
 
 def test_quarantine_unknown_uid_is_opt_in():
     quarantine = EventQuarantine()  # no known_uids: anything goes
-    ev = _job_event(uid=424242)
-    assert list(quarantine.guard_hybrid("jobs", [ev])) == [ev]
+    batch = _job_batch(uid=424242)
+    assert list(quarantine.guard("jobs", [batch])) == [batch]
     assert quarantine.total == 0
 
 
 def test_quarantine_duplicate_ids_scoped_per_source():
     quarantine = EventQuarantine()
-    a, b = _job_event(job_id=5), _job_event(job_id=5)
-    assert list(quarantine.guard_hybrid("jobs", [a])) == [a]
+    a, b = _job_batch(job_id=5), _job_batch(job_id=5)
+    assert list(quarantine.guard("jobs", [a])) == [a]
     # Same id from a *different* source is a different feed's counter.
-    assert list(quarantine.guard_hybrid("jobs2", [b])) == [b]
+    assert list(quarantine.guard("jobs2", [b])) == [b]
     assert quarantine.total == 0
 
 
@@ -419,12 +474,14 @@ def test_reader_hook_diverts_unparsable_rows(tmp_path):
 def _guarded_merge(dataset, plan, quarantine):
     """The ReliableEventStream merge, over in-memory trace lists."""
     sources = [
-        ResilientSource("jobs", lambda: job_events(dataset.jobs),
+        ResilientSource("jobs", lambda: _chunks(job_events(dataset.jobs)),
                         policy=_FAST, plan=plan, sleep=lambda s: None),
         ResilientSource("publications",
-                        lambda: publication_events(dataset.publications),
+                        lambda: _chunks(publication_events(
+                            dataset.publications)),
                         policy=_FAST, plan=plan, sleep=lambda s: None),
-        ResilientSource("accesses", lambda: access_events(dataset.accesses),
+        ResilientSource("accesses",
+                        lambda: _chunks(access_events(dataset.accesses)),
                         policy=_FAST, plan=plan, sleep=lambda s: None),
     ]
     return iter(ReliableEventStream(sources=sources, quarantine=quarantine))
@@ -482,7 +539,7 @@ def test_property_service_state_matches_under_faults(tiny_dataset):
             replay_start=start, replay_end=end, known_uids=known)
         return service.run(events)["activedr"]
 
-    baseline = run(dataset_event_stream(tiny_dataset))
+    baseline = run(as_runs(dataset_event_stream(tiny_dataset)))
     sizes = {"jobs": len(tiny_dataset.jobs),
              "publications": len(tiny_dataset.publications),
              "accesses": len(tiny_dataset.accesses)}
@@ -519,44 +576,47 @@ def test_reliable_event_stream_survives_missing_file(tmp_path):
 
 # ---------------------------------------------------------------- columnar
 
-def _chunked(events, size):
-    """``events`` as EventBatch chunks of ``size`` rows, as a trace
-    file's columnar reader delivers them."""
-    from repro.stream import BatchBuilder
-
-    for lo in range(0, len(events), size):
-        builder = BatchBuilder()
-        builder.extend(events[lo:lo + size])
-        yield builder.build()
-
-
-def test_faulted_source_expands_chunks_into_events():
-    events = [StreamEvent(100 + i, EVENT_JOB,
-                          JobRecord(i, 1, 100 + i, 100 + i, 110 + i, 1))
-              for i in range(20)]
+def test_faulted_source_cuts_chunks_at_scripted_rows():
+    events = _jobs(20)
     plan = FaultPlan([{"target": "jobs", "kind": "duplicate", "at": 5},
                       {"target": "jobs", "kind": "stall", "at": 9},
                       {"target": "jobs", "kind": "malformed", "at": 12}],
                      seed=3)
-    src = ResilientSource("jobs", lambda: _chunked(events, 8), policy=_FAST,
+    src = ResilientSource("jobs", lambda: _chunks(events, 8), policy=_FAST,
                           plan=plan, sleep=lambda s: None)
     items = list(src)
-    # One item per row: each fault lands between the same two rows as in
-    # a per-event stream, and the stall's reopen skips exactly the 9 rows
-    # already delivered.
-    injected = [5, 13]
-    assert [item for i, item in enumerate(items)
-            if i not in injected] == events
-    # The duplicate copies the row before its position.
-    assert items[5] == events[4]
+    # The 8-row chunks are cut at rows 5, 9 and 12, so each fault lands
+    # between the same two rows as in a per-row stream; the stall's
+    # reopen skips exactly the 9 rows already delivered.
+    assert [item.n if type(item) is EventBatch else None
+            for item in items] == [5, 1, 3, 1, 3, None, 4, 4]
+    assert expand_events(items[:1] + items[2:5] + items[6:]) == events
+    # The duplicate is a one-row batch of the row before its position.
+    assert expand_events(items[1:2]) == events[4:5]
     assert (src.pos, src.retries) == (20, 1)
     quarantine = EventQuarantine()
-    src = ResilientSource("jobs", lambda: _chunked(events, 8), policy=_FAST,
+    src = ResilientSource("jobs", lambda: _chunks(events, 8), policy=_FAST,
                           plan=FaultPlan(plan.specs, seed=3),
                           sleep=lambda s: None)
-    assert list(quarantine.guard_hybrid("jobs", src)) == events
-    assert quarantine.by_reason[REASON_DUPLICATE] == 1
-    assert quarantine.total == 2
+    assert expand_events(quarantine.guard("jobs", src)) == events
+    assert quarantine.by_reason == {REASON_DUPLICATE: 1,
+                                    REASON_NOT_EVENT: 1}
+
+
+def test_regress_fault_shifts_a_copy_of_the_last_row():
+    events = _jobs(6)
+    plan = FaultPlan([{"target": "jobs", "kind": "regress", "at": 4,
+                       "arg": 25}])
+    src = ResilientSource("jobs", lambda: _chunks(events), policy=_FAST,
+                          plan=plan, sleep=lambda s: None)
+    items = list(src)
+    (row,) = expand_events(items[1:2])
+    assert (row.ts, row.payload.job_id) == (events[3].ts - 25,
+                                            events[3].payload.job_id)
+    assert expand_events(items[:1] + items[2:]) == events
+    quarantine = EventQuarantine()
+    assert expand_events(quarantine.guard("jobs", iter(items))) == events
+    assert quarantine.by_reason == {REASON_REGRESSION: 1}
 
 
 def _write_job_lines(directory, lines):
@@ -615,8 +675,9 @@ def test_file_row_dead_letters_hold_the_row_columns(tmp_path):
 def test_property_chunked_sources_fault_like_event_sources(tiny_dataset,
                                                            tmp_path):
     """The same random plan fires at the same rows, with the same
-    dead-letter reasons and details, whether a source delivers events
-    or columnar chunks."""
+    dead-letter reasons and details, whether a source delivers one-row
+    chunks (the per-event form), 37-row chunks or its whole feed as one
+    chunk."""
     clean = list(dataset_event_stream(tiny_dataset))
     feeds = {"jobs": list(job_events(tiny_dataset.jobs)),
              "publications": list(publication_events(
@@ -627,15 +688,15 @@ def test_property_chunked_sources_fault_like_event_sources(tiny_dataset,
     for trial in range(8):
         specs = _random_plan(rng, sizes).to_dict()
         letters = []
-        for chunk in (None, 37):
+        for chunk in (1, 37, None):
             plan = FaultPlan.from_dict(specs)
             path = str(tmp_path / f"dead-{trial}-{chunk}.jsonl")
             with DeadLetterLog(path) as log:
                 quarantine = EventQuarantine(dead_letter=log)
                 sources = [
                     ResilientSource(
-                        name, (lambda ev=events: iter(ev)) if chunk is None
-                        else (lambda ev=events: _chunked(ev, chunk)),
+                        name, lambda ev=events: _chunks(
+                            ev, chunk or len(ev)),
                         policy=_FAST, plan=plan, sleep=lambda s: None)
                     for name, events in feeds.items()]
                 got = expand_events(ReliableEventStream(
@@ -646,7 +707,7 @@ def test_property_chunked_sources_fault_like_event_sources(tiny_dataset,
             letters.append(sorted(
                 (rec["source"], rec["source_seq"], rec["reason"],
                  rec["detail"]) for rec in records))
-        assert letters[0] == letters[1], f"trial {trial}"
+        assert letters[0] == letters[1] == letters[2], f"trial {trial}"
 
 
 def test_reliable_stream_rows_equal_the_per_event_merge(tmp_path):

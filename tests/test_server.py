@@ -59,6 +59,7 @@ from repro.stream.reliability.quarantine import (REASON_REGRESSION,
 from repro.cli.workspace import save_workspace
 from repro.synth import TitanConfig, generate_dataset
 
+from conftest import as_runs, expand_events
 from test_compiled_replay import assert_results_equal
 from test_stream_checkpoint import rewrite_as_legacy_layout
 
@@ -247,7 +248,7 @@ def test_parse_address_spellings():
 
 def test_fleet_matches_batch_per_policy(dataset, compiled, events):
     service = make_fleet(dataset, ALL_KINDS)
-    results = service.run(iter(events))
+    results = service.run(as_runs(events))
     for spec in ALL_KINDS:
         assert_results_equal(results[spec.name],
                              batch_result(dataset, compiled, spec))
@@ -260,7 +261,7 @@ def test_fleet_matches_batch_per_policy(dataset, compiled, events):
 
 def test_heterogeneous_fleet_matches_batch(dataset, compiled, events):
     service = make_fleet(dataset, HETERO)
-    results = service.run(iter(events))
+    results = service.run(as_runs(events))
     for spec in HETERO:
         assert_results_equal(results[spec.name],
                              batch_result(dataset, compiled, spec))
@@ -350,25 +351,18 @@ def test_socket_out_of_order_event_is_quarantined(dataset, compiled,
                          batch_result(dataset, compiled, spec))
 
 
-def test_v1_path_that_is_not_utf8_is_quarantined(dataset, compiled, events,
-                                                 tmp_path):
-    # JSON decodes a "\ud800" escape to a lone surrogate, which no UTF-8
-    # encoder (v2 codec, path catalog, checkpoint) accepts: the listener
-    # must quarantine that row like any schema violation, and the rest
-    # of the feed -- checkpoints included -- must stay bit-identical.
-    k = next(i for i in range(len(events) // 2, len(events))
-             if events[i].kind == EVENT_ACCESS)
-    poisoned = json.dumps({"type": "event", "kind": "access",
-                           "ts": events[k].ts, "uid": events[k].payload.uid,
-                           "op": "access", "path": "/proj/\ud800x"})
-    assert "\\ud800" in poisoned  # ASCII escape on the wire
-    body = poisoned.encode("ascii")
+def _serve_v1_with_poisoned_frame(dataset, compiled, events, tmp_path,
+                                  k, body):
+    """Serve ``events`` as v1 frames with the raw frame ``body`` sent
+    between events ``k - 1`` and ``k``: the listener must divert it as an
+    unparsable row, and the feed -- checkpoints included -- must stay
+    bit-identical."""
     wire = b"".join([*(encode_frame(encode_event(ev)) for ev in events[:k]),
                      b"%d\n%s\n" % (len(body), body),
                      *(encode_frame(encode_event(ev)) for ev in events[k:]),
                      encode_frame({"type": "end"})])
     spec = TenantSpec(name="solo", policy="activedr")
-    address = _sock(tmp_path, "utf8.sock")
+    address = _sock(tmp_path, "poison.sock")
     with SocketListener(address, expected={"all": 1}) as listener:
         stream = NetworkEventStream(
             listener, known_uids=[u.uid for u in dataset.users])
@@ -392,6 +386,41 @@ def test_v1_path_that_is_not_utf8_is_quarantined(dataset, compiled, events,
     assert service.stats["checkpoint_failures"] == 0
     assert_results_equal(results[spec.name],
                          batch_result(dataset, compiled, spec))
+
+
+def test_v1_path_that_is_not_utf8_is_quarantined(dataset, compiled, events,
+                                                 tmp_path):
+    # JSON decodes a "\ud800" escape to a lone surrogate, which no UTF-8
+    # encoder (v2 codec, path catalog, checkpoint) accepts: the listener
+    # must quarantine that row like any schema violation.
+    k = next(i for i in range(len(events) // 2, len(events))
+             if events[i].kind == EVENT_ACCESS)
+    poisoned = json.dumps({"type": "event", "kind": "access",
+                           "ts": events[k].ts, "uid": events[k].payload.uid,
+                           "op": "access", "path": "/proj/\ud800x"})
+    assert "\\ud800" in poisoned  # ASCII escape on the wire
+    _serve_v1_with_poisoned_frame(dataset, compiled, events, tmp_path, k,
+                                  poisoned.encode("ascii"))
+
+
+@pytest.mark.parametrize("job_id", ["10000000000000000000", "1e19",
+                                    "Infinity"])
+def test_v1_int_outside_int64_is_quarantined(dataset, compiled, events,
+                                             tmp_path, job_id):
+    # JSON allows integers no int64 column holds (and Python's decoder
+    # reads 1e19 and Infinity as floats).  v1 frames are batched behind
+    # the edge, so the listener must divert such a frame as unparsable
+    # -- the rule the columnar trace readers apply to files -- instead
+    # of letting the batch build raise in the engine thread.
+    k = next(i for i in range(len(events) // 2, len(events))
+             if events[i].kind == EVENT_JOB)
+    job = events[k].payload
+    body = ('{"type": "event", "kind": "job", "job_id": %s, "uid": %d, '
+            '"submit_ts": %d, "start_ts": %d, "end_ts": %d, '
+            '"num_nodes": 1, "cores_per_node": 1}'
+            % (job_id, job.uid, job.submit_ts, job.start_ts, job.end_ts))
+    _serve_v1_with_poisoned_frame(dataset, compiled, events, tmp_path, k,
+                                  body.encode("ascii"))
 
 
 def test_v2_pool_path_that_is_not_utf8_is_quarantined(dataset, compiled,
@@ -474,7 +503,7 @@ def test_listener_close_does_not_block_on_a_full_queue(tmp_path, events):
     assert not closer.is_alive(), "close() blocked on the full queue"
     assert source.finished
     # A consumer still iterating gets every queued item, then the end.
-    assert list(source) == [events[0]]
+    assert expand_events(source) == [events[0]]
 
 
 def test_listener_refuses_bad_handshakes(tmp_path):
@@ -510,13 +539,13 @@ def test_listener_refuses_bad_handshakes(tmp_path):
 def test_runtime_add_and_remove_tenant(dataset, events):
     service = make_fleet(dataset, HETERO[:2])
     half = len(events) // 2
-    for ev in events[:half]:
-        service.ingest(ev)
+    for run in as_runs(events[:half]):
+        service.ingest_run(run)
     boundary_at_add = service._next_boundary
     service.request_add_tenant(TenantSpec(name="late", policy="value"),
                                clone_from="a")
     service.request_remove_tenant("b")
-    results = service.run(iter(events[half:]))
+    results = service.run(as_runs(events[half:]))
     assert set(results) == {"a", "late"}
     ok_ops = [e for e in service.op_log if e["ok"]]
     assert [e["op"] for e in ok_ops] == ["add", "remove"]
@@ -533,8 +562,8 @@ def test_runtime_ops_refused_cases(dataset, events):
     service.request_remove_tenant("only")       # last tenant
     service.request_remove_tenant("ghost")      # no such tenant
     service.request_add_tenant(TenantSpec(name="only", policy="value"))
-    for ev in events:                           # ops drain at a boundary
-        service.ingest(ev)
+    for run in as_runs(events, size=1):         # ops drain at a boundary
+        service.ingest_run(run)
         if len(service.op_log) >= 3:
             break
     errors = [e for e in service.op_log if not e["ok"]]
@@ -553,8 +582,8 @@ def test_runtime_add_without_factory_is_refused(dataset, events):
         snapshot_fs=dataset.filesystem, replay_start=start, replay_end=end,
         known_uids=[u.uid for u in dataset.users])
     service.request_add_tenant(TenantSpec(name="more", policy="flt"))
-    for ev in events:
-        service.ingest(ev)
+    for run in as_runs(events, size=1):
+        service.ingest_run(run)
         if service.op_log:
             break
     errors = [e for e in service.op_log if not e["ok"]]
@@ -569,7 +598,7 @@ def test_checkpoint_resume_is_bit_identical(dataset, compiled, events,
                                             tmp_path):
     ckdir = str(tmp_path / "ck")
     service = make_fleet(dataset, HETERO, checkpoint_dir=ckdir)
-    assert service.run(iter(events), stop_after_events=len(events) // 2) \
+    assert service.run(as_runs(events), stop_after_events=len(events) // 2) \
         is None
     assert service.stats["checkpoints_written"] >= 1
     newest, failures = CheckpointManager(ckdir).latest_verified()
@@ -579,7 +608,7 @@ def test_checkpoint_resume_is_bit_identical(dataset, compiled, events,
         newest, policy_factory=lambda spec: build_policy(spec, dataset),
         checkpoint_dir=str(tmp_path / "ck2"))
     assert resumed.cursor <= len(events) // 2
-    results = resumed.run(skip_stream_items(iter(events),
+    results = resumed.run(skip_stream_items(as_runs(events),
                                             resumed.cursor))
     for spec in HETERO:
         assert_results_equal(results[spec.name],
@@ -593,7 +622,7 @@ def test_resume_from_legacy_layout_is_bit_identical(dataset, compiled,
     # chain continues in the current layout.
     ckdir = str(tmp_path / "ck")
     service = make_fleet(dataset, HETERO, checkpoint_dir=ckdir)
-    service.run(iter(events), stop_after_events=len(events) // 2)
+    service.run(as_runs(events), stop_after_events=len(events) // 2)
     newest = CheckpointManager(ckdir).latest()
     rewrite_as_legacy_layout(newest)
     legacy, arrays = load_checkpoint(newest)
@@ -605,7 +634,7 @@ def test_resume_from_legacy_layout_is_bit_identical(dataset, compiled,
         checkpoint_dir=ckdir)
     assert resumed.catalog.paths == \
         service.catalog.paths[:resumed.catalog.n_paths]
-    results = resumed.run(skip_stream_items(iter(events),
+    results = resumed.run(skip_stream_items(as_runs(events),
                                             resumed.cursor))
     for spec in HETERO:
         assert_results_equal(results[spec.name],
@@ -666,7 +695,7 @@ def test_duplicate_split_request_applies_once(dataset, events, tmp_path):
                    keep_mask=lambda uids: uids % 2 == 0)
     service.request_split(**payload)
     service.request_split(**payload)
-    service.run(iter(events))
+    service.run(as_runs(events))
     splits = [e for e in service.op_log if e["op"] == "split"]
     assert len(splits) == 2 and all(e["ok"] for e in splits)
     # Exactly one clone checkpoint: the duplicate was a no-op.
@@ -676,7 +705,7 @@ def test_duplicate_split_request_applies_once(dataset, events, tmp_path):
 def test_resume_refuses_fingerprint_drift(dataset, events, tmp_path):
     ckdir = str(tmp_path / "ck")
     service = make_fleet(dataset, HETERO[:2], checkpoint_dir=ckdir)
-    service.run(iter(events), stop_after_events=len(events) // 2)
+    service.run(as_runs(events), stop_after_events=len(events) // 2)
     newest, _failures = CheckpointManager(ckdir).latest_verified()
 
     def drifted_factory(spec):
@@ -689,8 +718,8 @@ def test_resume_refuses_fingerprint_drift(dataset, events, tmp_path):
 def test_resume_refuses_partial_day_checkpoint(dataset, events, tmp_path):
     service = make_fleet(dataset, HETERO[:1],
                          checkpoint_dir=str(tmp_path / "ck"))
-    for ev in events:
-        service.ingest(ev)
+    for run in as_runs(events, size=1):
+        service.ingest_run(run)
         if service._buf_pid:
             break
     with pytest.raises(ValueError, match="partial day"):
@@ -710,11 +739,10 @@ def test_admin_plane_answers_during_ingestion(dataset, compiled, events,
     release = threading.Event()   # admin side done with mid-flight queries
 
     def gated():
-        for i, ev in enumerate(events):
-            if i == hold_at:
-                holding.set()
-                assert release.wait(60)
-            yield ev
+        yield from as_runs(events[:hold_at])
+        holding.set()
+        assert release.wait(60)
+        yield from as_runs(events[hold_at:])
 
     address = _sock(tmp_path, "admin.sock")
     with AdminServer(address, service) as admin:
@@ -773,7 +801,7 @@ def test_admin_tenant_ops_are_queued(dataset, events, tmp_path):
         assert removed["queued"]
         # Ops apply at the next boundary, not immediately.
         assert {t.name for t in service.tenants} == {"a", "b"}
-        results = service.run(iter(events))
+        results = service.run(as_runs(events))
         assert set(results) == {"a", "late"}
         listing = admin_request(address, {"cmd": "tenants"})
         assert set(listing["tenants"]) == {"a", "late"}

@@ -8,6 +8,9 @@ merge.
 
 from __future__ import annotations
 
+import binascii
+import struct
+import sys
 import threading
 
 import pytest
@@ -15,10 +18,17 @@ import pytest
 from repro.core.classification import UserClass
 from repro.emulation.emulator import EmulationResult
 from repro.server import (HashRing, ShardRouter, SocketListener,
-                          merge_tenant_results, publish_events)
+                          merge_tenant_results, publish_batches,
+                          publish_events)
+from repro.server.shard import ShardLane
 from repro.server.ingest import _END
+from repro.server.protocol import (FrameReader, connect_socket,
+                                   encode_batch, encode_event, encode_frame,
+                                   write_frame)
 from repro.stream import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
-                          EventBatch, StreamEvent)
+                          BatchBuilder, EventBatch, EventQuarantine,
+                          StreamEvent)
+from repro.stream.reliability import REASON_UNPARSABLE
 from repro.traces import AppAccessRecord, JobRecord, PublicationRecord
 
 
@@ -132,6 +142,137 @@ def test_router_routes_interleaved_producers_to_ring_owners():
         ts_from_a = [ev.ts for ev in by_worker[w]["jobs"]
                      if ev.payload.uid in set_a]
         assert ts_from_a == sorted(ts_from_a)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_router_forwards_a_pool_path_that_is_not_utf8(n_workers):
+    """A v2 frame's pool is raw bytes under the producer's CRC: the
+    router forwards a path that is not UTF-8 undecoded, and the owning
+    worker's guard diverts exactly the row that names it."""
+    marker = "/proj/poison-Zx"
+    accesses = [StreamEvent(3_000 + i, EVENT_ACCESS,
+                            AppAccessRecord(3_000 + i, uid,
+                                            marker if i == 17 else f"/f{uid}",
+                                            "access"))
+                for i, uid in enumerate(range(0, 400, 10))]
+    builder = BatchBuilder()
+    builder.extend(accesses)
+    payload = encode_batch(builder.build())
+    body = bytearray(payload[:-4])
+    body[payload.find(marker.encode()) + marker.index("Z")] = 0xFF
+    payload = bytes(body) + struct.pack("<I",
+                                        binascii.crc32(body) & 0xFFFFFFFF)
+    names = [f"w{i}" for i in range(n_workers)]
+    workers = {name: SocketListener("127.0.0.1:0",
+                                    expected={"accesses": 1})
+               for name in names}
+    try:
+        router = ShardRouter(
+            "127.0.0.1:0", {n: w.address for n, w in workers.items()},
+            HashRing(names), expected={"accesses": 1}, retain=False)
+        try:
+            publish_batches(router.address, "accesses", [payload])
+            assert router.join(timeout=30)
+            routed = {n: list(w.sources()[0]) for n, w in workers.items()}
+        finally:
+            router.close()
+    finally:
+        for w in workers.values():
+            w.close()
+    assert int(router.routing_errors) == 0
+    assert sum(b.n for bs in routed.values() for b in bs) == len(accesses)
+    quarantine = EventQuarantine()
+    kept = sum(out.n for name, bs in routed.items()
+               for out in quarantine.guard(name, bs))
+    assert quarantine.by_reason == {REASON_UNPARSABLE: 1}
+    assert kept == len(accesses) - 1
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_router_diverts_a_v1_int_outside_int64(n_workers):
+    """A v1 frame holding an int no int64 column holds is diverted at the
+    router's edge, so the pump never builds a batch from it: every lane
+    ends and every other row arrives."""
+    jobs = _job_events(range(0, 400, 10), 3_000)
+    body = (b'{"type": "event", "kind": "job", "job_id": 10000000000000000000,'
+            b' "uid": 7, "submit_ts": 3005, "start_ts": 3005, "end_ts": 3006,'
+            b' "num_nodes": 1, "cores_per_node": 1}')
+    wire = b"".join([*(encode_frame(encode_event(ev)) for ev in jobs[:20]),
+                     b"%d\n%s\n" % (len(body), body),
+                     *(encode_frame(encode_event(ev)) for ev in jobs[20:]),
+                     encode_frame({"type": "end"})])
+    names = [f"w{i}" for i in range(n_workers)]
+    workers = {name: SocketListener("127.0.0.1:0", expected={"jobs": 1})
+               for name in names}
+    try:
+        router = ShardRouter(
+            "127.0.0.1:0", {n: w.address for n, w in workers.items()},
+            HashRing(names), expected={"jobs": 1}, retain=False)
+        try:
+            sock = connect_socket(router.address, timeout=30)
+            reader = FrameReader(sock)
+            write_frame(sock, {"type": "hello", "protocol": 1,
+                               "source": "jobs"})
+            assert reader.read_message()["type"] == "ok"
+            sock.sendall(wire)
+            assert reader.read_message()["type"] == "ok"  # the end ack
+            sock.close()
+            assert router.join(timeout=30)
+            routed = {n: list(w.sources()[0]) for n, w in workers.items()}
+        finally:
+            router.close()
+    finally:
+        for w in workers.values():
+            w.close()
+    assert int(router.routing_errors) == 0
+    assert int(router.listener.decode_errors) == 1
+    got = sorted(ev.payload.job_id for bs in routed.values() for b in bs
+                 for ev in b.iter_events())
+    assert got == [ev.payload.job_id for ev in jobs]
+
+
+def test_lane_queue_is_bounded_in_rows(tmp_path):
+    """A lane admits batches while fewer than ``queue_rows`` rows wait
+    for its worker, whatever the batches' sizes; once the worker is up
+    and the lane drains, the blocked submit goes through, and the row
+    count survives a pump and a sender racing on it."""
+    address = f"unix:{tmp_path / 'w0.sock'}"
+    chunks = [_job_events(range(i, i + 8), 3_000 + 10 * i)
+              for i in (0, 8)] + [_job_events([99], 4_000),
+                                  _job_events(range(1_500), 5_000)]
+    batches = []
+    for events in chunks:
+        builder = BatchBuilder()
+        builder.extend(events)
+        batches.append(builder.build())
+    lane = ShardLane("jobs", "w0", address, retain=False, queue_rows=10,
+                     retry_interval=0.05, retry_cap=0.1)
+    worker = None
+    interval = sys.getswitchinterval()
+    try:
+        lane.submit(batches[0], 8)
+        lane.submit(batches[1], 8)      # 8 rows wait: still admitted
+        third = threading.Thread(target=lane.submit,
+                                 args=(batches[2], 1), daemon=True)
+        third.start()
+        third.join(0.5)
+        assert third.is_alive()          # 16 rows wait: blocked
+        worker = SocketListener(address, expected={"jobs": 1})
+        third.join(30)
+        assert not third.is_alive()
+        sys.setswitchinterval(1e-6)
+        for row in range(batches[3].n):
+            lane.submit(batches[3].slice_rows(row, row + 1), 1)
+        lane.finish()
+        assert lane.join(timeout=30)
+        assert lane._queued_rows == 0
+        got = [int(ts) for b in worker.sources()[0] for ts in b.ts]
+    finally:
+        sys.setswitchinterval(interval)
+        lane.stop()
+        if worker is not None:
+            worker.close()
+    assert got == [ev.ts for events in chunks for ev in events]
 
 
 def _tenant_payload(accesses, misses, *, n_days=4, cls=UserClass.BOTH_INACTIVE,

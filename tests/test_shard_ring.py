@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.server import HashRing, splitmix64
-from repro.server.shard import batch_worker_masks, event_worker_indices
+from repro.server.shard import batch_worker_masks
 from repro.stream import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
                           BatchBuilder, StreamEvent)
 from repro.traces import AppAccessRecord, JobRecord, PublicationRecord
@@ -169,6 +169,3 @@ def test_author_less_publication_routes_to_deterministic_fallback():
     batch = builder.build()
     masks = batch_worker_masks(batch, ring, order)
     assert masks[fallback, 0] and masks.sum() == 1
-
-    # The v1 single-event path agrees with the batch path.
-    assert event_worker_indices(events[0], ring, order) == [fallback]

@@ -20,6 +20,8 @@ from repro.stream import (
 from repro.stream.batch import BatchBuilder, BatchRun
 from repro.traces.schema import AppAccessRecord, JobRecord, PublicationRecord
 
+from conftest import as_runs, expand_events
+
 
 def job(ts, uid=1, job_id=0):
     return JobRecord(job_id=job_id, uid=uid, submit_ts=ts, start_ts=ts,
@@ -97,9 +99,10 @@ def test_workspace_stream_is_lazy(tiny_dataset, tmp_path):
 
 def test_skip_events_positions_cursor(tiny_dataset):
     everything = list(dataset_event_stream(tiny_dataset))
-    tail = list(skip_stream_items(dataset_event_stream(tiny_dataset), 100))
-    assert tail == everything[100:]
-    assert list(skip_stream_items(iter(everything), 0)) == everything
+    tail = skip_stream_items(as_runs(everything, 100), 100)
+    assert expand_events(tail) == everything[100:]
+    assert expand_events(skip_stream_items(as_runs(everything), 0)) == \
+        everything
     assert list(skip_stream_items(iter([]), 5)) == []
 
     # A run counts its row width; the one the cursor lands inside is
@@ -108,10 +111,11 @@ def test_skip_events_positions_cursor(tiny_dataset):
     builder.extend(everything[:300])
     batch = builder.build()
     runs = [BatchRun(batch, 0, 120), BatchRun(batch, 120, 300)]
-    skipped = list(skip_stream_items(iter(runs + everything[300:]), 150))
+    rest = list(as_runs(everything[300:]))
+    skipped = list(skip_stream_items(iter(runs + rest), 150))
     assert (skipped[0].lo, skipped[0].hi) == (150, 300)
     assert list(skipped[0].iter_events()) == everything[150:300]
-    assert skipped[1:] == everything[300:]
+    assert skipped[1:] == rest
 
 
 def test_skip_events_rejects_negative_cursor():

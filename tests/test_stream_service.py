@@ -37,6 +37,7 @@ from repro.stream import (
 from repro.traces.schema import AppAccessRecord
 from repro.vfs.path_trie import split_path
 
+from conftest import as_runs
 from test_compiled_replay import POLICIES, assert_results_equal
 from test_server import build_policy, make_fleet
 
@@ -71,7 +72,7 @@ def make_service(dataset, policy_name, emu_config, **kwargs):
 def test_stream_matches_batch(dataset, compiled, policy_name):
     emu_config = EmulatorConfig()
     service = make_service(dataset, policy_name, emu_config)
-    streamed = service.run(dataset_event_stream(dataset))[policy_name]
+    streamed = service.run(as_runs(dataset_event_stream(dataset)))[policy_name]
     batch = fast_result(dataset, compiled, dict(POLICIES)[policy_name],
                         emu_config)
     assert_results_equal(streamed, batch)
@@ -88,7 +89,7 @@ def test_stream_matches_batch_config_variants(dataset, compiled,
     emu_config = EmulatorConfig(apply_creates=apply_creates,
                                 restore_on_miss=restore_on_miss)
     streamed = make_service(dataset, "activedr", emu_config).run(
-        dataset_event_stream(dataset))["activedr"]
+        as_runs(dataset_event_stream(dataset)))["activedr"]
     batch = fast_result(dataset, compiled, dict(POLICIES)["activedr"],
                         emu_config)
     assert_results_equal(streamed, batch)
@@ -104,7 +105,7 @@ def test_stream_matches_batch_with_exemptions(dataset, compiled):
     for name, policy_factory in POLICIES[:3]:
         streamed = make_service(dataset, name, EmulatorConfig(),
                                 exemptions=exemptions).run(
-            dataset_event_stream(dataset))[name]
+            as_runs(dataset_event_stream(dataset)))[name]
         batch = fast_result(dataset, compiled, policy_factory,
                             EmulatorConfig(), exemptions=exemptions)
         assert_results_equal(streamed, batch)
@@ -114,7 +115,7 @@ def test_refold_is_incremental(dataset):
     # The O(delta) claim: most users are quiescent at any trigger, so
     # only a minority of user-type histories are ever refolded.
     service = make_service(dataset, "activedr", EmulatorConfig())
-    service.run(dataset_event_stream(dataset))
+    service.run(as_runs(dataset_event_stream(dataset)))
     assert service.tenant("activedr").stats["triggers"] > 10
     assert service.stats["eval_users"] > 0
     refolded = service.stats["eval_refolded"]
@@ -131,7 +132,7 @@ def test_checkpoint_kill_resume_is_bit_identical(dataset, compiled,
 
     service = make_service(dataset, policy_name, emu_config,
                            checkpoint_dir=ckdir, checkpoint_every_days=7)
-    assert service.run(iter(events), stop_after_events=kill_at) is None
+    assert service.run(as_runs(events), stop_after_events=kill_at) is None
 
     latest = CheckpointManager(ckdir).latest()
     assert latest is not None
@@ -139,7 +140,7 @@ def test_checkpoint_kill_resume_is_bit_identical(dataset, compiled,
         latest, policy_factory=lambda spec: build_policy(spec, dataset),
         config=emu_config, checkpoint_dir=ckdir)
     assert 0 < resumed.cursor <= kill_at
-    streamed = resumed.run(skip_stream_items(iter(events),
+    streamed = resumed.run(skip_stream_items(as_runs(events),
                                              resumed.cursor))[policy_name]
 
     batch = fast_result(dataset, compiled, dict(POLICIES)[policy_name],
@@ -198,7 +199,7 @@ def test_resume_rejects_fingerprint_mismatch(dataset, tmp_path):
     ckdir = str(tmp_path / "ck")
     service = make_service(dataset, "activedr", EmulatorConfig(),
                            checkpoint_dir=ckdir)
-    service.run(dataset_event_stream(dataset))
+    service.run(as_runs(dataset_event_stream(dataset)))
     latest = CheckpointManager(ckdir).latest()
 
     def other(spec):
@@ -212,8 +213,8 @@ def test_checkpoint_refuses_partial_day(dataset, tmp_path):
     ckdir = str(tmp_path / "ck")
     service = make_service(dataset, "activedr", EmulatorConfig(),
                            checkpoint_dir=ckdir)
-    for event in dataset_event_stream(dataset):
-        service.ingest(event)
+    for run in as_runs(dataset_event_stream(dataset), size=1):
+        service.ingest_run(run)
         if service._buf_pid:
             break
     before = CheckpointManager(ckdir).latest()
@@ -229,8 +230,9 @@ def test_out_of_window_accesses_are_dropped(dataset):
                             path="/proj/a/x")
     late = AppAccessRecord(ts=service.window_end + 10, uid=1,
                            path="/proj/a/x")
-    service.ingest(StreamEvent(early.ts, "access", early))
-    service.ingest(StreamEvent(late.ts, "access", late))
+    (run,) = as_runs([StreamEvent(early.ts, "access", early),
+                      StreamEvent(late.ts, "access", late)])
+    service.ingest_run(run)
     assert service.dropped_accesses == 2
     assert service.cursor == 2
 
@@ -240,6 +242,14 @@ def test_service_rejects_empty_window():
     with pytest.raises(ValueError, match="replay_end"):
         MultiTenantService([(spec, spec.build_policy())],
                            replay_start=100, replay_end=100)
+
+
+def add_jobs(inc, jobs):
+    """Append ``jobs`` to ``inc`` as one columnar run."""
+    jobs = list(jobs)
+    inc.add_jobs(np.asarray([j.uid for j in jobs], dtype=np.int64),
+                 np.asarray([j.submit_ts for j in jobs], dtype=np.int64),
+                 np.asarray([j.core_hours() for j in jobs]))
 
 
 PARAM_VARIANTS = [
@@ -262,8 +272,7 @@ def test_incremental_activeness_matches_store(dataset, params):
 
     # Full history at the end of the trace.
     inc = IncrementalActivenessState()
-    for job in dataset.jobs:
-        inc.add_job(job)
+    add_jobs(inc, dataset.jobs)
     for pub in dataset.publications:
         inc.add_publication(pub)
     assert inc.evaluate(t_end, params, known) == store.evaluate(
@@ -273,9 +282,7 @@ def test_incremental_activeness_matches_store(dataset, params):
     # service's boundary ordering guarantees this); the batch store
     # clips internally.
     inc = IncrementalActivenessState()
-    for job in dataset.jobs:
-        if job.submit_ts <= t_mid:
-            inc.add_job(job)
+    add_jobs(inc, (job for job in dataset.jobs if job.submit_ts <= t_mid))
     for pub in dataset.publications:
         if pub.ts <= t_mid:
             inc.add_publication(pub)
@@ -287,8 +294,7 @@ def test_incremental_activeness_snapshot_round_trip(dataset):
     known = [u.uid for u in dataset.users]
     params = ActivenessParams()
     inc = IncrementalActivenessState()
-    for job in dataset.jobs:
-        inc.add_job(job)
+    add_jobs(inc, dataset.jobs)
     for pub in dataset.publications:
         inc.add_publication(pub)
     t_c = max(j.submit_ts for j in dataset.jobs)
