@@ -60,7 +60,7 @@ adds the two baselines' miss columns to the lifetime table.
 ``serve`` runs the retention server (``repro.server.MultiTenantService``,
 the one streaming engine): the workspace's traces are merged into one
 time-ordered event stream and consumed record by record, with
-incremental activeness state and crash-safe checkpoints
+incremental activeness and crash-safe checkpoints
 (``--checkpoint-dir``).  ``--policy``/``--lifetime``/``--target``
 describe a fleet of one tenant named after its policy; any number of
 ``--tenant name=...,policy=...`` specs replace it, and all tenants share

@@ -7,7 +7,6 @@ from .activeness import (
     UserActiveness,
     RankAccumulator,
     evaluate_type_bulk,
-    accumulate_type_ranks,
     fold_type_ranks,
     safe_exp,
     type_log_rank,
@@ -60,7 +59,6 @@ __all__ = [
     "UserActiveness",
     "RankAccumulator",
     "evaluate_type_bulk",
-    "accumulate_type_ranks",
     "fold_type_ranks",
     "safe_exp",
     "type_log_rank",

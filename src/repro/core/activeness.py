@@ -69,7 +69,6 @@ __all__ = [
     "evaluate_type_bulk",
     "fold_type_ranks",
     "RankAccumulator",
-    "accumulate_type_ranks",
     "ActivenessEvaluator",
     "safe_exp",
 ]
@@ -288,6 +287,17 @@ def collapse_cutoff(t_c: int, params: ActivenessParams) -> int | None:
 # ----------------------------------------------------------------------
 # vectorized bulk implementation
 
+def sorted_segments(uids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, counts)`` of each uid's run in a uid-sorted column --
+    ``np.unique(uids, return_index=True, return_counts=True)`` without
+    its sort."""
+    head = np.empty(uids.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(uids[1:], uids[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return starts, np.diff(starts, append=uids.size)
+
+
 def evaluate_type_bulk(uids: np.ndarray, timestamps: np.ndarray,
                        impacts: np.ndarray, t_c: int,
                        params: ActivenessParams, *,
@@ -303,7 +313,7 @@ def evaluate_type_bulk(uids: np.ndarray, timestamps: np.ndarray,
     ``assume_sorted`` declares the inputs already sorted by
     ``np.lexsort((timestamps, uids))`` (uid-major, time-minor), skipping
     the internal sort -- callers that need per-user aggregates anyway
-    (see :func:`accumulate_type_ranks`) sort once and share the order.
+    (see :func:`fold_type_ranks`) sort once and share the order.
     """
     uids = np.asarray(uids, dtype=np.int64)
     ts = np.asarray(timestamps, dtype=np.int64)
@@ -324,7 +334,7 @@ def evaluate_type_bulk(uids: np.ndarray, timestamps: np.ndarray,
     if params.max_periods is not None:
         # Apply the window cap up front; users whose whole history falls
         # outside the window still appear in the output, at rank 0.
-        all_uids = np.unique(uids)
+        all_uids = uids[sorted_segments(uids)[0]]
         keep = ts >= t_c - params.max_periods * length
         uids, ts, imp = uids[keep], ts[keep], imp[keep]
         if uids.size == 0:
@@ -339,8 +349,8 @@ def evaluate_type_bulk(uids: np.ndarray, timestamps: np.ndarray,
         ranks[np.searchsorted(all_uids, in_uids)] = in_ranks
         return all_uids, ranks
 
-    unique_uids, starts, counts = np.unique(uids, return_index=True,
-                                            return_counts=True)
+    starts, counts = sorted_segments(uids)
+    unique_uids = uids[starts]
     n_users = unique_uids.size
     first_ts = ts[starts]
     last_ts = ts[starts + counts - 1]
@@ -428,8 +438,7 @@ def fold_type_ranks(uid_arr: np.ndarray, ts_arr: np.ndarray,
                                          assume_sorted=True)
     # Per-user recency / volume for the scan-order tie-breakers: within a
     # uid the timestamps ascend, so the last row of each segment is the max.
-    _, starts, counts = np.unique(uid_s, return_index=True,
-                                  return_counts=True)
+    starts, counts = sorted_segments(uid_s)
     last_ts = ts_s[starts + counts - 1]
     impact_sums = np.add.reduceat(imp_s, starts)
     return uids, log_ranks, last_ts, impact_sums
@@ -505,37 +514,6 @@ class RankAccumulator:
             ua.last_ts = last_ts
             ua.total_impact = impact
         return results
-
-
-def accumulate_type_ranks(results: dict[int, "UserActiveness"],
-                          atype: ActivityType,
-                          uid_arr: np.ndarray, ts_arr: np.ndarray,
-                          imp_arr: np.ndarray, t_c: int,
-                          params: ActivenessParams) -> None:
-    """Fold one activity type's bulk evaluation into ``results``.
-
-    Compatibility shim over :func:`fold_type_ranks` for callers holding a
-    dict of live :class:`UserActiveness` objects.  The evaluators
-    themselves batch every type through a :class:`RankAccumulator`
-    instead, materializing objects once -- prefer that shape for new code.
-    """
-    uids, log_ranks, last_ts, impact_sums = fold_type_ranks(
-        uid_arr, ts_arr, imp_arr, t_c, params)
-    is_op = atype.category is ActivityCategory.OPERATION
-    for uid, log_rank, ts_last, impact in zip(
-            uids.tolist(), log_ranks.tolist(), last_ts.tolist(),
-            impact_sums.tolist()):
-        ua = results.get(uid)
-        if ua is None:
-            ua = results[uid] = UserActiveness(uid)
-        if is_op:
-            ua.log_op = ua.log_op + log_rank if ua.has_op else log_rank
-            ua.has_op = True
-        else:
-            ua.log_oc = ua.log_oc + log_rank if ua.has_oc else log_rank
-            ua.has_oc = True
-        ua.last_ts = max(ua.last_ts, ts_last)
-        ua.total_impact += impact
 
 
 # ----------------------------------------------------------------------

@@ -3,16 +3,33 @@
 The paper's preparation procedure re-evaluates every user's activeness at
 each purge trigger ("finishes rapidly, within one second").  The plain
 :class:`~repro.core.activeness.ActivenessEvaluator` walks Python
-``Activity`` objects to build NumPy arrays on every call -- fine for one
-shot, wasteful when a year-long replay triggers 52 evaluations over a
+``Activity`` objects and sorts them on every call -- fine for one shot,
+wasteful when a year-long replay triggers 52 evaluations over a
 mostly-append-only history.
 
-:class:`ColumnarActivityStore` keeps activities as per-type *column
-chunks* (uid / timestamp / impact arrays).  Appends are O(1) amortized;
-evaluation consolidates each type's chunks at most once between appends
-and feeds the cached columns straight into the vectorized evaluator.
-Semantically it matches ``ActivenessEvaluator.evaluate`` over an
-equivalent ledger exactly (pinned by tests).
+:class:`ColumnarActivityStore` is the one activity store of both engines:
+the batch ``FastEmulator``, ``Emulator`` and sweep runner load it with the
+whole trace up front, and the streaming ``MultiTenantService`` appends to
+it as events arrive.  It keeps each activity type's (uid, timestamp,
+impact) columns **uid-major and time-minor** -- the order a stable
+``np.lexsort((ts, uid))`` gives the ingestion-order rows:
+
+* appends are buffered as chunks and folded in at the next
+  consolidation (at most once between appends);
+* a consolidation whose new rows all sit at or after the type's newest
+  timestamp -- every engine append, since both feed time-ordered
+  history -- sorts only the new rows and inserts each user's after that
+  user's existing ones (``np.searchsorted(side="right")`` +
+  ``np.insert``); any other re-sorts the whole type stably;
+* :meth:`~ColumnarActivityStore.evaluate` finds user segments without
+  sorting, masks rows after ``t_c`` only when the type holds some, and
+  refolds only the users :func:`~repro.core.activeness.collapse_cutoff`
+  cannot prove to rank exactly 0 (every user under the ``"skip"`` and
+  ``"epsilon"`` relaxations).
+
+Results equal ``ActivenessEvaluator.evaluate`` over an equivalent ledger
+and are independent of how the history was chunked into appends (pinned
+by tests).
 """
 
 from __future__ import annotations
@@ -23,7 +40,7 @@ import numpy as np
 
 from ..traces.schema import JobRecord, PublicationRecord
 from .activeness import (ActivenessParams, RankAccumulator, UserActiveness,
-                         fold_type_ranks)
+                         collapse_cutoff, evaluate_type_bulk, sorted_segments)
 from .activity import (
     Activity,
     ActivityType,
@@ -33,15 +50,22 @@ from .activity import (
 
 __all__ = ["ColumnarActivityStore", "build_activity_store"]
 
+#: ``max_ts`` of a type with no consolidated rows.
+_NO_ROWS = np.iinfo(np.int64).min
+
 
 class _TypeColumns:
-    """Append-optimized (uids, ts, impacts) columns for one activity type."""
+    """One activity type's (uids, ts, impacts) columns, uid-major and
+    time-minor, plus the chunks appended since the last consolidation."""
 
-    __slots__ = ("_chunks", "_cache")
+    __slots__ = ("_chunks", "_cols", "max_ts")
 
     def __init__(self) -> None:
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        empty_i = np.empty(0, dtype=np.int64)
+        self._cols = (empty_i, empty_i.copy(), np.empty(0, dtype=np.float64))
+        #: Newest timestamp of the consolidated columns.
+        self.max_ts = _NO_ROWS
 
     def append_arrays(self, uids: np.ndarray, ts: np.ndarray,
                       impacts: np.ndarray) -> None:
@@ -49,37 +73,77 @@ class _TypeColumns:
             raise ValueError("columns must be parallel arrays")
         if uids.size == 0:
             return
-        if impacts.min() < 0:
+        if not (impacts >= 0).all():
             raise ValueError("activity impact must be non-negative")
         self._chunks.append((uids.astype(np.int64, copy=True),
                              ts.astype(np.int64, copy=True),
                              impacts.astype(np.float64, copy=True)))
-        self._cache = None
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._cache is None:
-            if not self._chunks:
-                empty_i = np.empty(0, dtype=np.int64)
-                self._cache = (empty_i, empty_i.copy(),
-                               np.empty(0, dtype=np.float64))
-            elif len(self._chunks) == 1:
-                self._cache = self._chunks[0]
-            else:
-                self._cache = tuple(  # type: ignore[assignment]
-                    np.concatenate([c[i] for c in self._chunks])
-                    for i in range(3))
-                self._chunks = [self._cache]
-        return self._cache
+        """The consolidated columns, folding pending chunks in first.
+
+        The result is the stable ``lexsort((ts, uids))`` of every row in
+        ingestion order, whichever path below produced it: rows at or
+        after ``max_ts`` sort after every existing row of their user
+        (ties keep ingestion order, as the stable sort does).
+        """
+        if not self._chunks:
+            return self._cols
+        new = [np.concatenate(col) for col in zip(*self._chunks)]
+        self._chunks = []
+        uid, ts = new[0], new[1]
+        if ts.min() >= self.max_ts:
+            order = np.lexsort((ts, uid))
+            at = np.searchsorted(self._cols[0], uid[order], side="right")
+            self._cols = tuple(np.insert(old, at, col[order])
+                               for old, col in zip(self._cols, new))
+        else:
+            uid, ts, imp = (np.concatenate(pair)
+                            for pair in zip(self._cols, new))
+            order = np.lexsort((ts, uid))
+            self._cols = (uid[order], ts[order], imp[order])
+        self.max_ts = max(self.max_ts, int(ts.max()))
+        return self._cols
+
+    def restrict(self, keep_mask) -> np.ndarray:
+        """Keep only the users ``keep_mask`` keeps; return the dropped
+        uids."""
+        uids, ts, imp = self.columns()
+        if uids.size == 0:
+            return uids
+        starts, counts = sorted_segments(uids)
+        users = uids[starts]
+        keep = np.asarray(keep_mask(users), dtype=bool)
+        rows = np.repeat(keep, counts)
+        self._cols = (uids[rows], ts[rows], imp[rows])
+        self.max_ts = int(self._cols[1].max(initial=_NO_ROWS))
+        return users[~keep]
 
     def __len__(self) -> int:
-        return sum(c[0].size for c in self._chunks)
+        return self._cols[0].size + sum(c[0].size for c in self._chunks)
+
+
+def _paper_types() -> dict[ActivityType, _TypeColumns]:
+    return {JOB_SUBMISSION: _TypeColumns(), PUBLICATION: _TypeColumns()}
 
 
 class ColumnarActivityStore:
-    """Append-only activity history with cached per-type columns."""
+    """Activity history in sorted per-type columns.
+
+    The two paper activity types are pre-registered so the per-type
+    iteration order (and therefore the accumulator scatter order and the
+    snapshot layout) does not depend on which kind of activity happens
+    to arrive first.
+
+    After each :meth:`evaluate`, ``last_eval_users`` holds the number of
+    (user, type) histories with rows visible at ``t_c`` and
+    ``last_eval_refolded`` how many of them were refolded.
+    """
 
     def __init__(self) -> None:
-        self._types: dict[ActivityType, _TypeColumns] = {}
+        self._types = _paper_types()
+        self.last_eval_users = 0
+        self.last_eval_refolded = 0
 
     # ------------------------------------------------------------------
     # ingestion
@@ -108,23 +172,38 @@ class ColumnarActivityStore:
             np.fromiter((a.impact for a in acts), np.float64, len(acts)))
         return len(acts)
 
+    def ingest_job_columns(self, uids: np.ndarray, ts: np.ndarray,
+                           core_hours: np.ndarray,
+                           activity_type: ActivityType = JOB_SUBMISSION,
+                           ) -> int:
+        """Append a columnar run of job submissions; returns the count.
+
+        ``core_hours`` carries each job's unweighted core-hour impact;
+        the weight multiply happens here, so each row's float is the
+        ``JobRecord.core_hours() * weight`` of the record path.
+        """
+        uids = np.asarray(uids)
+        if uids.size == 0:
+            return 0
+        self._columns_for(activity_type).append_arrays(
+            uids, np.asarray(ts),
+            np.asarray(core_hours, dtype=np.float64) * activity_type.weight)
+        return int(uids.size)
+
     def ingest_jobs(self, jobs: Iterable[JobRecord],
                     activity_type: ActivityType = JOB_SUBMISSION) -> int:
-        """Columnar fast path for job traces (impact = core hours)."""
+        """Job traces (impact = core hours); returns the count."""
         jobs = list(jobs)
-        if not jobs:
-            return 0
         n = len(jobs)
-        self._columns_for(activity_type).append_arrays(
+        return self.ingest_job_columns(
             np.fromiter((j.uid for j in jobs), np.int64, n),
             np.fromiter((j.submit_ts for j in jobs), np.int64, n),
-            np.fromiter((j.core_hours() * activity_type.weight
-                         for j in jobs), np.float64, n))
-        return n
+            np.fromiter((j.core_hours() for j in jobs), np.float64, n),
+            activity_type)
 
     def ingest_publications(self, pubs: Iterable[PublicationRecord],
                             activity_type: ActivityType = PUBLICATION) -> int:
-        """Columnar fast path for publications (Eq. 8 per author)."""
+        """Publications, one row per author (Eq. 8); returns the count."""
         uids: list[int] = []
         ts: list[int] = []
         impacts: list[float] = []
@@ -149,14 +228,29 @@ class ColumnarActivityStore:
         return sum(len(c) for c in self._types.values())
 
     # ------------------------------------------------------------------
+    # shard restriction
+
+    def restrict_users(self, keep_mask) -> int:
+        """Drop every user ``keep_mask`` does not keep.
+
+        ``keep_mask`` maps an int64 uid array to a boolean keep mask
+        (shard routers pass ``ring.owner_mask``).  Rows appended since
+        the last evaluation are filtered too, so a donor shard that
+        sheds users at a rebalance boundary folds exactly the histories
+        it still owns.  Returns the number of distinct users dropped.
+        """
+        dropped = [cols.restrict(keep_mask) for cols in self._types.values()]
+        return int(np.unique(np.concatenate(dropped)).size)
+
+    # ------------------------------------------------------------------
     # snapshot / restore
 
     def consolidate(self) -> None:
-        """Merge every type's chunks into one contiguous column set.
+        """Fold every type's pending chunks into its sorted columns.
 
         Evaluation does this lazily per type; call it eagerly before
-        forking worker processes (or snapshotting) so the concatenation
-        cost is paid once, pre-fork, instead of once per child.
+        forking worker processes so the sort is paid once, pre-fork,
+        instead of once per child.
         """
         for cols in self._types.values():
             cols.columns()
@@ -164,31 +258,23 @@ class ColumnarActivityStore:
     def snapshot_state(self) -> dict[ActivityType, tuple[np.ndarray,
                                                          np.ndarray,
                                                          np.ndarray]]:
-        """Consolidated ``{type: (uids, ts, impacts)}`` columns.
+        """``{type: (uids, ts, impacts)}`` columns, uid-major and
+        time-minor.
 
-        The arrays are copies in ingestion order, so later appends to the
-        store never alias a snapshot.  Feed the result to
-        :meth:`restore_state` (of this store or a fresh one) to rebuild
-        an equivalent history; evaluations of the restored store are
-        bit-identical because the column contents and type insertion
-        order round-trip exactly.
+        The arrays are copies, so later appends never alias a snapshot.
+        Feed the result to :meth:`restore_state` (of this store or a
+        fresh one) to rebuild an equivalent history: the columns and the
+        type order round-trip exactly, so evaluations of the restored
+        store are bit-identical.
         """
-        out = {}
-        for atype, cols in self._types.items():
-            uids, ts, imp = cols.columns()
-            out[atype] = (uids.copy(), ts.copy(), imp.copy())
-        return out
+        return {atype: tuple(c.copy() for c in cols.columns())
+                for atype, cols in self._types.items()}
 
     def restore_state(self, state: Mapping[ActivityType,
                                            tuple[np.ndarray, np.ndarray,
                                                  np.ndarray]]) -> None:
-        """Replace this store's history with a :meth:`snapshot_state`.
-
-        Types are recreated in the mapping's iteration order (the
-        snapshot preserves the source store's), which keeps the per-type
-        scatter order -- and therefore evaluation results -- identical.
-        """
-        self._types = {}
+        """Replace this store's history with a :meth:`snapshot_state`."""
+        self._types = _paper_types()
         for atype, (uids, ts, imp) in state.items():
             self._columns_for(atype).append_arrays(
                 np.asarray(uids), np.asarray(ts), np.asarray(imp))
@@ -203,23 +289,43 @@ class ColumnarActivityStore:
         :meth:`repro.core.activeness.ActivenessEvaluator.evaluate` over an
         equivalent ledger.
 
-        Activities after ``t_c`` are excluded (the store may legitimately
-        hold future history; the replay clips per trigger).
+        Activities after ``t_c`` are excluded (the batch engines load
+        the whole trace up front and evaluate at every trigger).  Users
+        whose newest visible activity of a type predates
+        ``collapse_cutoff(t_c, params)`` rank exactly 0 for that type
+        and are not refolded.
         """
         params = params or ActivenessParams()
+        cutoff = collapse_cutoff(t_c, params)
+        self.last_eval_users = self.last_eval_refolded = 0
 
         folded = []
         for atype, cols in self._types.items():
             uids, ts, imp = cols.columns()
-            if uids.size == 0:
-                continue
-            visible = ts <= t_c
-            if not visible.all():
+            if cols.max_ts > t_c:
+                visible = ts <= t_c
                 uids, ts, imp = uids[visible], ts[visible], imp[visible]
             if uids.size == 0:
                 continue
-            folded.append((atype, fold_type_ranks(uids, ts, imp, t_c,
-                                                  params)))
+            starts, counts = sorted_segments(uids)
+            last_ts = ts[starts + counts - 1]
+            if cutoff is None or last_ts.min() >= cutoff:
+                _, ranks = evaluate_type_bulk(uids, ts, imp, t_c, params,
+                                              assume_sorted=True)
+                refolded = starts.size
+            else:
+                hot = last_ts >= cutoff
+                ranks = np.full(starts.size, -np.inf)
+                refolded = int(np.count_nonzero(hot))
+                if refolded:
+                    rows = np.repeat(hot, counts)
+                    ranks[hot] = evaluate_type_bulk(
+                        uids[rows], ts[rows], imp[rows], t_c, params,
+                        assume_sorted=True)[1]
+            self.last_eval_users += starts.size
+            self.last_eval_refolded += refolded
+            folded.append((atype, (uids[starts], ranks, last_ts,
+                                   np.add.reduceat(imp, starts))))
 
         all_uids = (np.unique(np.concatenate([f[1][0] for f in folded]))
                     if folded else np.empty(0, dtype=np.int64))

@@ -13,7 +13,8 @@ splits that work:
   in a :class:`ReplayIndex`.  The snapshot file system is flattened to
   per-path ``live/size/atime/owner`` arrays, and the activity history is
   pre-ingested into a consolidated
-  :class:`~repro.core.incremental.ColumnarActivityStore`.
+  :class:`~repro.core.incremental.ColumnarActivityStore` -- the same
+  store the streaming engine appends to as events arrive.
 * :class:`FastEmulator` then replays whole-day slices against those
   arrays: liveness masks, vectorized atime updates, and per-group miss
   bincounts replace per-record trie traffic, and the purge triggers run

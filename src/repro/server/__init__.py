@@ -12,8 +12,8 @@ from local trace files; this package turns that daemon into a *server*:
   over TCP or Unix sockets and feed their events through the same
   quarantined merge the file sources use;
 * :mod:`~repro.server.tenants` -- :class:`MultiTenantService`, N policy
-  configurations sharing ONE event feed and ONE incremental activeness
-  state, each bit-identical to an independent batch ``FastEmulator``;
+  configurations sharing ONE event feed and ONE activity store, each
+  bit-identical to an independent batch ``FastEmulator``;
 * :mod:`~repro.server.admin` -- the admin/query plane (``status``,
   ``health``, ``tenants``, ``metrics``, ``activity``, ``export``,
   ``query user``), whose socket doubles as a Prometheus ``GET /metrics``
@@ -47,7 +47,7 @@ from .protocol import (PROTOCOL_VERSION, SUPPORTED_PROTOCOLS,
                        connect_socket, create_listener, decode_batch,
                        decode_event, encode_batch, encode_batch_frame,
                        encode_event, format_address, parse_address,
-                       read_frame, write_frame)
+                       write_frame)
 from .metrics import (Counter, MetricsHistory, render_prometheus,
                       tail_stats)
 from .shard import (FleetAdmin, HashRing, ShardFleet, ShardLane,
@@ -92,7 +92,6 @@ __all__ = [
     "encode_event",
     "format_address",
     "parse_address",
-    "read_frame",
     "write_frame",
     "FleetAdmin",
     "HashRing",

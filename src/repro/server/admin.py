@@ -44,7 +44,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
 from .metrics import (Counter, MetricsHistory, render_prometheus,
                       tail_stats)
@@ -57,12 +57,6 @@ __all__ = ["AdminServer", "admin_request", "scrape_metrics"]
 
 #: Content type of the ``GET /metrics`` exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-def _tail_stats(samples: Iterable[float]) -> dict:
-    """Back-compat alias: the implementation moved to ``server.metrics``
-    so the engine's boundary sampler can share it."""
-    return tail_stats(samples)
 
 
 class AdminServer:

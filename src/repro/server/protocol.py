@@ -106,7 +106,7 @@ __all__ = ["PROTOCOL_V1", "PROTOCOL_V2", "PROTOCOL_VERSION",
            "SUPPORTED_PROTOCOLS", "CAP_BATCH", "CAP_ZLIB",
            "MAX_FRAME_BYTES", "BATCH_MAX_FRAME_BYTES",
            "FrameError", "BatchFormatError", "BinaryFrame",
-           "encode_frame", "write_frame", "FrameReader", "read_frame",
+           "encode_frame", "write_frame", "FrameReader",
            "encode_event", "decode_event",
            "encode_batch", "decode_batch", "encode_batch_frame",
            "parse_address", "format_address", "create_listener",
@@ -303,11 +303,6 @@ class FrameReader:
             raise FrameError("unexpected binary frame; expected a JSON "
                              "control message")
         return frame
-
-
-def read_frame(reader: FrameReader) -> dict | None:
-    """Functional alias for :meth:`FrameReader.read`."""
-    return reader.read()
 
 
 # ---------------------------------------------------------------------------

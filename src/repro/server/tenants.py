@@ -14,14 +14,16 @@ replay state.  Everything that does not depend on the policy is shared:
 * the event feed, cursor and day buffers (one merge, consumed once);
 * the :class:`~repro.stream.state.PathCatalog` (pids are positional
   identity, so one interner serves every tenant);
-* the :class:`~repro.stream.state.IncrementalActivenessState` -- and,
-  decisively, its *evaluation*: at a boundary where several tenants
-  trigger, activeness is refolded **once per distinct parameter set**,
-  not once per tenant (``stats["activeness_evals"]`` counts the folds;
-  four same-params tenants cost one).  Sharing the evaluation is sound
+* the :class:`~repro.core.incremental.ColumnarActivityStore`, the
+  activity store the batch engines evaluate through -- and, decisively,
+  its *evaluation*: at a boundary where several tenants trigger,
+  activeness is refolded **once per distinct parameter set**, not once
+  per tenant (``stats["activeness_evals"]`` counts the folds; four
+  same-params tenants cost one).  Sharing the evaluation is sound
   because the batch ``ComparisonRunner`` already shares one evaluation
   per trigger across policies, and extra evaluation instants never
-  perturb later ones (flush/refresh are order-insensitive).
+  perturb later ones (the store's sorted columns do not depend on when
+  they are consolidated).
 
 Boundary protocol
 -----------------
@@ -79,6 +81,7 @@ from ..core.activeness import ActivenessParams, UserActiveness
 from ..core.classification import UserClass, classify_all, group_counts
 from ..core.config import RetentionConfig
 from ..core.exemption import ExemptionList
+from ..core.incremental import ColumnarActivityStore
 from ..core.policy import RetentionPolicy
 from ..emulation.compiled import (NEVER_POS, GroupLookup, TriggerEngine,
                                   replay_day_columns)
@@ -94,8 +97,7 @@ from ..stream.checkpoint import (SERVER_CHECKPOINT_FORMAT, CheckpointManager,
                                  reports_to_jsonable)
 from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
                             BatchRun, EventBatch)
-from ..stream.state import (GrowableReplayState, IncrementalActivenessState,
-                            PathCatalog)
+from ..stream.state import GrowableReplayState, PathCatalog
 from ..traces.schema import PublicationRecord
 from .metrics import MetricsHistory, tail_stats
 
@@ -310,7 +312,7 @@ class MultiTenantService:
         self.capacity_bytes = int(capacity_bytes)
 
         self.catalog = PathCatalog()
-        self.activity = IncrementalActivenessState()
+        self.activity = ColumnarActivityStore()
         self.tenants: list[Tenant] = [
             self._new_tenant(spec, policy) for spec, policy in tenants]
 
@@ -534,7 +536,8 @@ class MultiTenantService:
         Live files owned by shed users are dropped from every tenant's
         replay state (with byte/count fixups), their activity histories
         are removed, classifications are filtered, and cached
-        evaluations are invalidated.  Returns drop counters.
+        evaluations are invalidated.  Returns drop counters
+        (``dropped_users``: distinct users whose activity was dropped).
         """
         uids = np.asarray(self.known_uids, dtype=np.int64)
         if uids.size:
@@ -645,7 +648,7 @@ class MultiTenantService:
         whose timestamp passes the next pending boundary), and *between*
         two firings every observable effect of a row commutes across
         kinds -- accesses only append to the day buffers, jobs and
-        publications only append to disjoint pending activity lists, and
+        publications only append to their own activity-store types, and
         the counters are sums.  So the run is cut at the exact rows that
         fire a boundary, each boundary-free span is ingested with three
         bulk per-kind appends, and the firing row's own advance call is
@@ -774,8 +777,9 @@ class MultiTenantService:
             pj2 = int(np.searchsorted(idx_job, nxt, side="left"))
             if pj2 > pj:
                 stats["events_job"] += pj2 - pj
-                self.activity.add_jobs(batch.job_uid[j0 + pj:j0 + pj2],
-                                       ts_job[pj:pj2], imp_job[pj:pj2])
+                self.activity.ingest_job_columns(
+                    batch.job_uid[j0 + pj:j0 + pj2], ts_job[pj:pj2],
+                    imp_job[pj:pj2])
                 self._consumed += pj2 - pj
                 pj = pj2
             pp2 = int(np.searchsorted(idx_pub, nxt, side="left"))
@@ -791,14 +795,13 @@ class MultiTenantService:
         span: rare enough to reconstruct records per row (author-rank
         scoring needs the author list anyway)."""
         off = batch.pub_auth_off
-        for k in range(a, b):
-            self.stats["events_publication"] += 1
-            s, e = int(off[k]), int(off[k + 1])
-            rec = PublicationRecord(int(batch.pub_id[k]), int(ts[k - a]),
-                                    batch.pub_auth[s:e].tolist(),
-                                    int(batch.pub_cit[k]))
-            self.activity.add_publication(rec)
-            self._consumed += 1
+        self.activity.ingest_publications(
+            PublicationRecord(int(batch.pub_id[k]), int(ts[k - a]),
+                              batch.pub_auth[off[k]:off[k + 1]].tolist(),
+                              int(batch.pub_cit[k]))
+            for k in range(a, b))
+        self.stats["events_publication"] += b - a
+        self._consumed += b - a
 
     def run(self, runs: Iterator[BatchRun],
             stop_after_events: int | None = None,

@@ -1,4 +1,4 @@
-"""Streaming building blocks: ingestion, incremental state, crash-safe
+"""Streaming building blocks: ingestion, engine state, crash-safe
 checkpoint/resume.
 
 The batch pipeline (``repro.emulation``) answers "what would this policy
@@ -6,11 +6,14 @@ have done over this year of traces"; the streaming engine answers the
 production question -- "run the policy *now*, continuously, over live
 feeds" -- while provably computing the same thing.  This package holds
 what that engine (:class:`repro.server.MultiTenantService`) consumes and
-persists: the merged event feed and its columnar batches, the
-incremental activeness and replay state, the self-verifying checkpoint
-chain, and the reliability layer.  The engine is pinned bit-identical
-to the batch ``FastEmulator`` across the full retention spectrum,
-including across a checkpoint / kill / resume cycle.
+persists: the merged event feed and its columnar batches, the growable
+path catalog and replay state, the self-verifying checkpoint chain, and
+the reliability layer.  Its activeness history is the batch engines'
+:class:`~repro.core.incremental.ColumnarActivityStore`
+(``IncrementalActivenessState`` remains as a name for it).  The engine
+is pinned bit-identical to the batch ``FastEmulator`` across the full
+retention spectrum, including across a checkpoint / kill / resume
+cycle.
 """
 
 from .batch import BatchBuilder, BatchRun, EventBatch, skip_stream_items

@@ -19,7 +19,7 @@ config fingerprint -- and the bulk state travels as native NumPy arrays:
 * the current user classification (kept verbatim: it cannot be
   re-derived after resume because activeness at the *old* trigger instant
   would see newer history),
-* the incremental activeness history, per activity type.
+* the activity store's sorted columns, per activity type.
 
 Everything round-trips exactly: ints and bools verbatim, floats through
 JSON's shortest-round-trip repr or float64 arrays, sets as sorted lists.

@@ -16,8 +16,9 @@ instant ``t_c`` must see every activity with ``ts <= t_c`` (the batch
 evaluators clip inclusively) while the access replay is day-bucketed and
 insensitive to sub-day ordering.  Within one source the original trace
 order is preserved (``heapq.merge`` is stable), which is what makes the
-streaming activeness state fold floats in the same order as the batch
-``ColumnarActivityStore`` -- a requirement for bit-identical results.
+engine's ``ColumnarActivityStore`` order rows of equal (uid, ts) -- and
+so fold floats -- exactly as the batch engines' does, a requirement for
+bit-identical results.
 
 Each source iterator is validated to be non-decreasing in time; a
 regression raises ``ValueError`` at the offending event rather than

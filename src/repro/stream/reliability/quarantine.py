@@ -54,6 +54,8 @@ REASON_DUPLICATE = "duplicate"            # identity already delivered
 REASON_UNKNOWN_UID = "unknown_uid"        # uid outside the known set
 REASON_CORRUPT_FRAME = "corrupt_frame"    # binary batch frame failed CRC/shape
 
+_I64_MAX = np.iinfo(np.int64).max
+
 
 class DeadLetterLog:
     """Append-only JSONL of diverted events, with bounded-size rotation.
@@ -288,6 +290,20 @@ class EventQuarantine:
             if jbad.any():
                 mark(jidx[jbad], REASON_UNPARSABLE,
                      "job row violates record invariants")
+            # The engine scores a job as nodes * cores * (end - start)
+            # in int64, which wraps silently: a product no int64 holds
+            # is diverted like any other int outside int64.  The test is
+            # exact integer arithmetic: a span that overflows turns
+            # negative and fails the first term, and nodes * cores can
+            # only wrap where the second term fails.
+            nodes, cores = batch.job_nodes, batch.job_cores
+            span = batch.job_end - batch.job_start
+            fits = ((span >= 0)
+                    & (nodes <= _I64_MAX // np.maximum(cores, 1))
+                    & (nodes * cores <= _I64_MAX // np.maximum(span, 1)))
+            if not fits.all():
+                mark(jidx[~fits], REASON_UNPARSABLE,
+                     "job core-seconds do not fit an int64")
         if batch.n_acc:
             aidx = np.flatnonzero(kinds == KIND_ACC_CODE)
             abad = ((batch.acc_op >= len(OP_BY_CODE))

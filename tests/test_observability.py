@@ -30,7 +30,6 @@ from repro.server import (AdminServer, Counter, MetricsHistory,
                           MultiTenantService, TenantSpec, admin_request,
                           load_history_data, render_html, render_terminal,
                           scrape_metrics, tail_stats)
-from repro.server.admin import _tail_stats
 from repro.server.metrics import render_prometheus
 from repro.stream import (CheckpointManager, dataset_event_stream,
                           skip_stream_items)
@@ -103,8 +102,6 @@ def test_tail_stats_empty_and_singleton_edges():
     one = tail_stats([0.25])
     assert one == {"count": 1, "p50": 0.25, "p95": 0.25, "p99": 0.25,
                    "max": 0.25}
-    # the admin module keeps its old name importable (bench uses it)
-    assert _tail_stats([]) == {"count": 0}
     two = tail_stats([1.0, 3.0])
     assert two["count"] == 2 and two["p50"] == 2.0 and two["max"] == 3.0
 

@@ -373,6 +373,23 @@ def test_quarantine_duplicate_ids_scoped_per_source():
     assert quarantine.total == 0
 
 
+def test_quarantine_diverts_job_core_seconds_outside_int64():
+    # The engine scores a job as nodes * cores * (end - start) in int64:
+    # 3577 * 42799 * 60247241209 is exactly 2**63 - 1 and fits; one more
+    # core-second, or a span that itself overflows, does not.
+    nodes, cores, span = 3577, 42799, 60247241209
+    assert nodes * cores * span == (1 << 63) - 1
+    rows = [JobRecord(1, 1, -2**62, -2**62, 2**62, 1, 1),
+            JobRecord(2, 1, 1000, 1000, 1000 + span, nodes, cores),
+            JobRecord(3, 1, 1000, 1000, 1002, 1 << 31, 1 << 31),
+            JobRecord(4, 1, 1000, 1000, 1001, 4_000_000_000, 4_000_000_000)]
+    quarantine = EventQuarantine()
+    out = expand_events(quarantine.guard("jobs", _chunks(
+        [StreamEvent(r.submit_ts, EVENT_JOB, r) for r in rows])))
+    assert [ev.payload.job_id for ev in out] == [2]
+    assert quarantine.by_reason == {REASON_UNPARSABLE: 3}
+
+
 def test_dead_letter_rotation(tmp_path):
     path = str(tmp_path / "dead.jsonl")
     log = DeadLetterLog(path, max_bytes=200, backups=1)

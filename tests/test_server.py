@@ -51,13 +51,14 @@ from repro.stream import (CheckpointManager, DeadLetterLog,
                           skip_stream_items)
 from repro.stream.batch import BatchBuilder
 from repro.stream.checkpoint import SERVER_CHECKPOINT_FORMAT
-from repro.stream.events import (EVENT_ACCESS, EVENT_JOB, StreamEvent,
-                                 access_events, job_events,
+from repro.stream.events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
+                                 StreamEvent, access_events, job_events,
                                  publication_events)
 from repro.stream.reliability.quarantine import (REASON_REGRESSION,
                                                  REASON_UNPARSABLE)
 from repro.cli.workspace import save_workspace
 from repro.synth import TitanConfig, generate_dataset
+from repro.traces.schema import JobRecord
 
 from conftest import as_runs, expand_events
 from test_compiled_replay import assert_results_equal
@@ -423,6 +424,54 @@ def test_v1_int_outside_int64_is_quarantined(dataset, compiled, events,
                                   body.encode("ascii"))
 
 
+@pytest.mark.parametrize("feed", ["file", "v2"])
+def test_job_impact_outside_int64_is_quarantined(dataset, compiled, events,
+                                                 tmp_path, feed):
+    # Every field of this job fits an int64, but the engine scores a job
+    # as nodes * cores * (end - start) in int64, where 4e9 x 4e9 cores
+    # over one second wraps to a negative impact.  The guard must divert
+    # the row as unparsable -- the rule for ints an int64 cannot hold --
+    # instead of letting the activity store raise in the engine thread.
+    k = next(i for i in range(len(events) // 2, len(events))
+             if events[i].kind == EVENT_JOB)
+    job = events[k].payload
+    bad = replace(job, job_id=999_999_999, end_ts=job.start_ts + 1,
+                  num_nodes=4_000_000_000, cores_per_node=4_000_000_000)
+    spec = TenantSpec(name="solo", policy="activedr")
+    known = [u.uid for u in dataset.users]
+    if feed == "file":
+        from repro.stream import ReliableEventStream
+        from repro.traces import write_jobs
+
+        ws = save_workspace(dataset, str(tmp_path / "ws"), n_shards=1)
+        at = next(i for i, rec in enumerate(dataset.jobs)
+                  if rec.job_id == job.job_id)
+        write_jobs(os.path.join(ws, "jobs.txt.gz"),
+                   dataset.jobs[:at] + [bad] + dataset.jobs[at:])
+        stream = ReliableEventStream(ws, known_uids=known)
+        service = make_fleet(dataset, [spec])
+        results = service.run(iter(stream))
+    else:
+        tainted = events[:k] + [StreamEvent(bad.submit_ts, EVENT_JOB,
+                                            bad)] + events[k:]
+        payloads = []
+        for lo in range(0, len(tainted), 8192):
+            builder = BatchBuilder()
+            builder.extend(tainted[lo:lo + 8192])
+            payloads.append(encode_batch(builder.build()))
+        address = _sock(tmp_path, "impact.sock")
+        with SocketListener(address, expected={"all": 1}) as listener:
+            stream = NetworkEventStream(listener, known_uids=known)
+            publish_batches(address, "all", payloads)
+            service = make_fleet(dataset, [spec])
+            results = service.run(iter(stream))
+            assert listener.decode_errors == 0
+    assert stream.quarantine.by_reason == {REASON_UNPARSABLE: 1}
+    assert service.cursor == len(events)
+    assert_results_equal(results[spec.name],
+                         batch_result(dataset, compiled, spec))
+
+
 def test_v2_pool_path_that_is_not_utf8_is_quarantined(dataset, compiled,
                                                       events, tmp_path):
     # A v2 frame carries its string pool as raw bytes under a CRC the
@@ -700,6 +749,33 @@ def test_duplicate_split_request_applies_once(dataset, events, tmp_path):
     assert len(splits) == 2 and all(e["ok"] for e in splits)
     # Exactly one clone checkpoint: the duplicate was a no-op.
     assert len(glob.glob(os.path.join(dest, "checkpoint-*.npz"))) == 1
+
+
+def test_restrict_users_counts_each_dropped_user_once(dataset, events):
+    """``dropped_users`` -- the rebalance's "shed N users" -- counts
+    distinct users: once for a user with both job and publication
+    history, and also for a user whose only row arrived after the last
+    activeness evaluation."""
+    service = make_fleet(dataset, HETERO[:1])
+    ingested = events[:len(events) // 2]
+    for run in as_runs(ingested):
+        service.ingest_run(run)
+    newcomer = (max(u.uid for u in dataset.users) + 1) | 1
+    last = ingested[-1].ts
+    late = StreamEvent(last, EVENT_JOB,
+                       JobRecord(10**9, newcomer, last, last, last + 60, 1))
+    (run,) = as_runs([late])
+    service.ingest_run(run)
+    ingested.append(late)
+
+    job_users = {e.payload.uid for e in ingested if e.kind == EVENT_JOB}
+    authors = {uid for e in ingested if e.kind == EVENT_PUBLICATION
+               for uid in e.payload.author_uids}
+    dropped = {uid for uid in job_users | authors if uid % 2}
+    assert dropped & job_users & authors
+    assert newcomer in dropped
+    counts = service.restrict_users(lambda uids: uids % 2 == 0)
+    assert counts["dropped_users"] == len(dropped)
 
 
 def test_resume_refuses_fingerprint_drift(dataset, events, tmp_path):

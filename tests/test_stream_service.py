@@ -3,8 +3,8 @@
 Streaming-equivalence suite: a fleet of one must reproduce the batch
 FastEmulator bit for bit -- for every policy in the retention spectrum,
 under every ``EmulatorConfig`` variant and with exemptions, and across a
-checkpoint / kill / resume cycle -- and the incremental activeness state
-it folds must match the batch store."""
+checkpoint / kill / resume cycle -- and the activity store it feeds as
+events arrive must match the batch engines' bulk-loaded one."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import pytest
 from repro.core.activeness import ActivenessParams
 from repro.core.config import RetentionConfig
 from repro.core.exemption import ExemptionList
-from repro.core.incremental import build_activity_store
+from repro.core.incremental import ColumnarActivityStore, build_activity_store
 from repro.emulation import (
     CompiledTrace,
     EmulatorConfig,
@@ -28,7 +28,6 @@ from repro.stream import (
     BatchBuilder,
     BatchRun,
     CheckpointManager,
-    IncrementalActivenessState,
     PathCatalog,
     StreamEvent,
     dataset_event_stream,
@@ -39,6 +38,7 @@ from repro.vfs.path_trie import split_path
 
 from conftest import as_runs
 from test_compiled_replay import POLICIES, assert_results_equal
+from test_incremental import PARAM_IDS, PARAM_VARIANTS
 from test_server import build_policy, make_fleet
 
 
@@ -244,74 +244,75 @@ def test_service_rejects_empty_window():
                            replay_start=100, replay_end=100)
 
 
-def add_jobs(inc, jobs):
-    """Append ``jobs`` to ``inc`` as one columnar run."""
-    jobs = list(jobs)
-    inc.add_jobs(np.asarray([j.uid for j in jobs], dtype=np.int64),
-                 np.asarray([j.submit_ts for j in jobs], dtype=np.int64),
-                 np.asarray([j.core_hours() for j in jobs]))
+def feed_like_the_engine(store, dataset, after, through):
+    """Append the jobs and publications with ``after < ts <= through`` to
+    ``store`` in time order, jobs as columnar runs, the way
+    ``MultiTenantService.ingest_run`` feeds the store it holds."""
+    jobs = sorted((j for j in dataset.jobs if after < j.submit_ts <= through),
+                  key=lambda j: j.submit_ts)
+    for run in np.array_split(np.arange(len(jobs)), 4):
+        run_jobs = [jobs[i] for i in run]
+        store.ingest_job_columns(
+            np.asarray([j.uid for j in run_jobs], dtype=np.int64),
+            np.asarray([j.submit_ts for j in run_jobs], dtype=np.int64),
+            np.asarray([j.core_hours() for j in run_jobs]))
+    store.ingest_publications(sorted(
+        (p for p in dataset.publications if after < p.ts <= through),
+        key=lambda p: p.ts))
 
 
-PARAM_VARIANTS = [
-    ActivenessParams(),
-    ActivenessParams(period_days=30.0),
-    ActivenessParams(empty_period="skip"),
-    ActivenessParams(empty_period="epsilon", epsilon=1e-6),
-    ActivenessParams(max_periods=3),
-]
-
-
-@pytest.mark.parametrize("params", PARAM_VARIANTS,
-                         ids=["default", "p30", "skip", "epsilon", "maxp"])
+@pytest.mark.parametrize("params", PARAM_VARIANTS, ids=PARAM_IDS)
 def test_incremental_activeness_matches_store(dataset, params):
+    """The engine's store, fed in time order as events arrive and
+    evaluated between appends, equals the batch engines' store loaded
+    with the whole trace up front."""
     known = [u.uid for u in dataset.users]
     store = build_activity_store(dataset.jobs, dataset.publications)
     t_end = max(max(j.submit_ts for j in dataset.jobs),
                 max(p.ts for p in dataset.publications))
     t_mid = (min(j.submit_ts for j in dataset.jobs) + t_end) // 2
 
-    # Full history at the end of the trace.
-    inc = IncrementalActivenessState()
-    add_jobs(inc, dataset.jobs)
-    for pub in dataset.publications:
-        inc.add_publication(pub)
-    assert inc.evaluate(t_end, params, known) == store.evaluate(
-        t_end, params, known_uids=known)
-
-    # Mid-trace: the incremental state only ever holds ts <= t_c (the
+    # Mid-trace: the engine's store only ever holds ts <= t_c (the
     # service's boundary ordering guarantees this); the batch store
-    # clips internally.
-    inc = IncrementalActivenessState()
-    add_jobs(inc, (job for job in dataset.jobs if job.submit_ts <= t_mid))
-    for pub in dataset.publications:
-        if pub.ts <= t_mid:
-            inc.add_publication(pub)
+    # clips internally.  The rest of the history then lands after every
+    # user's earlier rows.
+    inc = ColumnarActivityStore()
+    feed_like_the_engine(inc, dataset, -1, t_mid)
     assert inc.evaluate(t_mid, params, known) == store.evaluate(
         t_mid, params, known_uids=known)
+    feed_like_the_engine(inc, dataset, t_mid, t_end)
+    assert inc.evaluate(t_end, params, known) == store.evaluate(
+        t_end, params, known_uids=known)
 
 
 def test_incremental_activeness_snapshot_round_trip(dataset):
     known = [u.uid for u in dataset.users]
     params = ActivenessParams()
-    inc = IncrementalActivenessState()
-    add_jobs(inc, dataset.jobs)
-    for pub in dataset.publications:
-        inc.add_publication(pub)
+    inc = ColumnarActivityStore()
     t_c = max(j.submit_ts for j in dataset.jobs)
+    t_mid = (min(j.submit_ts for j in dataset.jobs) + t_c) // 2
+    feed_like_the_engine(inc, dataset, -1, t_mid)
+    inc.evaluate(t_mid, params, known)
+    feed_like_the_engine(inc, dataset, t_mid, t_c)
     expected = inc.evaluate(t_c, params, known)
 
     snap = inc.snapshot_state()
     for atype, (uids, ts, imp) in snap.items():
         assert uids.shape == ts.shape == imp.shape
-        assert np.array_equal(uids, np.sort(uids))
+        assert np.array_equal(np.lexsort((ts, uids)), np.arange(uids.size))
 
-    restored = IncrementalActivenessState()
+    restored = ColumnarActivityStore()
     restored.restore_state(snap)
     assert restored.evaluate(t_c, params, known) == expected
 
-    # The snapshot payload is interchangeable with the batch store's:
-    # restoring it into a ColumnarActivityStore evaluates identically
-    # (uid-major vs ingestion order is erased by the stable fold sort).
-    cross = build_activity_store()
-    cross.restore_state(snap)
-    assert cross.evaluate(t_c, params, known_uids=known) == expected
+    # The snapshot is the uid-major, time-minor layout every server
+    # checkpoint stores, whichever way the history was fed: the batch
+    # engines' bulk-loaded store snapshots to the same arrays.
+    bulk = build_activity_store(
+        [j for j in dataset.jobs if j.submit_ts <= t_c],
+        [p for p in dataset.publications if p.ts <= t_c])
+    bulk_snap = bulk.snapshot_state()
+    assert list(bulk_snap) == list(snap)
+    for atype in snap:
+        for mine, theirs in zip(snap[atype], bulk_snap[atype]):
+            assert np.array_equal(mine, theirs)
