@@ -21,7 +21,10 @@ The same socket doubles as a **Prometheus scrape target**: a connection
 whose first byte is ``G`` (an HTTP ``GET``) is answered with the text
 exposition of :func:`~repro.server.metrics.render_prometheus` and
 closed -- ``GET /metrics`` works from any HTTP client, frames work from
-any frame client, and the listener never needs a second port.
+any frame client, and the listener never needs a second port.  That
+socket is :class:`AdminSocket`, the one copy of the plumbing: the shard
+fleet's :class:`~repro.server.shard.FleetAdmin` runs on it too, with
+its own scatter/gather commands and exposition.
 
 Rate series are derived from the engine's :class:`MetricsHistory` ring
 (timestamped, immutable samples) rather than a per-server mutable
@@ -59,32 +62,21 @@ __all__ = ["AdminServer", "admin_request", "scrape_metrics"]
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-class AdminServer:
-    """Answer operator queries about a :class:`MultiTenantService`.
+class AdminSocket:
+    """One admin listener: JSON frames and ``GET /metrics`` on one socket.
 
-    ``stream`` (the :class:`~repro.server.ingest.NetworkEventStream`, when
-    the server ingests over sockets) enriches ``status``/``health`` with
-    listener and quarantine detail.  ``clock`` is injectable for tests
-    and must share a timebase with the service's metrics history (both
-    default to ``time.monotonic``).
+    The plumbing both admin planes share -- the worker's
+    :class:`AdminServer` and the shard fleet's
+    :class:`~repro.server.shard.FleetAdmin`.  Each connection is served
+    on its own thread: one peeked byte sends an HTTP request (``G`` or
+    ``H``) to :meth:`render_metrics` and anything else to a loop of
+    frames, each answered by :meth:`handle` through the subclass's
+    :meth:`_commands` plus the shared ``export`` command.  A subclass
+    sets up its own state first and calls ``super().__init__(address)``
+    last: the accept thread starts there and may serve a request at once.
     """
 
-    def __init__(self, address: str, service: MultiTenantService, *,
-                 stream=None,
-                 extra_commands: dict[str, Callable[[dict], dict]]
-                 | None = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.service = service
-        self.stream = stream
-        #: Deployment-specific verbs (e.g. the shard fleet's
-        #: ``shard-split``) merged into dispatch -- the admin plane
-        #: stays ignorant of what registered them.
-        self.extra_commands = dict(extra_commands or {})
-        self._clock = clock
-        self._started = clock()
-        # Immutable fallback rate anchor: before the first boundary
-        # sample exists, events/s is the average since the plane opened.
-        self._cursor0 = service.cursor
+    def __init__(self, address: str) -> None:
         self.requests = Counter()
         self.errors = Counter()
         self.http_requests = Counter()
@@ -95,9 +87,13 @@ class AdminServer:
             target=self._accept_loop, name="admin-accept", daemon=True)
         self._accept_thread.start()
 
-    @property
-    def history(self) -> MetricsHistory | None:
-        return self.service.metrics_history
+    def _commands(self) -> dict[str, Callable[[dict], dict]]:
+        """The plane's frame commands besides ``export``."""
+        raise NotImplementedError
+
+    def render_metrics(self) -> str:
+        """The Prometheus text body (shared by HTTP and ``export``)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # plumbing
@@ -111,7 +107,7 @@ class AdminServer:
         except OSError:
             pass
 
-    def __enter__(self) -> "AdminServer":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -228,20 +224,66 @@ class AdminServer:
     def handle(self, request: dict) -> dict:
         """Answer one request dict (exposed directly for tests)."""
         cmd = request.get("cmd")
-        handler = {
+        handler = {"export": self._cmd_export,
+                   **self._commands()}.get(cmd)
+        if handler is None:
+            self.errors += 1
+            return {"ok": False, "error": f"unknown command {cmd!r}"}
+        return handler(request)
+
+    def _cmd_export(self, request: dict) -> dict:
+        fmt = request.get("format", "prom")
+        if fmt != "prom":
+            return {"ok": False,
+                    "error": f"unknown export format {fmt!r} "
+                             f"(expected 'prom')"}
+        return {"ok": True, "format": "prom",
+                "content_type": PROMETHEUS_CONTENT_TYPE,
+                "text": self.render_metrics()}
+
+
+class AdminServer(AdminSocket):
+    """Answer operator queries about a :class:`MultiTenantService`.
+
+    ``stream`` (the :class:`~repro.server.ingest.NetworkEventStream`, when
+    the server ingests over sockets) enriches ``status``/``health`` with
+    listener and quarantine detail.  ``clock`` is injectable for tests
+    and must share a timebase with the service's metrics history (both
+    default to ``time.monotonic``).
+    """
+
+    def __init__(self, address: str, service: MultiTenantService, *,
+                 stream=None,
+                 extra_commands: dict[str, Callable[[dict], dict]]
+                 | None = None,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self.service = service
+        self.stream = stream
+        #: Deployment-specific verbs (e.g. the shard fleet's
+        #: ``shard-split``) merged into dispatch -- the admin plane
+        #: stays ignorant of what registered them.
+        self.extra_commands = dict(extra_commands or {})
+        self._clock = clock
+        self._started = clock()
+        # Immutable fallback rate anchor: before the first boundary
+        # sample exists, events/s is the average since the plane opened.
+        self._cursor0 = service.cursor
+        super().__init__(address)
+
+    @property
+    def history(self) -> MetricsHistory | None:
+        return self.service.metrics_history
+
+    def _commands(self) -> dict[str, Callable[[dict], dict]]:
+        return {
             "status": self._cmd_status,
             "health": self._cmd_health,
             "tenants": self._cmd_tenants,
             "metrics": self._cmd_metrics,
             "activity": self._cmd_activity,
-            "export": self._cmd_export,
             "query": self._cmd_query,
             **self.extra_commands,
-        }.get(cmd)
-        if handler is None:
-            self.errors += 1
-            return {"ok": False, "error": f"unknown command {cmd!r}"}
-        return handler(request)
+        }
 
     def _cmd_status(self, request: dict) -> dict:
         out = {"ok": True, "uptime": self._clock() - self._started}
@@ -360,22 +402,11 @@ class AdminServer:
         return out
 
     def render_metrics(self) -> str:
-        """The Prometheus text body (shared by HTTP and ``export``)."""
         rate, _window = self.ingest_rate()
         return render_prometheus(
             self.service, stream=self.stream, admin=self,
             history=self.history, rate=rate,
             uptime=self._clock() - self._started)
-
-    def _cmd_export(self, request: dict) -> dict:
-        fmt = request.get("format", "prom")
-        if fmt != "prom":
-            return {"ok": False,
-                    "error": f"unknown export format {fmt!r} "
-                             f"(expected 'prom')"}
-        return {"ok": True, "format": "prom",
-                "content_type": PROMETHEUS_CONTENT_TYPE,
-                "text": self.render_metrics()}
 
     def _cmd_query(self, request: dict) -> dict:
         if "uid" not in request:

@@ -21,8 +21,8 @@ which keeps them trivially testable.
 from __future__ import annotations
 
 import html
-import json
-import os
+
+from ..stream.reliability.jsonl import read_records
 
 __all__ = ["fetch_dashboard_data", "load_history_data",
            "render_terminal", "render_html"]
@@ -59,30 +59,12 @@ def fetch_dashboard_data(address: str, *, samples: int = DEFAULT_SAMPLES,
 def load_history_data(path: str, *, samples: int = DEFAULT_SAMPLES) -> dict:
     """The offline snapshot: newest ``samples`` of a history file.
 
-    Reads the rotated backups too (oldest first, same layout the
-    :class:`~repro.server.metrics.MetricsHistory` writes), skipping torn
+    Reads the log the way :class:`~repro.server.metrics.MetricsHistory`
+    does (:func:`~repro.stream.reliability.jsonl.read_records`): up to
+    nine rotated backups, oldest first, then the live file, skipping torn
     lines, so the file of a crashed server still renders.
     """
-    rows: list[dict] = []
-    backups = sorted((p for p in (f"{path}.{i}" for i in range(9, 0, -1))
-                      if os.path.exists(p)),
-                     key=lambda p: int(p.rsplit(".", 1)[1]), reverse=True)
-    for candidate in [*backups, path]:
-        try:
-            fh = open(candidate)
-        except OSError:
-            continue
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    sample = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(sample, dict):
-                    rows.append(sample)
+    rows = list(read_records(path, 9))
     if not rows:
         raise FileNotFoundError(f"no metrics-history samples under {path}")
     rows = rows[-samples:]

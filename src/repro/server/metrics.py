@@ -8,9 +8,9 @@ dashboard:
   ints bumped from many threads; ``int.__iadd__`` is a read-modify-write
   race, so concurrent connections undercounted.  A :class:`Counter`
   compares and serializes like the int it wraps (``int(c)`` for JSON).
-* :class:`MetricsHistory` -- a rotating, crash-safe JSONL ring of
-  per-boundary samples, modeled on the dead-letter log: live file plus
-  cascading numbered backups, every append flushed, every sample
+* :class:`MetricsHistory` -- a ring of per-boundary samples kept in the
+  same rotating, crash-safe JSONL log as the dead letter
+  (:class:`~repro.stream.reliability.jsonl.RotatingJsonl`), every sample
   stamped with a cumulative ``seq``.  The engine appends one sample at
   every day boundary; admin rate series are derived *from the ring*
   (timestamped anchors) instead of a shared mutable window, which is
@@ -25,8 +25,6 @@ dashboard:
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import deque
@@ -34,7 +32,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..traces.io import atomic_output
+from ..stream.reliability.jsonl import RotatingJsonl
 
 __all__ = ["Counter", "MetricsHistory", "tail_stats", "render_prometheus"]
 
@@ -118,13 +116,16 @@ def tail_stats(samples: Iterable[float]) -> dict:
 
 
 class MetricsHistory:
-    """A rotating, crash-safe JSONL ring of per-boundary metric samples.
+    """A ring of per-boundary metric samples kept in a rotating JSONL log.
 
-    Same durability model as the dead-letter log: one live file plus
-    ``backups`` cascading numbered siblings (``<path>.1`` newest), every
-    append flushed immediately, and a cumulative ``seq`` stamped into
-    each record so counts survive rotation.  On top of that:
+    The file is the dead-letter log's class,
+    :class:`~repro.stream.reliability.jsonl.RotatingJsonl`: one live file
+    plus ``backups`` cascading numbered siblings (``<path>.1`` newest),
+    every append flushed, torn lines skipped on read and ended before the
+    next append.  On top of it:
 
+    * a cumulative ``seq`` stamped into each sample, so counts survive
+      rotation and reopen;
     * an in-memory deque of the most recent ``window`` samples (loaded
       from the surviving files on open), so rate derivation and
       ``admin metrics --history N`` never re-read the files;
@@ -135,88 +136,38 @@ class MetricsHistory:
       process** (a previous incarnation's monotonic stamps are
       meaningless against our clock);
     * :meth:`rewind`: drop every sample *ahead* of a restored checkpoint
-      (by cursor, boundary-tie-broken) and atomically rewrite the live
-      file with the survivors, so a kill -9 + rollback resume continues
-      the history instead of forking it.
+      (by cursor, boundary-tie-broken) and atomically rewrite the log
+      with the survivors, so a kill -9 + rollback resume continues the
+      history instead of forking it.
     """
 
     def __init__(self, path: str, *, max_bytes: int = 4_000_000,
                  backups: int = 2, window: int = 4096,
                  clock: Callable[[], float] = time.monotonic,
                  wall: Callable[[], float] = time.time) -> None:
-        if max_bytes < 1:
-            raise ValueError("max_bytes must be positive")
+        self._log = RotatingJsonl(path, max_bytes, backups)
         self.path = path
-        self.max_bytes = int(max_bytes)
-        self.backups = int(backups)
         self.clock = clock
         self.wall = wall
-        self.written = 0
-        self.rotations = 0
         self.seq = 0
         self._lock = threading.Lock()
         self._ring: deque[dict] = deque(maxlen=window)
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._load()
+        for sample in self._log.records():
+            self._ring.append(sample)
+            seq = sample.get("seq")
+            if isinstance(seq, int):
+                self.seq = max(self.seq, seq)
         # Samples at or below this seq were written by a previous
         # incarnation: their monotonic stamps come from a dead process's
         # clock and must never anchor a rate in this one.
         self._incarnation_seq = self.seq
-        self._fh = open(path, "a")
 
-    # -- files ---------------------------------------------------------
-
-    def _files_oldest_first(self) -> list[str]:
-        paths = [f"{self.path}.{i}" for i in range(self.backups, 0, -1)]
-        paths.append(self.path)
-        return paths
-
-    def _load(self) -> None:
-        """Refill the ring from the surviving files (oldest first).
-
-        Unreadable lines are skipped -- the final append may have been
-        torn by the crash this history is documenting.
-        """
-        for path in self._files_oldest_first():
-            try:
-                fh = open(path)
-            except OSError:
-                continue
-            with fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        sample = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if not isinstance(sample, dict):
-                        continue
-                    self._ring.append(sample)
-                    seq = sample.get("seq")
-                    if isinstance(seq, int):
-                        self.seq = max(self.seq, seq)
-
-    def _rotate(self) -> None:
-        from ..traces.io import fsync_directory
-
-        self._fh.close()
-        for i in range(self.backups, 0, -1):
-            older = f"{self.path}.{i}"
-            newer = self.path if i == 1 else f"{self.path}.{i - 1}"
-            if os.path.exists(newer):
-                os.replace(newer, older)
-        if self.backups < 1:
-            os.unlink(self.path)
-        fsync_directory(os.path.dirname(os.path.abspath(self.path)))
-        self._fh = open(self.path, "a")
-        self.rotations += 1
+    @property
+    def rotations(self) -> int:
+        return self._log.rotations
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        self._log.close()
 
     def __enter__(self) -> "MetricsHistory":
         return self
@@ -235,12 +186,7 @@ class MetricsHistory:
             sample.setdefault("mono", self.clock())
             sample.setdefault("wall", self.wall())
             self._ring.append(sample)
-            self._fh.write(json.dumps(sample, sort_keys=True,
-                                      default=repr) + "\n")
-            self._fh.flush()
-            self.written += 1
-            if self._fh.tell() > self.max_bytes:
-                self._rotate()
+            self._log.append(sample)
         return sample
 
     # -- reading -------------------------------------------------------
@@ -322,17 +268,7 @@ class MetricsHistory:
         with self._lock:
             survivors = [s for s in self._ring if keep(s)]
             dropped = len(self._ring) - len(survivors)
-            self._fh.close()
-            with atomic_output(self.path) as fh:
-                for sample in survivors:
-                    fh.write(json.dumps(sample, sort_keys=True,
-                                        default=repr) + "\n")
-            for i in range(1, self.backups + 1):
-                try:
-                    os.unlink(f"{self.path}.{i}")
-                except OSError:
-                    pass
-            self._fh = open(self.path, "a")
+            self._log.rewrite(survivors)
             self._ring.clear()
             self._ring.extend(survivors)
             self.seq = max((s["seq"] for s in survivors

@@ -85,13 +85,12 @@ from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
                             EventBatch)
 from ..stream.checkpoint import reports_from_jsonable
 from ..vfs.file_meta import DAY_SECONDS
-from .admin import PROMETHEUS_CONTENT_TYPE, admin_request
+from .admin import AdminSocket, admin_request
 from .ingest import DEFAULT_SOURCES, PublishRefused, SocketListener
-from .metrics import Counter, tail_stats
+from .metrics import Counter, _Exposition
 from .protocol import (BATCH_MAX_FRAME_BYTES, CAP_BATCH, CAP_ZLIB,
                        PROTOCOL_V2, FrameError, FrameReader, connect_socket,
-                       create_listener, encode_batch, encode_batch_frame,
-                       format_address, parse_address, write_frame)
+                       encode_batch, encode_batch_frame, write_frame)
 from .supervisor import BackoffPolicy, Supervisor
 
 __all__ = ["HashRing", "splitmix64", "ShardLane", "ShardRouter",
@@ -871,147 +870,24 @@ class ShardRouter:
 # the scatter/gather admin plane
 
 
-class FleetAdmin:
+class FleetAdmin(AdminSocket):
     """One admin socket for the whole fleet.
 
-    Speaks the same dual protocol as a worker's
-    :class:`~repro.server.admin.AdminServer` (JSON frames + HTTP ``GET
-    /metrics``), but every read fans out to all worker admin planes in
-    parallel and merges.  Fleet-level invariants (``healthy`` only when
-    every shard answers healthy, events/s as the sum) live here; the
-    per-shard detail -- crucially the TARE-style trigger-latency and
-    per-tenant miss tails -- stays keyed by shard so a hot shard cannot
-    hide behind a fleet mean.
+    Runs on the worker planes' :class:`~repro.server.admin.AdminSocket`
+    (JSON frames + HTTP ``GET /metrics``), but every read fans out to all
+    worker admin planes in parallel and merges.  Fleet-level invariants
+    (``healthy`` only when every shard answers healthy, events/s as the
+    sum) live here; the per-shard detail -- crucially the TARE-style
+    trigger-latency and per-tenant miss tails -- stays keyed by shard so
+    a hot shard cannot hide behind a fleet mean.
     """
 
     def __init__(self, address: str, fleet: "ShardFleet", *,
                  gather_timeout: float = 5.0) -> None:
         self.fleet = fleet
         self.gather_timeout = gather_timeout
-        self.requests = Counter()
-        self.errors = Counter()
-        self.http_requests = Counter()
-        self.closed = False
         self._started = time.monotonic()
-        self._sock = create_listener(address)
-        self.address = format_address(parse_address(address))
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="fleet-admin", daemon=True)
-        self._accept_thread.start()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "FleetAdmin":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- plumbing (mirrors AdminServer's dual-protocol socket) ----------
-
-    def _accept_loop(self) -> None:
-        while not self.closed:
-            try:
-                conn, _addr = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_connection, args=(conn,),
-                             daemon=True).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            try:
-                head = conn.recv(1, socket.MSG_PEEK)
-            except OSError:
-                return
-            if head in (b"G", b"H"):
-                self._serve_http(conn)
-                return
-            reader = FrameReader(conn)
-            try:
-                while True:
-                    try:
-                        request = reader.read()
-                    except FrameError as exc:
-                        write_frame(conn, {"ok": False,
-                                           "error": f"bad frame: {exc}"})
-                        return
-                    if request is None:
-                        return
-                    self.requests += 1
-                    try:
-                        response = self.handle(request)
-                    except Exception as exc:  # noqa: BLE001 -- must answer
-                        self.errors += 1
-                        response = {"ok": False,
-                                    "error": f"{type(exc).__name__}: {exc}"}
-                    write_frame(conn, response)
-            except OSError:
-                pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _serve_http(self, conn: socket.socket) -> None:
-        self.requests += 1
-        self.http_requests += 1
-        try:
-            conn.settimeout(10.0)
-            data = b""
-            while b"\r\n\r\n" not in data and b"\n\n" not in data:
-                chunk = conn.recv(4096)
-                if not chunk:
-                    break
-                data += chunk
-                if len(data) > 65536:
-                    break
-            line = data.split(b"\r\n", 1)[0].split(b"\n", 1)[0]
-            parts = line.decode("latin-1", "replace").split()
-            method = parts[0] if parts else ""
-            path = parts[1] if len(parts) > 1 else "/"
-            if method not in ("GET", "HEAD"):
-                self._http_response(conn, "405 Method Not Allowed",
-                                    "only GET is served here\n")
-                return
-            if path.split("?", 1)[0] != "/metrics":
-                self.errors += 1
-                self._http_response(conn, "404 Not Found",
-                                    "try GET /metrics\n")
-                return
-            body = self.render_metrics()
-            self._http_response(conn, "200 OK", body,
-                                content_type=PROMETHEUS_CONTENT_TYPE,
-                                head_only=(method == "HEAD"))
-        except Exception as exc:  # noqa: BLE001 -- must answer
-            self.errors += 1
-            try:
-                self._http_response(conn, "500 Internal Server Error",
-                                    f"{type(exc).__name__}: {exc}\n")
-            except OSError:
-                pass
-
-    @staticmethod
-    def _http_response(conn: socket.socket, status: str, body: str,
-                       content_type: str = "text/plain; charset=utf-8",
-                       head_only: bool = False) -> None:
-        payload = body.encode("utf-8")
-        header = (f"HTTP/1.0 {status}\r\n"
-                  f"Content-Type: {content_type}\r\n"
-                  f"Content-Length: {len(payload)}\r\n"
-                  f"Connection: close\r\n\r\n").encode("latin-1")
-        try:
-            conn.sendall(header if head_only else header + payload)
-        except OSError:
-            pass
+        super().__init__(address)
 
     # -- scatter/gather -------------------------------------------------
 
@@ -1038,23 +914,17 @@ class FleetAdmin:
 
     # -- dispatch -------------------------------------------------------
 
-    def handle(self, request: dict) -> dict:
-        cmd = request.get("cmd")
-        handler = {
+    def _commands(self) -> dict[str, Callable[[dict], dict]]:
+        return {
             "status": self._cmd_status,
             "health": self._cmd_health,
             "metrics": self._cmd_metrics,
             "activity": self._cmd_activity,
             "tenants": self._cmd_tenants,
             "query": self._cmd_query,
-            "export": self._cmd_export,
             "shards": self._cmd_shards,
             "shards-rebalance": self._cmd_rebalance,
-        }.get(cmd)
-        if handler is None:
-            self.errors += 1
-            return {"ok": False, "error": f"unknown command {cmd!r}"}
-        return handler(request)
+        }
 
     def _cmd_status(self, request: dict) -> dict:
         return {"ok": True, "fleet": True,
@@ -1160,16 +1030,6 @@ class FleetAdmin:
         out["shard"] = owner
         return out
 
-    def _cmd_export(self, request: dict) -> dict:
-        fmt = request.get("format", "prom")
-        if fmt != "prom":
-            return {"ok": False,
-                    "error": f"unknown export format {fmt!r} "
-                             f"(expected 'prom')"}
-        return {"ok": True, "format": "prom",
-                "content_type": PROMETHEUS_CONTENT_TYPE,
-                "text": self.render_metrics()}
-
     def _cmd_shards(self, request: dict) -> dict:
         router = self.fleet.router
         return {"ok": True,
@@ -1195,70 +1055,57 @@ class FleetAdmin:
         ``shard=...`` plus router-front totals."""
         health = self._gather({"cmd": "health"})
         metrics = self._gather({"cmd": "metrics"})
+        ok = {n: r for n, r in sorted(metrics.items()) if r.get("ok")}
         router = self.fleet.router
-        lines: list[str] = []
-
-        def emit(name: str, mtype: str, help_text: str,
-                 samples: list[tuple[str, float]]) -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {mtype}")
-            for labels, value in samples:
-                lines.append(f"{name}{labels} {value:.10g}")
-
-        emit("repro_fleet_shards", "gauge", "Workers in the fleet.",
-             [("", float(len(self.fleet.worker_names())))])
-        emit("repro_fleet_up", "gauge", "1 when the shard answers admin.",
-             [(f'{{shard="{n}"}}', 1.0 if r.get("ok") else 0.0)
-              for n, r in sorted(health.items())])
-        emit("repro_fleet_cursor", "counter",
-             "Merged events consumed by each shard engine.",
-             [(f'{{shard="{n}"}}', float(r.get("cursor", 0)))
-              for n, r in sorted(metrics.items()) if r.get("ok")])
-        emit("repro_fleet_events_per_second", "gauge",
-             "Per-shard ingest rate.",
-             [(f'{{shard="{n}"}}', float(r.get("events_per_second", 0.0)))
-              for n, r in sorted(metrics.items()) if r.get("ok")])
-        tail_samples: list[tuple[str, float]] = []
-        for n, r in sorted(metrics.items()):
-            if not r.get("ok"):
-                continue
+        exp = _Exposition()
+        exp.emit("repro_fleet_shards", float(len(self.fleet.worker_names())),
+                 help="Workers in the fleet.")
+        for n, r in sorted(health.items()):
+            exp.emit("repro_fleet_up", 1.0 if r.get("ok") else 0.0,
+                     {"shard": n}, help="1 when the shard answers admin.")
+        for n, r in ok.items():
+            exp.emit("repro_fleet_cursor", float(r.get("cursor", 0)),
+                     {"shard": n}, type="counter",
+                     help="Merged events consumed by each shard engine.")
+        for n, r in ok.items():
+            exp.emit("repro_fleet_events_per_second",
+                     float(r.get("events_per_second", 0.0)), {"shard": n},
+                     help="Per-shard ingest rate.")
+        for n, r in ok.items():
             tl = r.get("trigger_latency") or {}
             for q in ("p50", "p95", "p99"):
                 if q in tl:
-                    tail_samples.append(
-                        (f'{{shard="{n}",quantile="{q}"}}', float(tl[q])))
-        emit("repro_fleet_trigger_latency_seconds", "gauge",
-             "Per-shard trigger latency tails.", tail_samples)
-        miss_samples: list[tuple[str, float]] = []
-        for n, r in sorted(metrics.items()):
-            if not r.get("ok"):
-                continue
+                    exp.emit("repro_fleet_trigger_latency_seconds",
+                             float(tl[q]), {"shard": n, "quantile": q},
+                             help="Per-shard trigger latency tails.")
+        for n, r in ok.items():
             for tenant, mt in sorted((r.get("miss_tails") or {}).items()):
                 for q in ("p50", "p95", "p99"):
                     if q in mt:
-                        miss_samples.append(
-                            (f'{{shard="{n}",tenant="{tenant}",'
-                             f'quantile="{q}"}}', float(mt[q])))
-        emit("repro_fleet_daily_miss_tail", "gauge",
-             "Per-shard per-tenant daily miss tails.", miss_samples)
-        emit("repro_fleet_rows_routed_total", "counter",
-             "Rows the router forwarded to each shard.",
-             [(f'{{shard="{n}"}}', float(v))
-              for n, v in sorted(router.rows_routed.items())])
+                        exp.emit("repro_fleet_daily_miss_tail",
+                                 float(mt[q]),
+                                 {"shard": n, "tenant": tenant,
+                                  "quantile": q},
+                                 help="Per-shard per-tenant daily miss "
+                                      "tails.")
+        for n, v in sorted(router.rows_routed.items()):
+            exp.emit("repro_fleet_rows_routed_total", float(v), {"shard": n},
+                     type="counter",
+                     help="Rows the router forwarded to each shard.")
         front = router.listener.describe()
-        emit("repro_fleet_router_connections_total", "counter",
-             "Producer connections accepted at the fleet front.",
-             [("", float(front["connections_accepted"]))])
-        emit("repro_fleet_router_batch_rows_total", "counter",
-             "Batch rows received at the fleet front.",
-             [("", float(front["batch_rows_received"]))])
-        emit("repro_fleet_router_duplicates_total", "counter",
-             "Duplicate rows discarded at the fleet front.",
-             [("", float(front["duplicates_discarded"]))])
-        emit("repro_fleet_routing_errors_total", "counter",
-             "Rows the router failed to classify.",
-             [("", float(int(router.routing_errors)))])
-        return "\n".join(lines) + "\n"
+        exp.emit("repro_fleet_router_connections_total",
+                 float(front["connections_accepted"]), type="counter",
+                 help="Producer connections accepted at the fleet front.")
+        exp.emit("repro_fleet_router_batch_rows_total",
+                 float(front["batch_rows_received"]), type="counter",
+                 help="Batch rows received at the fleet front.")
+        exp.emit("repro_fleet_router_duplicates_total",
+                 float(front["duplicates_discarded"]), type="counter",
+                 help="Duplicate rows discarded at the fleet front.")
+        exp.emit("repro_fleet_routing_errors_total",
+                 float(int(router.routing_errors)), type="counter",
+                 help="Rows the router failed to classify.")
+        return exp.render()
 
 
 # ---------------------------------------------------------------------------

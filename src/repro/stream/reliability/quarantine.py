@@ -31,17 +31,16 @@ quarantined -- dedup without an identity would drop real events.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ...traces.io import OnError, fsync_directory
+from ...traces.io import OnError
 from ..batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE, OP_BY_CODE,
                      EventBatch)
 from ..events import EVENT_JOB, EVENT_PUBLICATION
+from .jsonl import RotatingJsonl
 
 __all__ = ["DeadLetterLog", "EventQuarantine",
            "REASON_UNPARSABLE", "REASON_NOT_EVENT", "REASON_REGRESSION",
@@ -57,60 +56,9 @@ REASON_CORRUPT_FRAME = "corrupt_frame"    # binary batch frame failed CRC/shape
 _I64_MAX = np.iinfo(np.int64).max
 
 
-class DeadLetterLog:
-    """Append-only JSONL of diverted events, with bounded-size rotation.
-
-    Each record is one JSON object per line.  When the live file exceeds
-    ``max_bytes`` it is rotated to ``<path>.1`` (cascading through
-    ``backups`` numbered siblings, oldest dropped), so a pathological
-    source cannot grow the dead letter without bound.  Appends are
-    flushed immediately -- the log is forensic evidence, and the crash it
-    documents may be imminent.
-    """
-
-    def __init__(self, path: str, max_bytes: int = 4_000_000,
-                 backups: int = 1) -> None:
-        if max_bytes < 1:
-            raise ValueError("max_bytes must be positive")
-        self.path = path
-        self.max_bytes = int(max_bytes)
-        self.backups = int(backups)
-        self.written = 0
-        self.rotations = 0
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._fh = open(path, "a")
-
-    def append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, default=repr)
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        self.written += 1
-        if self._fh.tell() > self.max_bytes:
-            self._rotate()
-
-    def _rotate(self) -> None:
-        self._fh.close()
-        for i in range(self.backups, 0, -1):
-            older = f"{self.path}.{i}"
-            newer = self.path if i == 1 else f"{self.path}.{i - 1}"
-            if os.path.exists(newer):
-                os.replace(newer, older)
-        if self.backups < 1:
-            os.unlink(self.path)
-        fsync_directory(os.path.dirname(os.path.abspath(self.path)))
-        self._fh = open(self.path, "a")
-        self.rotations += 1
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "DeadLetterLog":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+#: The dead letter is a rotating JSONL log of diverted rows, one record
+#: per row (see :mod:`~repro.stream.reliability.jsonl`).
+DeadLetterLog = RotatingJsonl
 
 
 class EventQuarantine:
@@ -170,41 +118,23 @@ class EventQuarantine:
     def resume_from(self, dead_letter: DeadLetterLog) -> None:
         """Restore lifetime counters from a dead-letter log's files.
 
-        Scans the live file and every surviving numbered backup and
+        Reads every surviving record (backups, then the live file) and
         takes the maximum of each cumulative counter (``seq`` for the
         total, ``reason_seq`` / ``source_seq`` per key), so a restarted
         daemon's quarantine summary continues the old daemon's counts
-        rather than restarting from zero.  Unreadable lines (the last
-        append may itself have been torn by the crash) are skipped.
+        rather than restarting from zero.  Torn lines (the last append
+        may itself have been torn by the crash) are skipped.
         """
-        paths = [f"{dead_letter.path}.{i}"
-                 for i in range(dead_letter.backups, 0, -1)]
-        paths.append(dead_letter.path)
-        for path in paths:
-            try:
-                fh = open(path)
-            except OSError:
-                continue
-            with fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if not isinstance(rec, dict):
-                        continue
-                    seq = rec.get("seq")
-                    if isinstance(seq, int):
-                        self.total = max(self.total, seq)
-                    for key, counts in (("reason", self.by_reason),
-                                        ("source", self.by_source)):
-                        name = rec.get(key)
-                        cum = rec.get(f"{key}_seq")
-                        if isinstance(name, str) and isinstance(cum, int):
-                            counts[name] = max(counts.get(name, 0), cum)
+        for rec in dead_letter.records():
+            seq = rec.get("seq")
+            if isinstance(seq, int):
+                self.total = max(self.total, seq)
+            for key, counts in (("reason", self.by_reason),
+                                ("source", self.by_source)):
+                name = rec.get(key)
+                cum = rec.get(f"{key}_seq")
+                if isinstance(name, str) and isinstance(cum, int):
+                    counts[name] = max(counts.get(name, 0), cum)
 
     def reader_hook(self, source: str) -> OnError:
         """An ``on_error`` callback for the trace readers of ``source``."""

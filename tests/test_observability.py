@@ -144,6 +144,22 @@ def test_history_load_skips_torn_tail(tmp_path):
         assert history.seq == 2
 
 
+def test_history_append_after_torn_tail_survives_reopen(tmp_path):
+    path = str(tmp_path / "torn.jsonl")
+    with MetricsHistory(path) as history:
+        history.append({"cursor": 1, "boundary": 0})
+        history.append({"cursor": 2, "boundary": 1})
+    with open(path, "a") as fh:
+        fh.write('{"cursor": 3, "boun')  # torn by the crash
+    # a restart without --resume appends straight after the tear
+    with MetricsHistory(path) as history:
+        history.append({"cursor": 4, "boundary": 2})
+        assert [s["cursor"] for s in history.samples()] == [1, 2, 4]
+    with MetricsHistory(path) as history:
+        assert [s["cursor"] for s in history.samples()] == [1, 2, 4]
+        assert history.seq == 3
+
+
 def test_history_rewind_keeps_checkpoint_prefix(tmp_path):
     history = MetricsHistory(str(tmp_path / "rw.jsonl"))
     # A cascade can fire several boundaries at one cursor; the rewind
@@ -526,6 +542,30 @@ def test_dashboard_renders_live_and_offline(dataset, events, tmp_path):
     assert render_html(offline).startswith("<!DOCTYPE html>")
 
 
+def test_dashboard_offline_reads_rotated_torn_history(tmp_path):
+    path = str(tmp_path / "hist.jsonl")
+    with MetricsHistory(path, max_bytes=300, backups=2) as history:
+        for i in range(30):
+            history.append({"cursor": 10 * i, "boundary": i,
+                            "tenants": {"a": {"triggers": i}}})
+        assert history.rotations >= 2
+    with open(path, "a") as fh:
+        fh.write('{"cursor": 999, "boun')  # torn by the crash
+    offline = load_history_data(path, samples=1000)
+    tail = load_history_data(path, samples=5)
+    with MetricsHistory(path, max_bytes=300, backups=2) as history:
+        expected = history.samples()
+    # the dropped backup took the oldest samples; the rest read in order
+    assert expected[0]["seq"] > 1
+    assert [s["seq"] for s in expected] == list(
+        range(expected[0]["seq"], 31))
+    assert offline["history"] == expected
+    assert tail["history"] == expected[-5:]
+    assert offline["status"]["cursor"] == 290
+    assert "repro retention dashboard" in render_terminal(tail)
+    assert render_html(offline).startswith("<!DOCTYPE html>")
+
+
 def test_dashboard_cli_offline(dataset, events, tmp_path, capsys):
     from repro.cli.main import main
 
@@ -576,7 +616,7 @@ def test_samples_carry_tenant_stats_and_stream_extra(dataset, events,
 def test_sampling_failure_never_stops_the_engine(dataset, events, tmp_path):
     history = MetricsHistory(str(tmp_path / "hist.jsonl"))
     service = make_fleet(dataset, HETERO[:1], metrics_history=history)
-    history._fh.close()  # simulate the history file going away mid-run
+    history.close()  # simulate the history file going away mid-run
     results = service.run(as_runs(events))
     assert results is not None  # the engine finished regardless
     assert service.last_metrics_error is not None

@@ -473,6 +473,28 @@ def test_dead_letter_resume_from_restores_counts(tmp_path):
     assert fresh.by_source == quarantine.by_source
 
 
+def test_dead_letter_append_after_torn_tail_survives_restart(tmp_path):
+    path = str(tmp_path / "dead.jsonl")
+    with DeadLetterLog(path) as log:
+        EventQuarantine(dead_letter=log).divert(
+            "jobs", REASON_NOT_EVENT, "first", "x")
+    with open(path, "a") as fh:
+        fh.write('{"seq": 2, "reason"')  # the crash tore the next append
+    # serve --resume: restore the counts, then divert the next row
+    with DeadLetterLog(path) as log:
+        quarantine = EventQuarantine(dead_letter=log)
+        quarantine.resume_from(log)
+        assert quarantine.total == 1
+        quarantine.divert("accesses", REASON_UNPARSABLE, "second", "y")
+    # one more restart: the row diverted after the tear is on record
+    restarted = EventQuarantine()
+    with DeadLetterLog(path) as log:
+        restarted.resume_from(log)
+    assert restarted.total == 2
+    assert restarted.by_reason == {REASON_NOT_EVENT: 1, REASON_UNPARSABLE: 1}
+    assert restarted.by_source == {"jobs": 1, "accesses": 1}
+
+
 def test_reader_hook_diverts_unparsable_rows(tmp_path):
     from repro.traces.io import read_jobs
     path = str(tmp_path / "jobs.txt")

@@ -1,14 +1,17 @@
-"""Router and result-merge tests for the sharded fleet.
+"""Router, result-merge and fleet-admin tests for the sharded fleet.
 
 End-to-end fleet identity (kill -9, resume, rebalance) lives in the CI
 sharded smoke; these tests cover the in-process pieces: routing
-correctness under interleaved producers and the scatter/gather result
-merge.
+correctness under interleaved producers, the scatter/gather result
+merge, and the fleet admin plane over real worker admin sockets.
 """
 
 from __future__ import annotations
 
 import binascii
+import json
+import re
+import socket
 import struct
 import sys
 import threading
@@ -17,9 +20,10 @@ import pytest
 
 from repro.core.classification import UserClass
 from repro.emulation.emulator import EmulationResult
-from repro.server import (HashRing, ShardRouter, SocketListener,
+from repro.server import (AdminServer, FleetAdmin, HashRing, ShardRouter,
+                          SocketListener, TenantSpec, admin_request,
                           merge_tenant_results, publish_batches,
-                          publish_events)
+                          publish_events, scrape_metrics)
 from repro.server.shard import ShardLane
 from repro.server.ingest import _END
 from repro.server.protocol import (FrameReader, connect_socket,
@@ -27,9 +31,13 @@ from repro.server.protocol import (FrameReader, connect_socket,
                                    write_frame)
 from repro.stream import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
                           BatchBuilder, EventBatch, EventQuarantine,
-                          StreamEvent)
+                          StreamEvent, dataset_event_stream)
 from repro.stream.reliability import REASON_UNPARSABLE
 from repro.traces import AppAccessRecord, JobRecord, PublicationRecord
+
+from conftest import as_runs
+from test_observability import _SERIES_RE, _parse_exposition
+from test_server import make_fleet
 
 
 def _drain(listener: SocketListener) -> dict[str, list]:
@@ -322,14 +330,29 @@ def test_merge_tenant_results_keeps_tenants_separate():
 # rebalance crash windows
 
 
+class _StubFront:
+    """The router's producer front, as the fleet admin reads it."""
+
+    def describe(self):
+        return {"connections_accepted": 3, "batch_rows_received": 8192,
+                "duplicates_discarded": 5}
+
+
 class _StubRouter:
-    """Just enough router surface for ShardFleet._run_rebalance."""
+    """Just enough router surface for ShardFleet._run_rebalance and
+    FleetAdmin."""
 
     def __init__(self, ring):
         self.ring = ring
         self.rows_routed = {name: 0 for name in ring.shards}
         self.max_watermark = 0
         self.calls = []
+        self.listener = _StubFront()
+        self.routing_errors = 0
+
+    def describe(self):
+        return {"epochs": [{"cut_ts": None, "shards": list(self.ring.shards),
+                            "digest": self.ring.digest()}]}
 
     def begin_rebalance(self, donor, cut_ts):
         self.calls.append(("begin", donor, cut_ts))
@@ -419,3 +442,305 @@ def test_rebalance_reissues_split_to_respawned_donor(tmp_path, monkeypatch):
         assert ("activate", "s01") in router.calls
     finally:
         fleet.stop()
+
+
+# ---------------------------------------------------------------------------
+# the scatter/gather admin plane
+
+
+class _StubFleet:
+    """Just enough ShardFleet surface for FleetAdmin: worker admin
+    addresses behind a stub router with a real ring."""
+
+    def __init__(self, admin_addresses):
+        self.addresses = dict(admin_addresses)
+        self.router = _StubRouter(HashRing(sorted(self.addresses)))
+        self.rebalances = []
+
+    def admin_addresses(self):
+        return dict(self.addresses)
+
+    def worker_names(self):
+        return list(self.addresses)
+
+    def describe_workers(self):
+        return {name: {"admin": address}
+                for name, address in self.addresses.items()}
+
+    def rebalance_log(self):
+        return [dict(entry) for entry in self.rebalances]
+
+    def start_rebalance(self, donor=None, new_name=None):
+        if donor not in self.addresses:
+            raise ValueError(f"unknown donor {donor!r}")
+        entry = {"donor": donor, "new": new_name, "status": "gating"}
+        self.rebalances.append(entry)
+        return entry
+
+
+def _clock_after(start, now):
+    """A clock that reads ``start`` once (the admin plane's start), then
+    ``now`` forever: worker rates become cursor / (now - start)."""
+    reads = iter([start])
+    return lambda: next(reads, now)
+
+
+@pytest.fixture(scope="module")
+def fleet_events(tiny_dataset):
+    return list(dataset_event_stream(tiny_dataset))
+
+
+@pytest.fixture(scope="module")
+def fleet_workers(tiny_dataset, fleet_events, tmp_path_factory):
+    """Two worker admin planes over small one-tenant services that
+    stopped at different cursors."""
+    tmp = tmp_path_factory.mktemp("fleet-workers")
+    workers = {}
+    for name, stop in (("s00", None), ("s01", len(fleet_events) // 2)):
+        service = make_fleet(tiny_dataset, [TenantSpec(name="flt",
+                                                       policy="flt")])
+        workers[name] = AdminServer(f"unix:{tmp / name}.sock", service,
+                                    clock=_clock_after(0.0, 4.0))
+        service.run(as_runs(fleet_events), stop_after_events=stop)
+    yield workers
+    for admin in workers.values():
+        admin.close()
+
+
+@pytest.fixture()
+def fleet_admin(fleet_workers, tmp_path):
+    fleet = _StubFleet({name: admin.address
+                        for name, admin in fleet_workers.items()})
+    with FleetAdmin(f"unix:{tmp_path / 'fleet.sock'}", fleet) as admin:
+        yield admin
+
+
+def test_fleet_admin_merges_worker_answers(fleet_workers, fleet_admin):
+    address = fleet_admin.address
+    services = {name: admin.service for name, admin in fleet_workers.items()}
+    cursors = {name: service.cursor for name, service in services.items()}
+    assert cursors["s00"] > cursors["s01"] > 0
+
+    status = admin_request(address, {"cmd": "status"})
+    assert status["ok"] and status["fleet"]
+    assert status["workers"] == ["s00", "s01"]
+    assert status["router"]["epochs"][0]["shards"] == ["s00", "s01"]
+    assert {name: r["cursor"] for name, r in status["shards"].items()} \
+        == cursors
+
+    health = admin_request(address, {"cmd": "health"})
+    assert health["ok"] and health["healthy"] is True
+    assert health["up"] == {"s00": True, "s01": True}
+    assert health["cursor"] == sum(cursors.values())
+
+    metrics = admin_request(address, {"cmd": "metrics"})
+    assert metrics["ok"] and metrics["cursor"] == sum(cursors.values())
+    # every worker plane started at clock 0 and reads clock 4
+    assert metrics["events_per_second"] == pytest.approx(
+        sum(cursors.values()) / 4.0)
+    assert metrics["trigger_latency"] == {
+        name: r["trigger_latency"] for name, r in metrics["shards"].items()}
+    for name, service in services.items():
+        (tenant,) = service.tenants
+        assert metrics["trigger_latency"][name]["count"] \
+            == len(tenant.trigger_latency_log) > 0
+        assert set(metrics["miss_tails"][name]) == {"flt"}
+    assert metrics["trigger_latency_p99_max"] == max(
+        tails["p99"] for tails in metrics["trigger_latency"].values())
+
+    activity = admin_request(address, {"cmd": "activity"})
+    shards = list(activity["shards"].values())
+    assert activity["params"]
+    for key, entry in activity["params"].items():
+        assert entry["users"] == sum(r["params"][key]["users"]
+                                     for r in shards)
+    classes = {}
+    for r in shards:
+        for label, n in r["tenants"]["flt"]["classes"].items():
+            classes[label] = classes.get(label, 0) + n
+    assert activity["tenants"] == {"flt": {"classes": classes}}
+
+
+def test_fleet_admin_tenants_query_export_and_shards(
+        tiny_dataset, fleet_workers, fleet_admin):
+    address = fleet_admin.address
+    tenants = admin_request(address, {"cmd": "tenants"})
+    assert tenants["ok"] and set(tenants["tenants"]) == {"flt"}
+    added = admin_request(address, {
+        "cmd": "tenants", "action": "add",
+        "spec": TenantSpec(name="x", policy="flt").to_jsonable()})
+    assert not added["ok"] and "single worker" in added["error"]
+
+    uid = tiny_dataset.users[0].uid
+    owner = fleet_admin.fleet.router.ring.owner(uid)
+    before = {name: int(a.requests) for name, a in fleet_workers.items()}
+    answer = admin_request(address, {"cmd": "query", "uid": uid})
+    assert answer["shard"] == owner
+    expected = fleet_workers[owner].handle({"cmd": "query", "uid": uid})
+    assert answer == json.loads(json.dumps({**expected, "shard": owner}))
+    after = {name: int(a.requests) for name, a in fleet_workers.items()}
+    assert after == {name: before[name] + (name == owner)
+                     for name in before}
+    assert not admin_request(address, {"cmd": "query"})["ok"]
+
+    exported = admin_request(address, {"cmd": "export"})
+    assert exported["ok"] and exported["format"] == "prom"
+    assert "version=0.0.4" in exported["content_type"]
+    assert "repro_fleet_up" in _parse_exposition(exported["text"])
+    bad = admin_request(address, {"cmd": "export", "format": "xml"})
+    assert not bad["ok"] and "unknown export format" in bad["error"]
+
+    shards = admin_request(address, {"cmd": "shards"})
+    assert shards["ok"]
+    ring = fleet_admin.fleet.router.ring
+    assert HashRing.from_jsonable(shards["ring"]).digest() == ring.digest()
+    assert shards["ring_info"]["shards"] == ["s00", "s01"]
+    assert shards["workers"] == {name: {"admin": a.address}
+                                 for name, a in fleet_workers.items()}
+    assert shards["rebalances"] == []
+    queued = admin_request(address, {"cmd": "shards-rebalance",
+                                     "donor": "s00", "name": "s02"})
+    assert queued["ok"] and queued["queued"]
+    assert queued["rebalance"]["donor"] == "s00"
+    refused = admin_request(address, {"cmd": "shards-rebalance",
+                                      "donor": "s09"})
+    assert not refused["ok"] and "s09" in refused["error"]
+
+
+def test_fleet_admin_refuses_unknown_commands_and_bad_frames(fleet_admin):
+    address = fleet_admin.address
+    assert admin_request(address, {"cmd": "nope"}) == {
+        "ok": False, "error": "unknown command 'nope'"}
+    assert int(fleet_admin.errors) == 1
+    sock = connect_socket(address, timeout=10.0)
+    try:
+        sock.sendall(b"xyz\n{}")
+        answer = FrameReader(sock).read()
+    finally:
+        sock.close()
+    assert answer["ok"] is False and answer["error"].startswith("bad frame")
+    # the plane keeps answering after both refusals
+    assert admin_request(address, {"cmd": "health"})["healthy"] is True
+
+
+def test_fleet_admin_reports_a_stopped_worker(fleet_workers, tmp_path):
+    stopped = AdminServer(f"unix:{tmp_path / 's02.sock'}",
+                          fleet_workers["s00"].service)
+    stopped.close()
+    addresses = {name: a.address for name, a in fleet_workers.items()}
+    addresses["s02"] = stopped.address
+    with FleetAdmin(f"unix:{tmp_path / 'fleet.sock'}",
+                    _StubFleet(addresses)) as admin:
+        health = admin_request(admin.address, {"cmd": "health"})
+        assert health["ok"] and health["healthy"] is False
+        assert health["up"] == {"s00": True, "s01": True, "s02": False}
+        assert health["cursor"] == sum(a.service.cursor
+                                       for a in fleet_workers.values())
+        metrics = admin_request(admin.address, {"cmd": "metrics"})
+        assert set(metrics["trigger_latency"]) == {"s00", "s01"}
+        seen = _parse_exposition(scrape_metrics(admin.address))
+    assert dict(seen["repro_fleet_up"]) == {
+        '{shard="s00"}': 1.0, '{shard="s01"}': 1.0, '{shard="s02"}': 0.0}
+    assert set(dict(seen["repro_fleet_cursor"])) == {
+        '{shard="s00"}', '{shard="s01"}'}
+
+
+def _http_exchange(address, request):
+    sock = connect_socket(address, timeout=10.0)
+    try:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    finally:
+        sock.close()
+    head, _sep, body = data.partition(b"\r\n\r\n")
+    return head.decode("latin-1"), body
+
+
+def test_fleet_admin_serves_metrics_over_http(fleet_workers, fleet_admin):
+    address = fleet_admin.address
+    seen = _parse_exposition(scrape_metrics(address))
+    assert seen["repro_fleet_shards"] == [("", 2.0)]
+    assert dict(seen["repro_fleet_up"]) == {'{shard="s00"}': 1.0,
+                                           '{shard="s01"}': 1.0}
+    assert dict(seen["repro_fleet_cursor"]) == {
+        f'{{shard="{name}"}}': float(a.service.cursor)
+        for name, a in fleet_workers.items()}
+    assert {labels for labels, _v
+            in seen["repro_fleet_trigger_latency_seconds"]} == {
+        f'{{shard="{name}",quantile="{q}"}}'
+        for name in ("s00", "s01") for q in ("p50", "p95", "p99")}
+    assert seen["repro_fleet_router_batch_rows_total"] == [("", 8192.0)]
+    assert seen["repro_fleet_routing_errors_total"] == [("", 0.0)]
+
+    head, body = _http_exchange(address, b"HEAD /metrics HTTP/1.0\r\n\r\n")
+    assert head.startswith("HTTP/1.0 200") and body == b""
+    assert "version=0.0.4" in head
+    head, _body = _http_exchange(address, b"GET /nope HTTP/1.0\r\n\r\n")
+    assert head.startswith("HTTP/1.0 404")
+    # A POST's first byte routes it to the frame protocol, so the socket
+    # answers a bad frame; the HTTP handler itself refuses it with 405.
+    sock = connect_socket(address, timeout=10.0)
+    try:
+        sock.sendall(b"POST /metrics HTTP/1.0\r\n\r\n")
+        answer = FrameReader(sock).read()
+    finally:
+        sock.close()
+    assert answer["ok"] is False and answer["error"].startswith("bad frame")
+    client, server = socket.socketpair()
+    try:
+        client.sendall(b"POST /metrics HTTP/1.0\r\n\r\n")
+        fleet_admin._serve_http(server)
+        server.close()
+        assert client.recv(65536).startswith(b"HTTP/1.0 405")
+    finally:
+        client.close()
+    assert int(fleet_admin.http_requests) == 4
+    # frames still work on the same socket afterwards
+    assert admin_request(address, {"cmd": "health"})["healthy"] is True
+
+
+_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\.)*)"')
+
+
+def _label_values(line):
+    """The unescaped labels of one exposition line; asserts the label
+    body is well formed (every value quoted, quotes and backslashes
+    escaped)."""
+    if "{" not in line:
+        return {}
+    body = line[line.index("{") + 1:line.rindex("}")]
+    labels, pos = {}, 0
+    while pos < len(body):
+        m = _LABEL_RE.match(body, pos)
+        assert m, f"malformed label body: {line!r}"
+        labels[m.group(1)] = re.sub(
+            r"\\(.)", lambda e: "\n" if e.group(1) == "n" else e.group(1),
+            m.group(2))
+        pos = m.end()
+        if pos < len(body):
+            assert body[pos] == ",", f"malformed label body: {line!r}"
+            pos += 1
+    return labels
+
+
+def test_fleet_exposition_escapes_label_values(tiny_dataset, fleet_events,
+                                               tmp_path):
+    name = 'a"b\\c'
+    service = make_fleet(tiny_dataset, [TenantSpec(name=name, policy="flt")])
+    service.run(as_runs(fleet_events))
+    with AdminServer(f"unix:{tmp_path / 's00.sock'}", service) as worker, \
+            FleetAdmin(f"unix:{tmp_path / 'fleet.sock'}",
+                       _StubFleet({"s00": worker.address})) as admin:
+        text = scrape_metrics(admin.address)
+    tenants = set()
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        assert _SERIES_RE.match(line), line
+        tenants.add(_label_values(line).get("tenant"))
+    assert tenants == {None, name}
