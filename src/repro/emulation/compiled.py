@@ -8,26 +8,34 @@ splits that work:
 
 * :func:`compile_dataset` runs **once per dataset**: every path that can
   appear during the replay (snapshot files plus trace paths) is interned
-  to a dense integer id, and the in-window access records become parallel
-  NumPy columns (path-id, uid, timestamp, op-code) bucketed by replay day
-  in a :class:`ReplayIndex`.  The snapshot file system is flattened to
-  per-path ``live/size/atime/owner`` arrays, and the activity history is
-  pre-ingested into a consolidated
+  into a :class:`PathCatalog` in plain-string order, the in-window access
+  records become parallel NumPy columns (path-id, uid, timestamp,
+  op-code) bucketed by replay day in a :class:`ReplayIndex`, the snapshot
+  file system becomes one :class:`ReplayState`, and the activity history
+  is pre-ingested into a consolidated
   :class:`~repro.core.incremental.ColumnarActivityStore` -- the same
   store the streaming engine appends to as events arrive.
-* :class:`FastEmulator` then replays whole-day slices against those
-  arrays: liveness masks, vectorized atime updates, and per-group miss
-  bincounts replace per-record trie traffic, and the purge triggers run
-  columnar ports of the FLT / ActiveDR scans.
+* :class:`FastEmulator` then replays whole-day slices against a copy of
+  that state: liveness masks, vectorized atime updates, and per-group
+  miss bincounts replace per-record trie traffic, and the purge triggers
+  run columnar ports of the FLT / ActiveDR scans.
 
-The replay kernels themselves are shared, not private to the batch path:
-:func:`replay_day_columns` applies one day of access records to a
-live/atime/size/owner column set, and :class:`TriggerEngine` holds the
-columnar purge triggers for the whole retention spectrum, parameterized
-by a *catalog* (paths, deterministic sizes, scan orders) rather than by
-``CompiledTrace`` specifically.  The streaming engine,
-:class:`~repro.server.tenants.MultiTenantService`, drives the same
-kernels from a dynamically growing catalog, which is how streaming stays
+The replay core is shared by both engines, not private to the batch path:
+
+* :class:`PathCatalog` interns paths to dense pids and keeps the two scan
+  orders the purge triggers need.  A compiled trace interns every path up
+  front; the streaming engine interns them in arrival order.
+* :class:`ReplayState` holds one replay's ``live/atime/size/owner``
+  columns over the catalog's pids, growing as the catalog grows.
+* :class:`PolicyReplay` is one retention policy's replay over them:
+  classification at each trigger, the :class:`TriggerEngine` purge, the
+  :func:`replay_day_columns` day kernel, and the metrics, reports and
+  group counts its :class:`EmulationResult` carries.
+
+:class:`FastEmulator` drives one ``PolicyReplay`` over the days of a
+compiled trace.  Every tenant of the streaming engine,
+:class:`~repro.server.tenants.MultiTenantService`, is one, driven at the
+day boundaries of the event feed -- which is how streaming stays
 bit-identical to batch.
 
 The fast path is **exact**, not approximate: for the full retention
@@ -44,7 +52,9 @@ approximating them.
 
 from __future__ import annotations
 
+import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -68,8 +78,9 @@ from ..vfs.path_trie import split_path
 from .emulator import EmulationResult, EmulatorConfig, deterministic_file_size
 from .metrics import DailyMetrics
 
-__all__ = ["OP_ACCESS", "OP_CREATE", "OP_TOUCH", "NEVER_POS", "ReplayIndex",
-           "CompiledTrace", "GroupLookup", "TriggerEngine", "FastEmulator",
+__all__ = ["OP_ACCESS", "OP_CREATE", "OP_TOUCH", "NEVER_POS", "PathCatalog",
+           "ReplayState", "ReplayIndex", "CompiledTrace", "GroupLookup",
+           "TriggerEngine", "PolicyReplay", "FastEmulator",
            "compile_dataset", "replay_bounds", "replay_day_columns"]
 
 OP_ACCESS = 0
@@ -95,6 +106,219 @@ def replay_bounds(dataset) -> tuple[int, int]:
     if cfg is not None and hasattr(cfg, "replay_start"):
         return cfg.replay_start, cfg.replay_end
     return dataset.replay_start, dataset.replay_end
+
+
+# ---------------------------------------------------------------------------
+# path catalog and replay state (shared by FastEmulator and the streaming
+# engine)
+
+_MIN_CAPACITY = 1024
+
+
+def _grown(arr: np.ndarray, capacity: int, fill) -> np.ndarray:
+    out = np.full(capacity, fill, dtype=arr.dtype)
+    out[:arr.size] = arr
+    return out
+
+
+def _place(keys: list[str], order: array) -> np.ndarray:
+    """Sort pids ``len(order) ..`` into ``order`` (pids by key); return
+    every pid's rank.
+
+    Equal keys keep pid order, as a stable argsort does: a new pid is the
+    highest so far, so it goes after every equal key (``bisect_right``).
+    A batch of new keys larger than an eighth of the placed ones is
+    placed by one full stable sort instead.
+    """
+    n, done = len(keys), len(order)
+    if n - done > done // 8:
+        order[:] = array("q", sorted(range(n), key=keys.__getitem__))
+    else:
+        for pid in range(done, n):
+            order.insert(bisect.bisect_right(order, keys[pid],
+                                             key=keys.__getitem__), pid)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.frombuffer(order, np.int64)] = np.arange(n, dtype=np.int64)
+    return rank
+
+
+class PathCatalog:
+    """Path interner: dense pids plus the columns the purge triggers read.
+
+    Pids are assigned in intern order.  A compiled trace interns every
+    path up front in plain-string order; the streaming engine interns
+    them as they arrive.  Either way the two scan orders the triggers
+    need -- plain-string order (the per-user ActiveDR walk and value
+    tie-breaks) and prefix-trie order (the FLT system scan) -- are rank
+    columns, brought up to date lazily when new paths intern.
+
+    ``det_size`` is stamped at intern time (it depends only on the
+    path); ``snap_size`` is the snapshot size for snapshot files and 0
+    for paths first seen in the trace, which keeps the value-function
+    smallness columns identical across engines.  ``version`` advances on
+    every intern so rank columns and engine-side value columns know when
+    to extend.
+    """
+
+    __slots__ = ("_paths", "_pid_of", "_det_size", "_snap_size",
+                 "version", "_scan_rank", "_order_rank", "_ranks_version",
+                 "_scan_keys", "_path_order", "_scan_order")
+
+    def __init__(self) -> None:
+        self._paths: list[str] = []
+        self._scan_keys: list[str] = []
+        self._pid_of: dict[str, int] = {}
+        self._det_size = np.empty(_MIN_CAPACITY, dtype=np.int64)
+        self._snap_size = np.zeros(_MIN_CAPACITY, dtype=np.int64)
+        self.version = 0
+        self._scan_rank: np.ndarray | None = None
+        self._order_rank: np.ndarray | None = None
+        self._ranks_version = -1
+        # Pids in each scan order, kept across triggers so new paths
+        # are bisected in, not re-sorted.
+        self._path_order = array("q")
+        self._scan_order = array("q")
+
+    @property
+    def n_paths(self) -> int:
+        return len(self._paths)
+
+    @property
+    def paths(self) -> list[str]:
+        return self._paths
+
+    @property
+    def det_size(self) -> np.ndarray:
+        return self._det_size[:len(self._paths)]
+
+    @property
+    def snap_size(self) -> np.ndarray:
+        return self._snap_size[:len(self._paths)]
+
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._ranks_version != self.version:
+            # Plain-string order (iter_user_files / value tie-breaks),
+            # and prefix-trie order (the FLT system scan): component
+            # tuples compare identically to the components joined on
+            # NUL (below every path character), and those keys are
+            # built once per path at intern time.
+            self._order_rank = _place(self._paths, self._path_order)
+            self._scan_rank = _place(self._scan_keys, self._scan_order)
+            self._ranks_version = self.version
+        return self._order_rank, self._scan_rank
+
+    @property
+    def order_rank(self) -> np.ndarray:
+        return self._ranks()[0]
+
+    @property
+    def scan_rank(self) -> np.ndarray:
+        return self._ranks()[1]
+
+    def intern(self, path: str, snap_size: int = 0) -> int:
+        """Pid of ``path``, assigning the next id on first sight."""
+        pid = self._pid_of.get(path)
+        if pid is not None:
+            return pid
+        pid = len(self._paths)
+        if pid >= self._det_size.size:
+            capacity = max(self._det_size.size * 2, _MIN_CAPACITY)
+            self._det_size = _grown(self._det_size, capacity, 0)
+            self._snap_size = _grown(self._snap_size, capacity, 0)
+        self._paths.append(path)
+        self._scan_keys.append("\x00".join(split_path(path)))
+        self._pid_of[path] = pid
+        self._det_size[pid] = deterministic_file_size(path)
+        self._snap_size[pid] = snap_size
+        self.version += 1
+        return pid
+
+    def exempt_mask(self, exemptions: ExemptionList | None,
+                    known: np.ndarray | None = None) -> np.ndarray | None:
+        """Per-pid exemption flags (``None`` without exemptions).
+
+        ``known`` is an earlier mask of this catalog: only the paths
+        interned since are tested.  The mask is never cached here,
+        because an ``ExemptionList`` can gain reservations between runs.
+        """
+        if exemptions is None:
+            return None
+        lo = 0 if known is None else known.size
+        if known is not None and lo == self.n_paths:
+            return known
+        tail = np.fromiter((p in exemptions for p in self._paths[lo:]),
+                           np.bool_, self.n_paths - lo)
+        return tail if known is None else np.concatenate([known, tail])
+
+
+class ReplayState:
+    """One replay's file-system columns, indexed by catalog pid.
+
+    ``live``/``atime``/``size``/``owner`` are plain attributes: views of
+    the first :attr:`n_paths` slots of backing arrays that grow by
+    doubling.  :meth:`ensure` re-slices them when the catalog grows, and
+    scatter-assignment through a view mutates the backing array.
+    ``purge_target`` mirrors ``core.policy.purge_target_bytes``.
+    """
+
+    COLUMNS = ("live", "atime", "size", "owner")
+
+    __slots__ = COLUMNS + ("_backing", "total_bytes", "file_count",
+                           "capacity_bytes")
+
+    def __init__(self, capacity_bytes: int) -> None:
+        self._backing = (np.zeros(0, dtype=np.bool_),
+                         np.zeros(0, dtype=np.int64),
+                         np.zeros(0, dtype=np.int64),
+                         np.zeros(0, dtype=np.int64))
+        self.live, self.atime, self.size, self.owner = self._backing
+        self.total_bytes = 0
+        self.file_count = 0
+        self.capacity_bytes = int(capacity_bytes)
+
+    @property
+    def n_paths(self) -> int:
+        return self.live.size
+
+    def ensure(self, n_paths: int) -> None:
+        """Extend the columns to cover ``n_paths`` catalog slots."""
+        if n_paths <= self.live.size:
+            return
+        if n_paths > self._backing[0].size:
+            capacity = max(self._backing[0].size * 2, n_paths, _MIN_CAPACITY)
+            self._backing = tuple(_grown(col, capacity, 0)
+                                  for col in self._backing)
+        self.live, self.atime, self.size, self.owner = (
+            col[:n_paths] for col in self._backing)
+
+    def add_file(self, pid: int, size: int, atime: int, owner: int) -> None:
+        """Materialize one snapshot file (``pid`` below :attr:`n_paths`)."""
+        self.live[pid] = True
+        self.atime[pid] = atime
+        self.size[pid] = size
+        self.owner[pid] = owner
+        self.total_bytes += int(size)
+        self.file_count += 1
+
+    def copy(self) -> "ReplayState":
+        """An independent copy: no column is shared with this state."""
+        clone = ReplayState(self.capacity_bytes)
+        clone.ensure(self.n_paths)
+        for name in self.COLUMNS:
+            getattr(clone, name)[:] = getattr(self, name)
+        clone.total_bytes = self.total_bytes
+        clone.file_count = self.file_count
+        return clone
+
+    def purge_target(self, config) -> int:
+        if self.capacity_bytes <= 0:
+            return 0
+        allowed = int(config.purge_target_utilization * self.capacity_bytes)
+        return max(0, self.total_bytes - allowed)
+
+
+# ---------------------------------------------------------------------------
+# the compiled trace
 
 
 @dataclass(slots=True, frozen=True)
@@ -128,54 +352,25 @@ class ReplayIndex:
 class CompiledTrace:
     """Everything a replay needs, compiled once and shared read-only.
 
-    Path ids are assigned in plain-string sort order -- exactly the order
+    ``catalog`` holds the snapshot and in-window trace paths, interned
+    in plain-string sort order -- exactly the order
     ``VirtualFileSystem.iter_user_files`` visits one user's files, so the
-    ActiveDR per-user scan is just an ascending-pid walk.  The prefix
-    tree's system-scan order (payload-before-children, component-wise) is
-    captured separately in ``scan_rank`` for the FLT walk.
+    ActiveDR per-user scan is an ascending-pid walk.  Both of its rank
+    columns are computed at build, before ``run_lifetime_sweep`` forks
+    ranks over the trace.  ``snapshot`` is the snapshot file system; each
+    replay starts from a copy of it.
     """
 
-    paths: tuple[str, ...]
-    det_size: np.ndarray        # deterministic_file_size per path
-    scan_rank: np.ndarray       # position of each pid in trie (FLT) order
-    snap_live: np.ndarray       # snapshot file-system columns
-    snap_size: np.ndarray
-    snap_atime: np.ndarray
-    snap_uid: np.ndarray
-    capacity_bytes: int
+    catalog: PathCatalog
+    snapshot: ReplayState
     index: ReplayIndex
     store: ColumnarActivityStore
     replay_start: int
     replay_end: int
 
     @property
-    def n_paths(self) -> int:
-        return len(self.paths)
-
-    @property
     def n_records(self) -> int:
         return self.index.n_records
-
-    # The TriggerEngine catalog protocol: pids here *are* assigned in
-    # plain-string sort order, so the string-order rank is the identity
-    # (signalled as None), and the path set never changes after build.
-    @property
-    def order_rank(self) -> np.ndarray | None:
-        return None
-
-    @property
-    def version(self) -> int:
-        return 0
-
-    def exempt_mask(self, exemptions: ExemptionList | None,
-                    ) -> np.ndarray | None:
-        """Per-path exemption mask (``None`` when there are no exemptions)."""
-        if exemptions is None:
-            return None
-        return np.fromiter((p in exemptions for p in self.paths),
-                           np.bool_, len(self.paths))
-
-    # ------------------------------------------------------------------
 
     @classmethod
     def build(cls, fs: VirtualFileSystem,
@@ -196,35 +391,22 @@ class CompiledTrace:
         snapshot = list(fs.iter_files())
         recs = [r for r in accesses if replay_start <= r.ts < window_end]
 
-        path_set = {p for p, _ in snapshot}
+        snap_size = {p: meta.size for p, meta in snapshot}
+        path_set = set(snap_size)
         path_set.update(r.path for r in recs)
-        paths = tuple(sorted(path_set))
-        pid_of = {p: i for i, p in enumerate(paths)}
-        n_paths = len(paths)
+        catalog = PathCatalog()
+        intern = catalog.intern
+        for path in sorted(path_set):
+            intern(path, snap_size.get(path, 0))
+        catalog._ranks()  # once, pre-fork
 
-        det_size = np.fromiter((deterministic_file_size(p) for p in paths),
-                               np.int64, n_paths)
-        # FLT system-scan order: the prefix tree iterates payload-before-
-        # children in component order, i.e. sorted by split_path.
-        trie_order = np.fromiter(
-            sorted(range(n_paths), key=lambda i: split_path(paths[i])),
-            np.int64, n_paths)
-        scan_rank = np.empty(n_paths, dtype=np.int64)
-        scan_rank[trie_order] = np.arange(n_paths, dtype=np.int64)
-
-        snap_live = np.zeros(n_paths, dtype=np.bool_)
-        snap_size = np.zeros(n_paths, dtype=np.int64)
-        snap_atime = np.zeros(n_paths, dtype=np.int64)
-        snap_uid = np.zeros(n_paths, dtype=np.int64)
+        state = ReplayState(fs.capacity_bytes)
+        state.ensure(catalog.n_paths)
         for path, meta in snapshot:
-            i = pid_of[path]
-            snap_live[i] = True
-            snap_size[i] = meta.size
-            snap_atime[i] = meta.atime
-            snap_uid[i] = meta.uid
+            state.add_file(intern(path), meta.size, meta.atime, meta.uid)
 
         n = len(recs)
-        pid = np.fromiter((pid_of[r.path] for r in recs), np.int64, n)
+        pid = np.fromiter((intern(r.path) for r in recs), np.int64, n)
         uid = np.fromiter((r.uid for r in recs), np.int64, n)
         ts = np.fromiter((r.ts for r in recs), np.int64, n)
         op = np.fromiter((_OP_CODES[r.op] for r in recs), np.int8, n)
@@ -239,10 +421,7 @@ class CompiledTrace:
         store = build_activity_store(jobs, publications)
         store.consolidate()  # once, pre-fork
 
-        return cls(paths=paths, det_size=det_size, scan_rank=scan_rank,
-                   snap_live=snap_live, snap_size=snap_size,
-                   snap_atime=snap_atime, snap_uid=snap_uid,
-                   capacity_bytes=fs.capacity_bytes, index=index,
+        return cls(catalog=catalog, snapshot=state, index=index,
                    store=store, replay_start=replay_start,
                    replay_end=replay_end)
 
@@ -256,30 +435,7 @@ def compile_dataset(dataset) -> CompiledTrace:
 
 
 # ---------------------------------------------------------------------------
-# replay state
-
-
-class _ReplayState:
-    """Mutable per-run columns; one instance per ``FastEmulator.run``."""
-
-    __slots__ = ("live", "atime", "size", "owner", "total_bytes",
-                 "file_count", "capacity_bytes")
-
-    def __init__(self, compiled: CompiledTrace) -> None:
-        self.live = compiled.snap_live.copy()
-        self.atime = compiled.snap_atime.copy()
-        self.size = compiled.snap_size.copy()
-        self.owner = compiled.snap_uid.copy()
-        self.total_bytes = int(compiled.snap_size[compiled.snap_live].sum())
-        self.file_count = int(compiled.snap_live.sum())
-        self.capacity_bytes = compiled.capacity_bytes
-
-    def purge_target(self, config) -> int:
-        # Mirrors core.policy.purge_target_bytes on columnar state.
-        if self.capacity_bytes <= 0:
-            return 0
-        allowed = int(config.purge_target_utilization * self.capacity_bytes)
-        return max(0, self.total_bytes - allowed)
+# group lookup
 
 
 class GroupLookup:
@@ -416,16 +572,11 @@ class TriggerEngine:
     One instance per (policy, run context).  :meth:`trigger` dispatches
     to the columnar port of the policy's scan, operating on
 
-    * a **catalog**: any object with ``paths`` / ``n_paths`` /
-      ``det_size`` / ``snap_size`` / ``scan_rank`` columns, an
-      ``order_rank`` column giving each pid's position in plain-string
-      path order (``None`` when pids are already string-sorted, as in
-      :class:`CompiledTrace`), and a ``version`` counter that advances
-      whenever paths are appended (so per-path value columns can be
-      extended incrementally);
-    * a **state**: ``live/atime/size/owner`` arrays parallel to the
-      catalog plus ``total_bytes``/``file_count`` and a
-      ``purge_target(config)`` method.
+    * a :class:`PathCatalog`: paths, ``det_size`` / ``snap_size``
+      columns, the ``order_rank`` / ``scan_rank`` scan orders, and a
+      ``version`` counter that advances whenever paths are appended (so
+      per-path value columns can be extended incrementally);
+    * a :class:`ReplayState` whose columns cover the catalog.
 
     Constructing the engine raises ``TypeError`` for policy types (or
     custom value functions) it cannot replay exactly.
@@ -577,12 +728,9 @@ class TriggerEngine:
             return report
 
         # Per-owner slices over the live files, in plain-string path
-        # order -- exactly the iter_user_files visit order.  With
-        # string-sorted pids (CompiledTrace) the pid is its own rank.
+        # order -- exactly the iter_user_files visit order.
         owners_live = state.owner[live_idx]
-        rank = catalog.order_rank
-        order = np.lexsort((live_idx if rank is None else rank[live_idx],
-                            owners_live))
+        order = np.lexsort((catalog.order_rank[live_idx], owners_live))
         sorted_idx = live_idx[order]
         sorted_own = owners_live[order]
         uniq, starts, lens = np.unique(sorted_own, return_index=True,
@@ -743,10 +891,8 @@ class TriggerEngine:
         if cand.size:
             values = self._file_values(catalog, state, cand, t_c)
             # Ascending (value, path): ties break on plain-string path
-            # order (the pid itself when pids are string-sorted).
-            rank = catalog.order_rank
-            order = np.lexsort((cand if rank is None else rank[cand],
-                                values))
+            # order.
+            order = np.lexsort((catalog.order_rank[cand], values))
             cand, values = cand[order], values[order]
             if target > 0:
                 cum = np.cumsum(state.size[cand])
@@ -800,6 +946,81 @@ class TriggerEngine:
 
 
 # ---------------------------------------------------------------------------
+# one policy's replay (shared by FastEmulator and the streaming engine)
+
+
+class PolicyReplay:
+    """One retention policy's replay over a catalog and a replay state.
+
+    Holds everything the replay of one policy accumulates: the state,
+    the ``add_pos`` scratch column (first position at which each path
+    materializes today, or :data:`NEVER_POS`), the daily metrics, purge
+    reports and group-count history, and the classification with its
+    :class:`GroupLookup`.  The caller supplies the days, the trigger
+    instants and the activeness evaluations: :class:`FastEmulator` from a
+    compiled trace, the streaming engine at its day boundaries.
+    """
+
+    def __init__(self, engine: TriggerEngine, config: EmulatorConfig,
+                 state: ReplayState, n_days: int) -> None:
+        self.engine = engine
+        self.policy = engine.policy
+        self.config = config
+        self.state = state
+        self.add_pos = np.full(state.n_paths, _NEVER, dtype=np.int64)
+        self.metrics = DailyMetrics(n_days)
+        self.reports: list[RetentionReport] = []
+        self.group_count_history: list[dict[UserClass, int]] = []
+        self.classes: dict[int, UserClass] = {}
+        self.lookup: GroupLookup | None = None
+
+    def due(self, day: int, n_days: int) -> bool:
+        """Whether the purge trigger fires before replaying ``day``."""
+        return (1 <= day < n_days
+                and day % self.policy.config.purge_trigger_days == 0)
+
+    def classify(self, activeness: dict[int, UserActiveness]) -> None:
+        self.classes = classify_all(activeness)
+        self.group_count_history.append(group_counts(self.classes))
+        self.lookup = GroupLookup(self.classes)
+
+    def trigger(self, catalog: PathCatalog, t_c: int,
+                activeness: dict[int, UserActiveness],
+                exempt: np.ndarray | None) -> RetentionReport:
+        """Reclassify, then run the purge trigger at ``t_c``."""
+        self.classify(activeness)
+        self.state.ensure(catalog.n_paths)
+        report = self.engine.trigger(catalog, self.state, t_c, activeness,
+                                     self.lookup, exempt)
+        self.reports.append(report)
+        return report
+
+    def replay_day(self, det_size: np.ndarray, day: int, pid: np.ndarray,
+                   uid: np.ndarray, ts: np.ndarray, op: np.ndarray) -> None:
+        """Apply one day's time-sorted access records; ``det_size`` is the
+        catalog's column, covering every pid in ``pid``."""
+        n = det_size.size
+        self.state.ensure(n)
+        if self.add_pos.size < n:
+            self.add_pos = _grown(
+                self.add_pos, max(n, self.add_pos.size * 2, _MIN_CAPACITY),
+                _NEVER)
+        replay_day_columns(self.config, det_size, self.state, day,
+                           self.metrics, self.lookup, self.add_pos,
+                           pid, uid, ts, op)
+
+    def result(self) -> EmulationResult:
+        return EmulationResult(
+            policy=self.policy.name,
+            lifetime_days=self.policy.config.lifetime_days,
+            metrics=self.metrics, reports=self.reports,
+            group_count_history=self.group_count_history,
+            final_classes=self.classes,
+            final_total_bytes=self.state.total_bytes,
+            final_file_count=self.state.file_count)
+
+
+# ---------------------------------------------------------------------------
 # the batch fast emulator
 
 
@@ -841,13 +1062,10 @@ class FastEmulator:
         """
         index = compiled.index
         n_days = index.n_days
-        metrics = DailyMetrics(n_days)
-        result = EmulationResult(policy=self.policy.name,
-                                 lifetime_days=self.policy.config.lifetime_days,
-                                 metrics=metrics)
-
-        state = _ReplayState(compiled)
-        exempt = compiled.exempt_mask(self.exemptions)
+        catalog = compiled.catalog
+        replay = PolicyReplay(self._engine, self.config,
+                              compiled.snapshot.copy(), n_days)
+        exempt = catalog.exempt_mask(self.exemptions)
         store = compiled.store
 
         def evaluate(t_c: int) -> dict[int, UserActiveness]:
@@ -859,31 +1077,11 @@ class FastEmulator:
                 activeness_cache[t_c] = got
             return got
 
-        activeness = evaluate(compiled.replay_start)
-        classes = classify_all(activeness)
-        result.group_count_history.append(group_counts(classes))
-        lookup = GroupLookup(classes)
-
-        trigger_interval = self.policy.config.purge_trigger_days
-        # Scratch column reused across days: first position at which each
-        # path materializes today (or NEVER_POS).
-        add_pos = np.full(compiled.n_paths, _NEVER, dtype=np.int64)
-
+        det_size = catalog.det_size
+        replay.classify(evaluate(compiled.replay_start))
         for day in range(n_days):
-            if day > 0 and day % trigger_interval == 0:
+            if replay.due(day, n_days):
                 t_c = compiled.replay_start + day * DAY_SECONDS
-                activeness = evaluate(t_c)
-                classes = classify_all(activeness)
-                result.group_count_history.append(group_counts(classes))
-                lookup = GroupLookup(classes)
-                report = self._engine.trigger(compiled, state, t_c,
-                                              activeness, lookup, exempt)
-                result.reports.append(report)
-            replay_day_columns(self.config, compiled.det_size, state, day,
-                               metrics, lookup, add_pos,
-                               *index.day_slice(day))
-
-        result.final_classes = classes
-        result.final_total_bytes = state.total_bytes
-        result.final_file_count = state.file_count
-        return result
+                replay.trigger(catalog, t_c, evaluate(t_c), exempt)
+            replay.replay_day(det_size, day, *index.day_slice(day))
+        return replay.result()

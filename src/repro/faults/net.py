@@ -105,11 +105,10 @@ class ChaosProxy:
     def close(self) -> None:
         if self._closed.is_set():
             return
+        from ..server.protocol import close_listener  # see __init__
+
         self._closed.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        close_listener(self._sock)
 
     def __enter__(self) -> "ChaosProxy":
         return self

@@ -51,9 +51,9 @@ from typing import Callable
 
 from .metrics import (Counter, MetricsHistory, render_prometheus,
                       tail_stats)
-from .protocol import (FrameError, FrameReader, create_listener,
-                       connect_socket, format_address, parse_address,
-                       write_frame)
+from .protocol import (FrameError, FrameReader, close_listener,
+                       create_listener, connect_socket, format_address,
+                       parse_address, write_frame)
 from .tenants import MultiTenantService, TenantSpec
 
 __all__ = ["AdminServer", "admin_request", "scrape_metrics"]
@@ -68,9 +68,10 @@ class AdminSocket:
     The plumbing both admin planes share -- the worker's
     :class:`AdminServer` and the shard fleet's
     :class:`~repro.server.shard.FleetAdmin`.  Each connection is served
-    on its own thread: one peeked byte sends an HTTP request (``G`` or
-    ``H``) to :meth:`render_metrics` and anything else to a loop of
-    frames, each answered by :meth:`handle` through the subclass's
+    on its own thread: one peeked byte sends an HTTP request (an
+    uppercase method) to :meth:`_serve_http`, which answers ``GET
+    /metrics`` from :meth:`render_metrics`, and anything else to a loop
+    of frames, each answered by :meth:`handle` through the subclass's
     :meth:`_commands` plus the shared ``export`` command.  A subclass
     sets up its own state first and calls ``super().__init__(address)``
     last: the accept thread starts there and may serve a request at once.
@@ -102,10 +103,7 @@ class AdminSocket:
         if self.closed:
             return
         self.closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        close_listener(self._sock)
 
     def __enter__(self):
         return self
@@ -126,13 +124,14 @@ class AdminSocket:
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
             # Dual protocol on one socket: frames start with a decimal
-            # length prefix, HTTP requests with a method -- one peeked
-            # byte disambiguates without consuming anything.
+            # length prefix or ``b``, HTTP requests with an uppercase
+            # method -- one peeked byte disambiguates without consuming
+            # anything.
             try:
                 head = conn.recv(1, socket.MSG_PEEK)
             except OSError:
                 return
-            if head in (b"G", b"H"):
+            if b"A" <= head <= b"Z":
                 self._serve_http(conn)
                 return
             self._serve_frames(conn)

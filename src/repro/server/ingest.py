@@ -85,10 +85,10 @@ from .metrics import Counter
 from .protocol import (BATCH_MAX_FRAME_BYTES, CAP_BATCH, CAP_ZLIB,
                        MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
                        SUPPORTED_PROTOCOLS, BatchFormatError, BinaryFrame,
-                       FrameError, FrameReader, connect_socket,
-                       create_listener, decode_batch, decode_event,
-                       encode_batch, encode_batch_frame, encode_event,
-                       write_frame)
+                       FrameError, FrameReader, close_listener,
+                       connect_socket, create_listener, decode_batch,
+                       decode_event, encode_batch, encode_batch_frame,
+                       encode_event, write_frame)
 
 __all__ = ["DEFAULT_SOURCES", "DEFAULT_BATCH_EVENTS", "SocketSource",
            "SocketListener", "NetworkEventStream", "SequenceLedger",
@@ -441,16 +441,7 @@ class SocketListener:
         if self._closed.is_set():
             return
         self._closed.set()
-        try:
-            # close() alone does not wake a thread blocked in accept()
-            # on Linux; shutdown() does, so the accept thread exits.
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        close_listener(self._sock)
         for source in self._sources.values():
             if not source.finished:
                 source.finish()

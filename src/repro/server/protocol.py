@@ -631,6 +631,23 @@ def create_listener(spec: str, backlog: int = 16) -> socket.socket:
     return sock
 
 
+def close_listener(sock: socket.socket) -> None:
+    """Shut down and close a listening socket from :func:`create_listener`.
+
+    ``close()`` alone does not wake a thread blocked in ``accept()`` on
+    Linux: that thread keeps the socket listening and accepts one more
+    connection.  ``shutdown()`` wakes it, so the accept thread exits.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 def connect_socket(spec: str, timeout: float | None = None,
                    ssl_context: ssl.SSLContext | None = None,
                    ) -> socket.socket:

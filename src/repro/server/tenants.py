@@ -12,8 +12,9 @@ period) making independent purge decisions over its own replica of the
 replay state.  Everything that does not depend on the policy is shared:
 
 * the event feed, cursor and day buffers (one merge, consumed once);
-* the :class:`~repro.stream.state.PathCatalog` (pids are positional
-  identity, so one interner serves every tenant);
+* the :class:`~repro.emulation.compiled.PathCatalog` (pids are
+  positional identity, so one interner serves every tenant) and the
+  exemption flags over it;
 * the :class:`~repro.core.incremental.ColumnarActivityStore`, the
   activity store the batch engines evaluate through -- and, decisively,
   its *evaluation*: at a boundary where several tenants trigger,
@@ -41,14 +42,15 @@ before that trigger evaluates -- the batch evaluators clip ``ts <= t_c``
 inclusively).  :meth:`MultiTenantService.finalize` forces the remaining
 boundaries through ``n_days``.
 
-Per tenant: the replay-state columns, daily metrics, purge reports,
-classification + group lookup (refreshed on the tenant's *own* trigger
-cadence, exactly as a standalone run would), and the trigger engine.
-Because the shared pieces are read-only to the per-tenant kernels and
-the per-tenant pieces replicate the standalone layout exactly, each
-tenant's finalized :class:`EmulationResult` is **bit-identical** to an
-independent batch ``FastEmulator`` run of the same policy (pinned by
-``tests/test_server.py``).
+Per tenant: one :class:`~repro.emulation.compiled.PolicyReplay`, the
+same per-policy replay a batch ``FastEmulator`` run drives -- its
+:class:`~repro.emulation.compiled.ReplayState` columns, daily metrics,
+purge reports, classification + group lookup (refreshed on the tenant's
+*own* trigger cadence, exactly as a standalone run would), and trigger
+engine.  Because the shared pieces are read-only to the per-tenant
+kernels, each tenant's finalized :class:`EmulationResult` is
+**bit-identical** to an independent batch ``FastEmulator`` run of the
+same policy (pinned by ``tests/test_server.py``).
 
 Tenants are addable/removable at runtime: the admin plane enqueues ops
 (:meth:`request_add_tenant` / :meth:`request_remove_tenant`, thread-safe)
@@ -72,19 +74,19 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..core.activeness import ActivenessParams, UserActiveness
-from ..core.classification import UserClass, classify_all, group_counts
+from ..core.classification import UserClass
 from ..core.config import RetentionConfig
 from ..core.exemption import ExemptionList
 from ..core.incremental import ColumnarActivityStore
 from ..core.policy import RetentionPolicy
-from ..emulation.compiled import (NEVER_POS, GroupLookup, TriggerEngine,
-                                  replay_day_columns)
+from ..emulation.compiled import (GroupLookup, PathCatalog, PolicyReplay,
+                                  ReplayState, TriggerEngine)
 from ..emulation.emulator import EmulationResult, EmulatorConfig
 from ..emulation.metrics import DailyMetrics
 from ..vfs.file_meta import DAY_SECONDS
@@ -97,7 +99,6 @@ from ..stream.checkpoint import (SERVER_CHECKPOINT_FORMAT, CheckpointManager,
                                  reports_to_jsonable)
 from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
                             BatchRun, EventBatch)
-from ..stream.state import GrowableReplayState, PathCatalog
 from ..traces.schema import PublicationRecord
 from .metrics import MetricsHistory, tail_stats
 
@@ -208,30 +209,25 @@ class TenantSpec:
         return cls(**fields)
 
 
-@dataclass
-class Tenant:
-    """One policy's live state inside the multi-tenant engine."""
+class Tenant(PolicyReplay):
+    """One policy's replay inside the multi-tenant engine, plus the
+    tenant's spec, admission boundary and trigger statistics."""
 
-    spec: TenantSpec
-    policy: RetentionPolicy
-    engine: TriggerEngine
-    state: GrowableReplayState
-    metrics: DailyMetrics
-    reports: list = field(default_factory=list)
-    group_count_history: list = field(default_factory=list)
-    classes: dict = field(default_factory=dict)
-    lookup: GroupLookup | None = None
-    add_pos: np.ndarray = field(
-        default_factory=lambda: np.full(0, NEVER_POS, dtype=np.int64))
-    admitted_boundary: int = 0
-    stats: dict = field(
-        default_factory=lambda: {"triggers": 0, "trigger_seconds": 0.0,
-                                 "purged_bytes": 0, "purged_files": 0,
-                                 "target_misses": 0})
-    #: Recent per-trigger wall seconds (forensic tail-latency window for
-    #: ``admin metrics``; not checkpointed -- ``stats`` stays JSON-able).
-    trigger_latency_log: deque = field(
-        default_factory=lambda: deque(maxlen=512))
+    #: ``stats`` of a tenant that has not triggered yet.
+    NO_STATS = {"triggers": 0, "trigger_seconds": 0.0, "purged_bytes": 0,
+                "purged_files": 0, "target_misses": 0}
+
+    def __init__(self, spec: TenantSpec, policy: RetentionPolicy,
+                 config: EmulatorConfig, state: ReplayState,
+                 n_days: int) -> None:
+        super().__init__(TriggerEngine(policy), config, state, n_days)
+        self.spec = spec
+        self.admitted_boundary = 0
+        self.stats = dict(self.NO_STATS)
+        #: Recent per-trigger wall seconds (forensic tail-latency window
+        #: for ``admin metrics``; not checkpointed -- ``stats`` stays
+        #: JSON-able).
+        self.trigger_latency_log: deque = deque(maxlen=512)
 
     @property
     def name(self) -> str:
@@ -314,7 +310,9 @@ class MultiTenantService:
         self.catalog = PathCatalog()
         self.activity = ColumnarActivityStore()
         self.tenants: list[Tenant] = [
-            self._new_tenant(spec, policy) for spec, policy in tenants]
+            Tenant(spec, policy, self.config,
+                   ReplayState(self.capacity_bytes), self.n_days)
+            for spec, policy in tenants]
 
         self._next_boundary = 0
         self._consumed = 0
@@ -354,9 +352,8 @@ class MultiTenantService:
         self._buf_uid: list[int] = []
         self._buf_ts: list[int] = []
         self._buf_op: list[int] = []
-        self._exempt: np.ndarray | None = (
-            np.empty(0, dtype=np.bool_) if exemptions is not None else None)
-        self._exempt_count = 0
+        #: The catalog's exemption flags, extended as paths intern.
+        self._exempt_flags: np.ndarray | None = None
 
         # Runtime tenant ops, enqueued by the admin thread and applied
         # at the next boundary (deque appends/pops are atomic).
@@ -405,19 +402,16 @@ class MultiTenantService:
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _new_tenant(self, spec: TenantSpec,
-                    policy: RetentionPolicy) -> Tenant:
-        return Tenant(spec=spec, policy=policy, engine=TriggerEngine(policy),
-                      state=GrowableReplayState(self.capacity_bytes),
-                      metrics=DailyMetrics(self.n_days))
-
     def load_snapshot(self, fs: VirtualFileSystem) -> None:
-        """Intern the initial file system once; materialize per tenant."""
-        for path, meta in fs.iter_files():
-            pid = self.catalog.intern(path, snap_size=meta.size)
-            for tenant in self.tenants:
-                tenant.state.ensure(self.catalog.n_paths)
-                tenant.state.add_file(pid, meta.size, meta.atime, meta.uid)
+        """Intern the initial file system once; give each tenant a copy."""
+        files = [(self.catalog.intern(path, snap_size=meta.size), meta)
+                 for path, meta in fs.iter_files()]
+        state = ReplayState(self.capacity_bytes)
+        state.ensure(self.catalog.n_paths)
+        for pid, meta in files:
+            state.add_file(pid, meta.size, meta.atime, meta.uid)
+        for tenant in self.tenants:
+            tenant.state = state.copy()
 
     def tenant(self, name: str) -> Tenant | None:
         for tenant in self.tenants:
@@ -585,9 +579,7 @@ class MultiTenantService:
             tenant.reports = []
             tenant.group_count_history = []
             tenant.trigger_latency_log.clear()
-            tenant.stats = {"triggers": 0, "trigger_seconds": 0.0,
-                            "purged_bytes": 0, "purged_files": 0,
-                            "target_misses": 0}
+            tenant.stats = dict(Tenant.NO_STATS)
         self.dropped_accesses = 0
 
     def _apply_add(self, spec: TenantSpec, clone_from: str | None,
@@ -601,26 +593,18 @@ class MultiTenantService:
                  else (self.tenants[0] if self.tenants else None))
         if donor is None:
             raise ValueError(f"no donor tenant {clone_from!r} to clone")
-        tenant = self._new_tenant(spec, self.policy_factory(spec))
-        n = donor.state.n_paths
-        tenant.state.ensure(n)
-        tenant.state.live[:] = donor.state.live
-        tenant.state.atime[:] = donor.state.atime
-        tenant.state.size[:] = donor.state.size
-        tenant.state.owner[:] = donor.state.owner
-        tenant.state.total_bytes = donor.state.total_bytes
-        tenant.state.file_count = donor.state.file_count
-        tenant.add_pos = donor.add_pos.copy()
+        tenant = Tenant(spec, self.policy_factory(spec), self.config,
+                        donor.state.copy(), self.n_days)
         tenant.admitted_boundary = boundary
         self.tenants.append(tenant)
         # Give the newcomer a classification immediately -- unless its
         # first trigger fires at this very boundary, which reclassifies
         # anyway (a double reclassify would double-append the group
         # history).
-        if not self._trigger_due(tenant, boundary):
+        if not tenant.due(boundary, self.n_days):
             t_c = self.replay_start + boundary * DAY_SECONDS
             evals = self._evaluate_for([tenant], min(t_c, self.window_end))
-            self._reclassify_one(tenant, evals[tenant.params_key])
+            tenant.classify(evals[tenant.params_key])
 
     def _apply_remove(self, name: str) -> None:
         tenant = self.tenant(name)
@@ -834,32 +818,25 @@ class MultiTenantService:
                < ts):
             self._boundary(self._next_boundary)
 
-    def _trigger_due(self, tenant: Tenant, boundary: int) -> bool:
-        return (1 <= boundary < self.n_days
-                and boundary % tenant.policy.config.purge_trigger_days == 0)
-
     def _boundary(self, boundary: int) -> None:
         if boundary == 0:
             evals = self._evaluate_for(self.tenants, self.replay_start)
             for tenant in self.tenants:
-                self._reclassify_one(tenant, evals[tenant.params_key])
+                tenant.classify(evals[tenant.params_key])
         else:
             self._flush_day(boundary - 1)
         self._apply_pending_ops(boundary)
         triggered = False
-        due = [t for t in self.tenants if self._trigger_due(t, boundary)]
+        due = [t for t in self.tenants if t.due(boundary, self.n_days)]
         if due:
             t_c = self.replay_start + boundary * DAY_SECONDS
             evals = self._evaluate_for(due, t_c)
+            exempt = self._exempt_flags = self.catalog.exempt_mask(
+                self.exemptions, self._exempt_flags)
             for tenant in due:
                 started = time.perf_counter()
-                activeness = evals[tenant.params_key]
-                self._reclassify_one(tenant, activeness)
-                tenant.state.ensure(self.catalog.n_paths)
-                report = tenant.engine.trigger(
-                    self.catalog, tenant.state, t_c, activeness,
-                    tenant.lookup, self._exempt_mask())
-                tenant.reports.append(report)
+                report = tenant.trigger(self.catalog, t_c,
+                                        evals[tenant.params_key], exempt)
                 tenant.stats["triggers"] += 1
                 tenant.stats["purged_bytes"] = (
                     tenant.stats.get("purged_bytes", 0)
@@ -910,12 +887,6 @@ class MultiTenantService:
             self._last_eval[key] = (t_c, result)
         return out
 
-    def _reclassify_one(self, tenant: Tenant,
-                        activeness: dict[int, UserActiveness]) -> None:
-        tenant.classes = classify_all(activeness)
-        tenant.group_count_history.append(group_counts(tenant.classes))
-        tenant.lookup = GroupLookup(tenant.classes)
-
     def _flush_day(self, day: int) -> None:
         if not self._buf_pid:
             return
@@ -925,35 +896,10 @@ class MultiTenantService:
         op = np.asarray(self._buf_op, dtype=np.int8)
         self._buf_pid, self._buf_uid = [], []
         self._buf_ts, self._buf_op = [], []
-        n = self.catalog.n_paths
         det_size = self.catalog.det_size
         for tenant in self.tenants:
-            if day < tenant.admitted_boundary:
-                continue
-            tenant.state.ensure(n)
-            if tenant.add_pos.size < n:
-                grown = np.full(max(n, tenant.add_pos.size * 2, 1024),
-                                NEVER_POS, dtype=np.int64)
-                grown[:tenant.add_pos.size] = tenant.add_pos
-                tenant.add_pos = grown
-            replay_day_columns(self.config, det_size, tenant.state, day,
-                               tenant.metrics, tenant.lookup, tenant.add_pos,
-                               pid, uid, ts, op)
-
-    def _exempt_mask(self) -> np.ndarray | None:
-        if self._exempt is None:
-            return None
-        n = self.catalog.n_paths
-        if self._exempt.size < n:
-            grown = np.zeros(max(n, self._exempt.size * 2, 1024),
-                             dtype=np.bool_)
-            grown[:self._exempt_count] = self._exempt[:self._exempt_count]
-            self._exempt = grown
-        if self._exempt_count < n:
-            for i in range(self._exempt_count, n):
-                self._exempt[i] = self.catalog.paths[i] in self.exemptions
-            self._exempt_count = n
-        return self._exempt[:n]
+            if day >= tenant.admitted_boundary:
+                tenant.replay_day(det_size, day, pid, uid, ts, op)
 
     # ------------------------------------------------------------------
     # observability sampling
@@ -1019,9 +965,11 @@ class MultiTenantService:
             "checkpoint_failures": stats["checkpoint_failures"],
             "tenants": tenants,
         }
-        if self._exempt is not None:
+        if self.exemptions is not None:
+            self._exempt_flags = self.catalog.exempt_mask(
+                self.exemptions, self._exempt_flags)
             sample["exempt_paths"] = int(np.count_nonzero(
-                self._exempt[:self._exempt_count]))
+                self._exempt_flags))
         extra = self.sample_extra
         if extra is not None:
             sample["stream"] = extra()
@@ -1080,18 +1028,7 @@ class MultiTenantService:
         tenant's policy alone over the same dataset.
         """
         self._advance_boundaries(self.n_days)
-        out: dict[str, EmulationResult] = {}
-        for tenant in self.tenants:
-            result = EmulationResult(
-                policy=tenant.policy.name,
-                lifetime_days=tenant.policy.config.lifetime_days,
-                metrics=tenant.metrics)
-            result.reports = tenant.reports
-            result.group_count_history = tenant.group_count_history
-            result.final_classes = tenant.classes
-            result.final_total_bytes = tenant.state.total_bytes
-            result.final_file_count = tenant.state.file_count
-            out[tenant.name] = result
+        out = {tenant.name: tenant.result() for tenant in self.tenants}
         if self.checkpoints is not None:
             self._try_checkpoint()
         return out
@@ -1188,10 +1125,8 @@ class MultiTenantService:
                 ghist[row] = [counts[cls] for cls in counts]
             prefix = f"t{i}__"
             # Views, not copies: the write is synchronous.
-            arrays[prefix + "live"] = tenant.state.live
-            arrays[prefix + "atime"] = tenant.state.atime
-            arrays[prefix + "size"] = tenant.state.size
-            arrays[prefix + "owner"] = tenant.state.owner
+            for name in ReplayState.COLUMNS:
+                arrays[prefix + name] = getattr(tenant.state, name)
             arrays[prefix + "class_uids"] = np.fromiter(
                 tenant.classes.keys(), np.int64, len(tenant.classes))
             arrays[prefix + "class_codes"] = np.fromiter(
@@ -1305,14 +1240,8 @@ class MultiTenantService:
                     f"mismatch (stored vs rebuilt): {diff}")
             prefix = f"t{i}__"
             tenant.state.ensure(n)
-            tenant.state.live[:] = np.asarray(arrays[prefix + "live"],
-                                              dtype=np.bool_)
-            tenant.state.atime[:] = np.asarray(arrays[prefix + "atime"],
-                                               dtype=np.int64)
-            tenant.state.size[:] = np.asarray(arrays[prefix + "size"],
-                                              dtype=np.int64)
-            tenant.state.owner[:] = np.asarray(arrays[prefix + "owner"],
-                                               dtype=np.int64)
+            for name in ReplayState.COLUMNS:
+                getattr(tenant.state, name)[:] = arrays[prefix + name]
             tenant.state.total_bytes = int(stored["total_bytes"])
             tenant.state.file_count = int(stored["file_count"])
             tenant.metrics = metrics_from_arrays({

@@ -6,9 +6,11 @@ have done over this year of traces"; the streaming engine answers the
 production question -- "run the policy *now*, continuously, over live
 feeds" -- while provably computing the same thing.  This package holds
 what that engine (:class:`repro.server.MultiTenantService`) consumes and
-persists: the merged event feed and its columnar batches, the growable
-path catalog and replay state, the self-verifying checkpoint chain, and
-the reliability layer.  Its activeness history is the batch engines'
+persists: the merged event feed and its columnar batches, the
+self-verifying checkpoint chain, and the reliability layer.  Its path
+catalog and per-tenant replay state are the batch engine's
+(:mod:`repro.emulation.compiled`; ``PathCatalog`` is re-exported here),
+and its activeness history is the batch engines'
 :class:`~repro.core.incremental.ColumnarActivityStore`
 (``IncrementalActivenessState`` remains as a name for it).  The engine
 is pinned bit-identical to the batch ``FastEmulator`` across the full
@@ -26,8 +28,7 @@ from .events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION, StreamEvent,
 from .reliability import (DeadLetterLog, EventQuarantine,
                           ReliableEventStream, ResilientSource, RetryPolicy,
                           SourceHealth, TailingFileSource)
-from .state import (GrowableReplayState, IncrementalActivenessState,
-                    PathCatalog)
+from .state import IncrementalActivenessState, PathCatalog
 
 __all__ = [
     "BatchBuilder",
@@ -54,7 +55,6 @@ __all__ = [
     "RetryPolicy",
     "SourceHealth",
     "TailingFileSource",
-    "GrowableReplayState",
     "IncrementalActivenessState",
     "PathCatalog",
 ]

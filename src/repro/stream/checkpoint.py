@@ -73,10 +73,10 @@ import numpy as np
 from ..core.activity import ActivityCategory, ActivityType
 from ..core.classification import UserClass
 from ..core.report import GroupTally, RetentionReport
+from ..emulation.compiled import PathCatalog
 from ..emulation.metrics import DailyMetrics
 from ..traces.io import fsync_directory
 from .batch import pack_strings, unpack_strings
-from .state import PathCatalog
 
 __all__ = ["CHECKPOINT_FORMAT", "SERVER_CHECKPOINT_FORMAT",
            "CheckpointCorruption",

@@ -113,20 +113,26 @@ class RotatingJsonl:
     def rewrite(self, records: Iterable[dict]) -> None:
         """Replace the whole log with ``records``, oldest first.
 
-        The live file is rewritten atomically (tmp sibling, fsync,
-        rename) and the backups are unlinked, so afterwards the files
-        hold exactly ``records``.
+        The backups are unlinked, oldest first, and only then is the
+        live file rewritten atomically (tmp sibling, fsync, rename), so
+        afterwards the files hold exactly ``records``.  A crash or a
+        failure (raised) at any step leaves a suffix of the old records
+        or the new ones -- in order, none twice -- never old backups
+        in front of a new live file.
         """
+        records = list(records)  # may be read from the files unlinked
         self._fh.close()
-        with atomic_output(self.path) as fh:
-            for record in records:
-                fh.write(_line(record))
-        for i in range(1, self.backups + 1):
-            try:
-                os.unlink(f"{self.path}.{i}")
-            except OSError:
-                pass
-        self._fh = open(self.path, "a")
+        try:
+            for i in range(self.backups, 0, -1):
+                try:
+                    os.unlink(f"{self.path}.{i}")
+                except FileNotFoundError:
+                    pass
+            with atomic_output(self.path) as fh:
+                for record in records:
+                    fh.write(_line(record))
+        finally:
+            self._fh = open(self.path, "a")
 
     def close(self) -> None:
         if not self._fh.closed:

@@ -468,6 +468,31 @@ def test_chaos_proxy_transparent_without_specs(jobs_events):
     assert proxy.severed == 0 and proxy.forwarded_bytes > 0
 
 
+def test_closed_chaos_proxy_takes_no_more_connections(jobs_events,
+                                                      tmp_path):
+    """Regression: ``close()`` without ``shutdown()`` left the accept
+    thread blocked in ``accept()``, holding the socket open, so the
+    proxy took one more connection."""
+    listener = SocketListener(_sock(tmp_path, "up.sock"),
+                              expected={"jobs": 1})
+    stream = NetworkEventStream(listener)
+    proxy = ChaosProxy(_sock(tmp_path, "proxy.sock"), listener.address,
+                       FaultPlan())
+    try:
+        publish_events(proxy.address, "jobs", jobs_events, batch_size=50)
+        _drain(stream)
+        assert proxy.connections == 1
+        time.sleep(0.2)  # the accept thread is back in accept()
+        proxy.close()
+        with pytest.raises(OSError):
+            connect_socket(proxy.address, timeout=5.0).close()
+        time.sleep(0.2)
+        assert proxy.connections == 1
+    finally:
+        proxy.close()
+        listener.close()
+
+
 # ---------------------------------------------------------------------------
 # 6. THE acceptance gate: four producers, scripted severs, kill -9,
 #    resume -- per-tenant summaries bit-identical to batch

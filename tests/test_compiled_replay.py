@@ -143,10 +143,10 @@ def test_compiled_trace_is_reusable(dataset):
     second = FastEmulator(ActiveDRPolicy(config), config.activeness).run(
         compiled, known_uids=known)
     assert_results_equal(first, second)
-    assert np.array_equal(compiled.snap_live,
+    assert np.array_equal(compiled.snapshot.live,
                           np.array([m is not None for m in (
                               dataset.filesystem.stat(p)
-                              for p in compiled.paths)]))
+                              for p in compiled.catalog.paths)]))
 
 
 def test_comparison_runner_engines_agree(dataset):

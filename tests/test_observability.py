@@ -22,6 +22,7 @@ import os
 import re
 import socket
 import threading
+import time
 
 import pytest
 
@@ -30,7 +31,9 @@ from repro.server import (AdminServer, Counter, MetricsHistory,
                           MultiTenantService, TenantSpec, admin_request,
                           load_history_data, render_html, render_terminal,
                           scrape_metrics, tail_stats)
+from repro.server.admin import AdminSocket
 from repro.server.metrics import render_prometheus
+from repro.server.protocol import FrameReader, connect_socket, write_frame
 from repro.stream import (CheckpointManager, dataset_event_stream,
                           skip_stream_items)
 
@@ -179,6 +182,47 @@ def test_history_rewind_keeps_checkpoint_prefix(tmp_path):
     # rewound samples do not anchor rates (the engine will re-append)
     assert history.rate_anchor(now=1e12) is None
     history.close()
+
+
+def _rotated_history(path):
+    """Twelve samples over a live file and two backups; sample i has
+    cursor 10*i and boundary i."""
+    history = MetricsHistory(path, max_bytes=300, backups=2)
+    for i in range(1, 13):
+        history.append({"cursor": 10 * i, "boundary": i})
+    assert os.path.exists(f"{path}.2")
+    return history
+
+
+@pytest.mark.parametrize("failing", ["unlink", "replace"])
+def test_history_rewind_failure_never_brings_samples_back(
+        tmp_path, monkeypatch, failing):
+    """Regression: ``rewrite`` replaced the live file first and ignored a
+    failed backup unlink, so a reopened history held the rewound samples
+    again, out of order, one seq twice.  Whichever step fails, the files
+    stay in seq order, and the next rewind drops what the failed one
+    left."""
+    path = str(tmp_path / "hist.jsonl")
+    history = _rotated_history(path)
+
+    def refuse(*_args, **_kwargs):
+        raise PermissionError(f"injected {failing} failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, failing, refuse)
+        try:
+            history.rewind(60, next_boundary=6)
+        except OSError:
+            pass
+    history.close()
+
+    with MetricsHistory(path, max_bytes=300, backups=2) as reopened:
+        seqs = [s["seq"] for s in reopened.samples()]
+        assert seqs == sorted(set(seqs))
+        reopened.rewind(60, next_boundary=6)
+        assert all(s["cursor"] < 60 for s in reopened.samples())
+    with MetricsHistory(path, max_bytes=300, backups=2) as again:
+        assert all(s["cursor"] < 60 for s in again.samples())
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +507,40 @@ def test_http_scrape_on_admin_socket(dataset, events, tmp_path):
     history.close()
 
 
-def _http_get(address, path):
-    from repro.server.protocol import connect_socket
+class _HealthAdmin(AdminSocket):
+    def _commands(self):
+        return {"health": lambda _request: {"ok": True}}
 
+    def render_metrics(self):
+        return ""
+
+
+def test_closed_admin_socket_answers_no_more_connections(tmp_path):
+    """Regression: ``close()`` without ``shutdown()`` left the accept
+    thread blocked in ``accept()``, holding the socket open, so the next
+    connection was still answered."""
+    address = _sock(tmp_path, "closed.sock")
+    admin = _HealthAdmin(address)
+    assert admin_request(address, {"cmd": "health"}) == {"ok": True}
+    time.sleep(0.2)  # the accept thread is back in accept()
+    admin.close()
+    admin._accept_thread.join(timeout=10)
+    assert not admin._accept_thread.is_alive()
+    try:
+        sock = connect_socket(address, timeout=5.0)
+    except OSError:
+        return  # refused: nothing listens any more
+    try:
+        write_frame(sock, {"cmd": "health"})
+        answer = FrameReader(sock).read()
+    except OSError:
+        answer = None
+    finally:
+        sock.close()
+    assert answer is None
+
+
+def _http_get(address, path):
     sock = connect_socket(address, timeout=10.0)
     try:
         sock.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode())

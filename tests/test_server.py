@@ -585,7 +585,7 @@ def test_listener_refuses_bad_handshakes(tmp_path):
 # runtime tenant add / remove
 
 
-def test_runtime_add_and_remove_tenant(dataset, events):
+def test_runtime_add_and_remove_tenant(dataset, compiled, events):
     service = make_fleet(dataset, HETERO[:2])
     half = len(events) // 2
     for run in as_runs(events[:half]):
@@ -604,6 +604,10 @@ def test_runtime_add_and_remove_tenant(dataset, events):
     assert 0 < late.stats["triggers"] < service.tenant("a").stats["triggers"]
     # Its state genuinely diverged from the donor after admission.
     assert len(late.reports) == late.stats["triggers"]
+    # The clone shares no column with its donor: the latecomer's purges
+    # never reach the donor, which still equals its standalone run.
+    assert_results_equal(results["a"],
+                         batch_result(dataset, compiled, HETERO[0]))
 
 
 def test_runtime_ops_refused_cases(dataset, events):
