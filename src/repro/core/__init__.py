@@ -4,6 +4,7 @@ and the retention policies (ActiveDR + the FLT baseline)."""
 from .activeness import (
     ActivenessEvaluator,
     ActivenessParams,
+    ActivenessTable,
     UserActiveness,
     RankAccumulator,
     evaluate_type_bulk,
@@ -56,6 +57,7 @@ from .value_based import CompositeValueFunction, ValueBasedPolicy
 __all__ = [
     "ActivenessEvaluator",
     "ActivenessParams",
+    "ActivenessTable",
     "UserActiveness",
     "RankAccumulator",
     "evaluate_type_bulk",

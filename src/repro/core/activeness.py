@@ -48,6 +48,13 @@ floor ``b`` at a small constant) for the ablation study.
 
 Both a plain-Python reference implementation and a vectorized NumPy bulk
 evaluator are provided; property tests pin them to each other.
+
+An evaluation is one :class:`ActivenessTable`: uid-sorted rank columns
+plus each user's Fig. 4 class code, which both replay engines classify
+and scan as arrays.  It is also a read-only mapping from uid to
+:class:`UserActiveness`, built on first per-user access, for the
+reference ``Emulator``/``ActiveDRPolicy``, the CLI's ``evaluate`` and
+``retain`` and the admin ``query_user``.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ __all__ = [
     "collapse_cutoff",
     "evaluate_type_bulk",
     "fold_type_ranks",
+    "ActivenessTable",
     "RankAccumulator",
     "ActivenessEvaluator",
     "safe_exp",
@@ -444,24 +452,160 @@ def fold_type_ranks(uid_arr: np.ndarray, ts_arr: np.ndarray,
     return uids, log_ranks, last_ts, impact_sums
 
 
-class RankAccumulator:
-    """Preallocated per-uid columns folding Eq. (6) across activity types.
+#: Fig. 4 class codes, equal to ``UserClass`` values in
+#: :mod:`repro.core.classification` (which imports this module, so the
+#: values are restated here; a test pins them to ``classify``).
+_BOTH_ACTIVE, _OP_ONLY, _OC_ONLY, _BOTH_INACTIVE = 1, 2, 3, 4
 
-    The evaluators used to fold each type's bulk evaluation into a dict of
-    :class:`UserActiveness` objects with a per-user Python loop -- the top
-    profile entry on the fast replay path.  This accumulator keeps the
-    fold columnar: one array slot per uid, scatter-adds per type, and a
-    single object-materialization pass at the end.  The arithmetic is the
-    same sequence of float operations as the old per-object fold (category
-    ranks start at ``log 1 = 0`` and add each type's log rank in type
-    order), so results are bit-identical.
+
+class ActivenessTable(Mapping[int, UserActiveness]):
+    """One evaluation: every user's activeness as uid-sorted columns.
+
+    ``uids`` is sorted and unique; ``log_op``/``log_oc``/``has_op``/
+    ``has_oc``/``last_ts``/``total_impact`` are the
+    :class:`UserActiveness` fields of each row (a category without
+    history reads ``log 0``, a user without any history ``last_ts -1``),
+    and ``codes`` the row's Fig. 4 class (``UserClass`` value), computed
+    once per table.  Every column is read-only, so one table can be
+    shared by every consumer of the evaluation.
+
+    The table is also a read-only ``Mapping[int, UserActiveness]`` for
+    the per-user consumers (the reference ``Emulator`` and
+    ``ActiveDRPolicy.run``, the CLI, ``parallel.retention`` and the
+    admin ``query_user``).  A single lookup builds one object; iterating
+    builds them all once, in the order the evaluators have always
+    returned: the known uids as given, then every other user ascending.
+    The engines read the columns and build none.
     """
 
     __slots__ = ("uids", "log_op", "log_oc", "has_op", "has_oc",
-                 "last_ts", "total_impact")
+                 "last_ts", "total_impact", "codes", "_known", "_users")
 
-    def __init__(self, uids: np.ndarray) -> None:
+    def __init__(self, uids: np.ndarray, log_op: np.ndarray,
+                 log_oc: np.ndarray, has_op: np.ndarray,
+                 has_oc: np.ndarray, last_ts: np.ndarray,
+                 total_impact: np.ndarray,
+                 known: np.ndarray | None = None) -> None:
+        self.uids, self.log_op, self.log_oc = uids, log_op, log_oc
+        self.has_op, self.has_oc, self.last_ts = has_op, has_oc, last_ts
+        self.total_impact = total_impact
+        op_active = has_op & (log_op >= 0.0)
+        oc_active = has_oc & (log_oc >= 0.0)
+        self.codes = np.where(op_active,
+                              np.where(oc_active, _BOTH_ACTIVE, _OP_ONLY),
+                              np.where(oc_active, _OC_ONLY, _BOTH_INACTIVE))
+        for col in (*self.columns(), self.codes):
+            col.flags.writeable = False
+        self._known = np.empty(0, np.int64) if known is None else known
+        self._users: dict[int, UserActiveness] | None = None
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The :class:`UserActiveness` field columns, in field order."""
+        return (self.uids, self.log_op, self.log_oc, self.has_op,
+                self.has_oc, self.last_ts, self.total_impact)
+
+    def rows(self, keep: np.ndarray) -> "ActivenessTable":
+        """The table of the rows a boolean mask (or index array) keeps."""
+        return ActivenessTable(*(col[keep] for col in self.columns()),
+                               known=self._known)
+
+    def with_users(self, uids: np.ndarray) -> "ActivenessTable":
+        """This table plus a row for each of ``uids`` it lacks, holding
+        what a user without history evaluates to (the initial rank,
+        classified both-inactive)."""
+        uids = np.asarray(uids, dtype=np.int64)
+        if self.uids.size:
+            at = np.minimum(np.searchsorted(self.uids, uids),
+                            self.uids.size - 1)
+            uids = uids[self.uids[at] != uids]
+        if uids.size == 0:
+            return self
+        merged = np.union1d(self.uids, uids)
+        at = np.searchsorted(merged, self.uids)
+        cols = []
+        for col, fill in zip(self.columns()[1:],
+                             (0.0, 0.0, False, False, -1, 0.0)):
+            out = np.full(merged.size, fill, dtype=col.dtype)
+            out[at] = col
+            cols.append(out)
+        return ActivenessTable(merged, *cols, known=self._known)
+
+    def row_of(self, uid) -> int | None:
+        """Row index of ``uid``, or ``None`` when it is not evaluated."""
+        try:
+            key = int(uid)
+        except (TypeError, ValueError):
+            return None
+        if key != uid:  # 5.5 or "5": no dict key of this table equals it
+            return None
+        row = int(np.searchsorted(self.uids, key))
+        if row < self.uids.size and self.uids[row] == key:
+            return row
+        return None
+
+    def _as_dict(self) -> dict[int, UserActiveness]:
+        if self._users is None:
+            users = {row[0]: UserActiveness(*row) for row in zip(
+                *(col.tolist() for col in self.columns()))}
+            if self._known.size:
+                ordered = {u: users[u] for u in self._known.tolist()
+                           if u in users}
+                ordered.update(users)  # kept keys keep their place
+                users = ordered
+            self._users = users
+        return self._users
+
+    # -- Mapping -------------------------------------------------------
+
+    def __len__(self) -> int:
+        return int(self.uids.size)
+
+    def __iter__(self):
+        return iter(self._as_dict())
+
+    def __contains__(self, uid) -> bool:
+        return self.row_of(uid) is not None
+
+    def __getitem__(self, uid) -> UserActiveness:
+        if self._users is not None:
+            return self._users[uid]
+        row = self.row_of(uid)
+        if row is None:
+            raise KeyError(uid)
+        return UserActiveness(*(col[row].item() for col in self.columns()))
+
+    def keys(self):
+        return self._as_dict().keys()
+
+    def values(self):
+        return self._as_dict().values()
+
+    def items(self):
+        return self._as_dict().items()
+
+    def __repr__(self) -> str:
+        return f"ActivenessTable({self.uids.size} users)"
+
+
+class RankAccumulator:
+    """Preallocated per-uid columns folding Eq. (6) across activity types.
+
+    One array slot per uid and one scatter-add per type; :meth:`table`
+    hands the columns over as the evaluation's :class:`ActivenessTable`
+    without building a per-user object.  The arithmetic is the sequence
+    of float operations of a per-user fold (category ranks start at
+    ``log 1 = 0`` and add each type's log rank in type order), so
+    results are bit-identical to it.
+    """
+
+    __slots__ = ("uids", "log_op", "log_oc", "has_op", "has_oc",
+                 "last_ts", "total_impact", "known")
+
+    def __init__(self, uids: np.ndarray,
+                 known: np.ndarray | None = None) -> None:
         self.uids = np.asarray(uids, dtype=np.int64)  # sorted, unique
+        #: The seed uids as given (they fix the table's mapping order).
+        self.known = known
         n = self.uids.size
         self.log_op = np.zeros(n, dtype=np.float64)
         self.log_oc = np.zeros(n, dtype=np.float64)
@@ -469,6 +613,17 @@ class RankAccumulator:
         self.has_oc = np.zeros(n, dtype=np.bool_)
         self.last_ts = np.full(n, -1, dtype=np.int64)
         self.total_impact = np.zeros(n, dtype=np.float64)
+
+    @classmethod
+    def over(cls, folded_uids: Sequence[np.ndarray],
+             known_uids: Iterable[int] = ()) -> "RankAccumulator":
+        """An accumulator over every uid that some type folded or
+        ``known_uids`` lists; known users without activity keep the
+        initial rank, both categories inactive."""
+        known = (known_uids.astype(np.int64)
+                 if isinstance(known_uids, np.ndarray)
+                 else np.fromiter(known_uids, np.int64))
+        return cls(np.unique(np.concatenate([*folded_uids, known])), known)
 
     def scatter(self, atype: ActivityType, uids: np.ndarray,
                 log_ranks: np.ndarray, last_ts: np.ndarray,
@@ -489,31 +644,11 @@ class RankAccumulator:
         self.last_ts[idx] = np.maximum(self.last_ts[idx], last_ts)
         self.total_impact[idx] += impact_sums
 
-    def finalize(self, known_uids: Iterable[int] = (),
-                 ) -> dict[int, UserActiveness]:
-        """Materialize the accumulated columns as ``{uid: UserActiveness}``.
-
-        ``known_uids`` seeds users that may have no activity (initial rank,
-        both categories inactive), matching the evaluator contracts.
-        """
-        results: dict[int, UserActiveness] = {
-            int(uid): UserActiveness(int(uid)) for uid in known_uids
-        }
-        for uid, log_op, log_oc, has_op, has_oc, last_ts, impact in zip(
-                self.uids.tolist(), self.log_op.tolist(),
-                self.log_oc.tolist(), self.has_op.tolist(),
-                self.has_oc.tolist(), self.last_ts.tolist(),
-                self.total_impact.tolist()):
-            ua = results.get(uid)
-            if ua is None:
-                ua = results[uid] = UserActiveness(uid)
-            ua.log_op = log_op if has_op else 0.0
-            ua.log_oc = log_oc if has_oc else 0.0
-            ua.has_op = has_op
-            ua.has_oc = has_oc
-            ua.last_ts = last_ts
-            ua.total_impact = impact
-        return results
+    def table(self) -> ActivenessTable:
+        """The accumulated columns as an :class:`ActivenessTable`."""
+        return ActivenessTable(self.uids, self.log_op, self.log_oc,
+                               self.has_op, self.has_oc, self.last_ts,
+                               self.total_impact, known=self.known)
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +672,7 @@ class ActivenessEvaluator:
 
     def evaluate(self, ledger: ActivityLedger, t_c: int,
                  known_uids: Iterable[int] = (),
-                 ) -> dict[int, UserActiveness]:
+                 ) -> ActivenessTable:
         """Activeness of every user at time ``t_c``.
 
         ``known_uids`` adds users (e.g. the system user list) that may have
@@ -558,9 +693,7 @@ class ActivenessEvaluator:
             folded.append((atype, fold_type_ranks(uid_arr, ts_arr, imp_arr,
                                                   t_c, self.params)))
 
-        all_uids = (np.unique(np.concatenate([f[1][0] for f in folded]))
-                    if folded else np.empty(0, dtype=np.int64))
-        acc = RankAccumulator(all_uids)
+        acc = RankAccumulator.over([f[1][0] for f in folded], known_uids)
         for atype, columns in folded:
             acc.scatter(atype, *columns)
-        return acc.finalize(known_uids)
+        return acc.table()

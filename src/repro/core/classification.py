@@ -11,6 +11,12 @@ least-protected first (section 3.4):
 
 Files of users visited earlier face the purge first, so the ordering *is*
 the policy's protection mechanism.
+
+:func:`classify_all` and :func:`scan_ordered_uids` read one
+:class:`~repro.core.activeness.UserActiveness` at a time (the reference
+policy's path); :func:`scan_order` is the same order over an
+:class:`~repro.core.activeness.ActivenessTable`'s columns, as one
+``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .activeness import UserActiveness
+import numpy as np
+
+from .activeness import ActivenessTable, UserActiveness
 
 __all__ = ["UserClass", "classify", "classify_all", "group_counts",
-           "scan_ordered_uids", "GROUP_SCAN_ORDER"]
+           "scan_ordered_uids", "scan_order", "GROUP_SCAN_ORDER"]
 
 
 class UserClass(Enum):
@@ -111,3 +119,36 @@ def scan_ordered_uids(activeness: Mapping[int, UserActiveness],
                                          ua.last_ts, ua.total_impact, ua.uid))
         ordered.append((cls, [ua.uid for ua in members]))
     return ordered
+
+
+#: Each class code's place in :data:`GROUP_SCAN_ORDER`.
+_SCAN_POSITION = np.zeros(len(UserClass) + 1, dtype=np.int64)
+for _place, _cls in enumerate(GROUP_SCAN_ORDER):
+    _SCAN_POSITION[_cls.value] = _place
+_SCAN_POSITION.flags.writeable = False
+
+
+def scan_order(table: ActivenessTable, rows: np.ndarray | None = None,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, places)``: the rows of ``table`` (all, or ``rows``) in
+    scan order, and each one's group index in :data:`GROUP_SCAN_ORDER`.
+
+    The order is :func:`scan_ordered_uids` with its groups concatenated
+    -- group first, then the same five keys -- as one ``np.lexsort``.
+    The uid key is unique, so the order is total and equals the
+    reference sort; ``places`` is non-decreasing, so each group is one
+    contiguous block.
+    """
+    if rows is None:
+        rows = np.arange(table.uids.size)
+    codes = table.codes[rows]
+    op = np.where(table.has_op[rows], table.log_op[rows], -np.inf)
+    oc = np.where(table.has_oc[rows], table.log_oc[rows], -np.inf)
+    op_first = ((codes == UserClass.BOTH_INACTIVE.value)
+                | (codes == UserClass.OUTCOME_ACTIVE_ONLY.value))
+    place = _SCAN_POSITION[codes]
+    order = np.lexsort((table.uids[rows], table.total_impact[rows],
+                        table.last_ts[rows],
+                        np.where(op_first, oc, op),
+                        np.where(op_first, op, oc), place))
+    return rows[order], place[order]

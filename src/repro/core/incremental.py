@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..traces.schema import JobRecord, PublicationRecord
-from .activeness import (ActivenessParams, RankAccumulator, UserActiveness,
+from .activeness import (ActivenessParams, ActivenessTable, RankAccumulator,
                          collapse_cutoff, evaluate_type_bulk, sorted_segments)
 from .activity import (
     Activity,
@@ -284,8 +284,10 @@ class ColumnarActivityStore:
 
     def evaluate(self, t_c: int, params: ActivenessParams | None = None,
                  known_uids: Iterable[int] = (),
-                 ) -> dict[int, UserActiveness]:
-        """Every user's activeness at ``t_c`` -- identical semantics to
+                 ) -> ActivenessTable:
+        """Every user's activeness at ``t_c`` as one
+        :class:`~repro.core.activeness.ActivenessTable` -- identical
+        semantics to
         :meth:`repro.core.activeness.ActivenessEvaluator.evaluate` over an
         equivalent ledger.
 
@@ -327,12 +329,10 @@ class ColumnarActivityStore:
             folded.append((atype, (uids[starts], ranks, last_ts,
                                    np.add.reduceat(imp, starts))))
 
-        all_uids = (np.unique(np.concatenate([f[1][0] for f in folded]))
-                    if folded else np.empty(0, dtype=np.int64))
-        acc = RankAccumulator(all_uids)
+        acc = RankAccumulator.over([f[1][0] for f in folded], known_uids)
         for atype, columns in folded:
             acc.scatter(atype, *columns)
-        return acc.finalize(known_uids)
+        return acc.table()
 
 
 def build_activity_store(jobs: Iterable[JobRecord] = (),

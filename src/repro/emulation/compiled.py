@@ -60,16 +60,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.activeness import ActivenessParams, UserActiveness
+from ..core.activeness import ActivenessParams, ActivenessTable
 from ..core.cache_policy import ScratchAsCachePolicy
-from ..core.classification import (UserClass, classify_all, group_counts,
-                                   scan_ordered_uids)
+from ..core.classification import GROUP_SCAN_ORDER, UserClass, scan_order
 from ..core.exemption import ExemptionList
 from ..core.flt import FixedLifetimePolicy
 from ..core.incremental import ColumnarActivityStore, build_activity_store
 from ..core.policy import RetentionPolicy
 from ..core.report import RetentionReport
-from ..core.retention import ActiveDRPolicy, adjusted_lifetime_seconds
+from ..core.retention import ActiveDRPolicy
 from ..core.value_based import CompositeValueFunction, ValueBasedPolicy
 from ..traces.schema import AppAccessRecord, JobRecord, PublicationRecord
 from ..vfs.file_meta import DAY_SECONDS
@@ -150,7 +149,8 @@ class PathCatalog:
     them as they arrive.  Either way the two scan orders the triggers
     need -- plain-string order (the per-user ActiveDR walk and value
     tie-breaks) and prefix-trie order (the FLT system scan) -- are rank
-    columns, brought up to date lazily when new paths intern.
+    columns, brought up to date lazily when new paths intern.  A
+    compiled trace's catalog is then frozen (:meth:`freeze`).
 
     ``det_size`` is stamped at intern time (it depends only on the
     path); ``snap_size`` is the snapshot size for snapshot files and 0
@@ -215,8 +215,20 @@ class PathCatalog:
     def scan_rank(self) -> np.ndarray:
         return self._ranks()[1]
 
+    def freeze(self) -> None:
+        """Compute both rank columns, then drop what only interning needs
+        (the path -> pid dict, the scan keys and the two pid orders);
+        :meth:`intern` on a frozen catalog raises."""
+        self._ranks()
+        self._pid_of = self._scan_keys = None
+        self._path_order = self._scan_order = None
+        self._det_size = self.det_size.copy()
+        self._snap_size = self.snap_size.copy()
+
     def intern(self, path: str, snap_size: int = 0) -> int:
         """Pid of ``path``, assigning the next id on first sight."""
+        if self._pid_of is None:
+            raise RuntimeError("cannot intern into a frozen PathCatalog")
         pid = self._pid_of.get(path)
         if pid is not None:
             return pid
@@ -355,10 +367,11 @@ class CompiledTrace:
     ``catalog`` holds the snapshot and in-window trace paths, interned
     in plain-string sort order -- exactly the order
     ``VirtualFileSystem.iter_user_files`` visits one user's files, so the
-    ActiveDR per-user scan is an ascending-pid walk.  Both of its rank
-    columns are computed at build, before ``run_lifetime_sweep`` forks
-    ranks over the trace.  ``snapshot`` is the snapshot file system; each
-    replay starts from a copy of it.
+    ActiveDR per-user scan is an ascending-pid walk.  It is frozen at
+    build (:meth:`PathCatalog.freeze`): both rank columns are computed
+    before ``run_lifetime_sweep`` forks ranks over the trace, and nothing
+    interns into it after.  ``snapshot`` is the snapshot file system;
+    each replay starts from a copy of it.
     """
 
     catalog: PathCatalog
@@ -398,7 +411,6 @@ class CompiledTrace:
         intern = catalog.intern
         for path in sorted(path_set):
             intern(path, snap_size.get(path, 0))
-        catalog._ranks()  # once, pre-fork
 
         state = ReplayState(fs.capacity_bytes)
         state.ensure(catalog.n_paths)
@@ -412,6 +424,7 @@ class CompiledTrace:
         op = np.fromiter((_OP_CODES[r.op] for r in recs), np.int8, n)
         if n and np.any(np.diff(ts) < 0):
             raise ValueError("accesses must be time-sorted")
+        catalog.freeze()  # once, pre-fork
         day = (ts - replay_start) // DAY_SECONDS
         day_offsets = np.searchsorted(day, np.arange(n_days + 1))
         index = ReplayIndex(replay_start=replay_start, n_days=n_days,
@@ -439,38 +452,137 @@ def compile_dataset(dataset) -> CompiledTrace:
 
 
 class GroupLookup:
-    """Vectorized uid -> UserClass code with the both-inactive default."""
+    """One classification: uid-sorted ``uids`` and their ``class_codes``
+    (``UserClass`` values), looked up in bulk with the both-inactive
+    default for unclassified uids."""
 
-    __slots__ = ("_uids", "_codes")
+    __slots__ = ("uids", "class_codes")
 
     _DEFAULT = UserClass.BOTH_INACTIVE.value
 
-    def __init__(self, classes: dict[int, UserClass]) -> None:
-        if classes:
-            uids = np.fromiter(classes.keys(), np.int64, len(classes))
-            codes = np.fromiter((c.value for c in classes.values()),
-                                np.int64, len(classes))
-            order = np.argsort(uids)
-            self._uids = uids[order]
-            self._codes = codes[order]
-        else:
-            self._uids = np.empty(0, dtype=np.int64)
-            self._codes = np.empty(0, dtype=np.int64)
+    def __init__(self, uids: np.ndarray | None = None,
+                 class_codes: np.ndarray | None = None) -> None:
+        empty = np.empty(0, dtype=np.int64)
+        self.uids = empty if uids is None else uids
+        self.class_codes = empty if class_codes is None else class_codes
+
+    def rows(self, uid_arr: np.ndarray) -> np.ndarray:
+        """Row of each uid, ``-1`` where it is not classified."""
+        if self.uids.size == 0:
+            return np.full(uid_arr.size, -1, dtype=np.int64)
+        idx = np.minimum(np.searchsorted(self.uids, uid_arr),
+                         self.uids.size - 1)
+        return np.where(self.uids[idx] == uid_arr, idx, -1)
 
     def codes(self, uid_arr: np.ndarray) -> np.ndarray:
-        if self._uids.size == 0:
+        """Class code of each uid (both-inactive where unclassified)."""
+        if self.uids.size == 0:
             return np.full(uid_arr.size, self._DEFAULT, dtype=np.int64)
-        idx = np.minimum(np.searchsorted(self._uids, uid_arr),
-                         self._uids.size - 1)
-        return np.where(self._uids[idx] == uid_arr,
-                        self._codes[idx], self._DEFAULT)
+        rows = self.rows(uid_arr)
+        return np.where(rows >= 0, self.class_codes[rows], self._DEFAULT)
+
+    def code_of(self, uid: int) -> int | None:
+        """The class code of one uid, ``None`` when it is not classified."""
+        row = int(self.rows(np.asarray([uid], dtype=np.int64))[0])
+        return None if row < 0 else int(self.class_codes[row])
+
+    def owner_rows(self, owners: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(uids, class_codes, rows)``: these columns plus a
+        both-inactive row for each owner they lack, and each owner's
+        row in them."""
+        rows = self.rows(owners)
+        miss = rows < 0
+        if not miss.any():
+            return self.uids, self.class_codes, rows
+        extra, inv = np.unique(owners[miss], return_inverse=True)
+        rows[miss] = self.uids.size + inv
+        return (np.concatenate([self.uids, extra]),
+                np.concatenate([self.class_codes,
+                                np.full(extra.size, self._DEFAULT)]),
+                rows)
+
+    def restricted(self, keep_mask) -> "GroupLookup":
+        """The classification of the uids ``keep_mask`` keeps."""
+        if self.uids.size == 0:
+            return self
+        keep = np.asarray(keep_mask(self.uids), dtype=bool)
+        if keep.all():
+            return self
+        return GroupLookup(self.uids[keep], self.class_codes[keep])
+
+    def classes(self) -> dict[int, UserClass]:
+        """``{uid: UserClass}``, the form ``EmulationResult`` reports."""
+        return {uid: _CODE_TO_CLASS[code] for uid, code in zip(
+            self.uids.tolist(), self.class_codes.tolist())}
 
 
 _CODE_TO_CLASS = {cls.value: cls for cls in UserClass}
+_N_CODES = len(UserClass) + 1
 
 
-class _TargetReached(Exception):
-    """Internal control flow: the purge target was hit mid-scan."""
+def _tally_groups(report: RetentionReport, uids: np.ndarray,
+                  class_codes: np.ndarray, rows: np.ndarray,
+                  sizes: np.ndarray, *, purged: bool) -> None:
+    """Count files into the report's per-class tallies: ``rows`` are
+    their owners' rows in ``uids``/``class_codes``, ``sizes`` their
+    sizes."""
+    file_codes = class_codes[rows]
+    n_files = np.bincount(file_codes, minlength=_N_CODES)
+    owns = np.zeros(uids.size, dtype=bool)
+    owns[rows] = True
+    for value in np.flatnonzero(n_files).tolist():
+        tally = report.groups[_CODE_TO_CLASS[value]]
+        n_bytes = int(sizes[file_codes == value].sum())
+        users = uids[owns & (class_codes == value)].tolist()
+        if purged:
+            tally.purged_files += int(n_files[value])
+            tally.purged_bytes += n_bytes
+            tally.users_purged.update(users)
+        else:
+            tally.retained_files += int(n_files[value])
+            tally.retained_bytes += n_bytes
+            tally.users_scanned.update(users)
+
+
+@dataclass(slots=True, frozen=True)
+class _LiveOwners:
+    """The live files at one instant (``idx``), each mapped to its
+    owner's row of a classification that covers every owner."""
+
+    idx: np.ndarray
+    uids: np.ndarray
+    class_codes: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, state, lookup: GroupLookup) -> "_LiveOwners":
+        idx = np.flatnonzero(state.live)
+        return cls(idx, *lookup.owner_rows(state.owner[idx]))
+
+
+def _log_lifetimes(config, table: ActivenessTable,
+                   rows: np.ndarray) -> np.ndarray:
+    """The ``log`` of each of ``rows``' Eq. (7) lifetime, undecayed.
+
+    :func:`~repro.core.retention.adjusted_lifetime_seconds` up to its
+    ``exp``, vectorized with the same float operations in the same
+    order.  The ``exp`` itself stays ``math.exp``, one call per user:
+    NumPy's SIMD ``exp`` can round differently from libm, and a
+    lifetime one ulp off can flip a purge decision.
+    """
+    mult = np.zeros(rows.size)
+    collapsed_any = np.zeros(rows.size, dtype=bool)
+    for has, log_rank in ((table.has_op[rows], table.log_op[rows]),
+                          (table.has_oc[rows], table.log_oc[rows])):
+        collapsed = has & (log_rank == -np.inf)
+        mult += np.where(has & ~collapsed, log_rank, 0.0)
+        collapsed_any |= collapsed
+    if not config.zero_rank_as_initial:
+        mult[collapsed_any] = -np.inf
+    inactive = table.codes[rows] == UserClass.BOTH_INACTIVE.value
+    mult[inactive] = np.maximum(mult[inactive], 0.0)
+    return math.log(config.lifetime_days * DAY_SECONDS) + mult
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +729,12 @@ class TriggerEngine:
         self._cols_count = 0
 
     def trigger(self, catalog, state, t_c: int,
-                activeness: dict[int, UserActiveness],
+                activeness: ActivenessTable,
                 lookup: GroupLookup,
                 exempt: np.ndarray | None) -> RetentionReport:
-        """Run one purge trigger at ``t_c``; mutates ``state``."""
+        """Run one purge trigger at ``t_c``; mutates ``state``.
+
+        ``lookup`` is the classification of ``activeness``."""
         return self._trigger(catalog, state, t_c, activeness, lookup, exempt)
 
     # ------------------------------------------------------------------
@@ -630,49 +744,40 @@ class TriggerEngine:
                       idxs: np.ndarray, group: UserClass | None,
                       lookup: GroupLookup | None) -> None:
         """Purge ``idxs``; tally under ``group`` (or per-owner lookup)."""
-        owners = state.owner[idxs]
         sizes = state.size[idxs]
-        if group is not None:
-            code_values = (group.value,)
-            masks = {group.value: np.ones(idxs.size, dtype=np.bool_)}
-        else:
-            codes = lookup.codes(owners)
-            code_values = np.unique(codes).tolist()
-            masks = {v: codes == v for v in code_values}
-        for value in code_values:
-            m = masks[value]
-            tally = report.groups[_CODE_TO_CLASS[value]]
-            tally.purged_files += int(m.sum())
-            tally.purged_bytes += int(sizes[m].sum())
-            tally.users_purged.update(
-                int(u) for u in np.unique(owners[m]).tolist())
         total = int(sizes.sum())
+        if group is not None:
+            tally = report.groups[group]
+            tally.purged_files += int(idxs.size)
+            tally.purged_bytes += total
+            tally.users_purged.update(np.unique(state.owner[idxs]).tolist())
+        else:
+            _tally_groups(report, *lookup.owner_rows(state.owner[idxs]),
+                          sizes, purged=True)
         report.purged_bytes_total += total
         state.live[idxs] = False
         state.total_bytes -= total
         state.file_count -= int(idxs.size)
 
     def _record_survivors(self, state, report: RetentionReport,
-                          lookup: GroupLookup) -> None:
-        live_idx = np.flatnonzero(state.live)
-        if live_idx.size == 0:
+                          lookup: GroupLookup,
+                          live: _LiveOwners | None = None) -> None:
+        """Tally the live files as retained; ``live`` is a mapping of the
+        files live at the trigger's start, of which purges only cleared
+        some."""
+        if live is None:
+            live = _LiveOwners.of(state, lookup)
+        alive = state.live[live.idx]
+        if not alive.any():
             return
-        owners = state.owner[live_idx]
-        sizes = state.size[live_idx]
-        codes = lookup.codes(owners)
-        for value in np.unique(codes).tolist():
-            m = codes == value
-            tally = report.groups[_CODE_TO_CLASS[value]]
-            tally.retained_files += int(m.sum())
-            tally.retained_bytes += int(sizes[m].sum())
-            tally.users_scanned.update(
-                int(u) for u in np.unique(owners[m]).tolist())
+        _tally_groups(report, live.uids, live.class_codes, live.rows[alive],
+                      state.size[live.idx[alive]], purged=False)
 
     # ------------------------------------------------------------------
     # FLT
 
     def _flt_trigger(self, catalog, state, t_c: int,
-                     activeness: dict[int, UserActiveness],
+                     activeness: ActivenessTable,
                      lookup: GroupLookup,
                      exempt: np.ndarray | None) -> RetentionReport:
         config = self.policy.config
@@ -708,7 +813,7 @@ class TriggerEngine:
     # ActiveDR
 
     def _activedr_trigger(self, catalog, state, t_c: int,
-                          activeness: dict[int, UserActiveness],
+                          activeness: ActivenessTable,
                           lookup: GroupLookup,
                           exempt: np.ndarray | None) -> RetentionReport:
         config = self.policy.config
@@ -717,81 +822,84 @@ class TriggerEngine:
                                  lifetime_days=config.lifetime_days,
                                  target_bytes=target)
 
-        full = dict(activeness)
-        live_idx = np.flatnonzero(state.live)
-        for u in np.unique(state.owner[live_idx]).tolist():
-            full.setdefault(int(u), UserActiveness(int(u)))
-        groups = scan_ordered_uids(full)
-
-        if target <= 0:
-            self._record_survivors(state, report, lookup)
-            return report
-
-        # Per-owner slices over the live files, in plain-string path
-        # order -- exactly the iter_user_files visit order.
-        owners_live = state.owner[live_idx]
-        order = np.lexsort((catalog.order_rank[live_idx], owners_live))
-        sorted_idx = live_idx[order]
-        sorted_own = owners_live[order]
-        uniq, starts, lens = np.unique(sorted_own, return_index=True,
-                                       return_counts=True)
-        slices = {int(u): (int(s), int(c))
-                  for u, s, c in zip(uniq, starts, lens)}
-
-        try:
-            for group, uids in groups:
-                for retro in range(config.retrospective_passes + 1):
-                    if retro:
-                        if report.purged_bytes_total >= target:
-                            break
-                        decay = (1.0 - config.rank_decay) ** retro
-                        report.passes_used = max(report.passes_used,
-                                                 retro + 1)
-                    else:
-                        decay = 1.0
-                    self._scan_group_columnar(
-                        state, t_c, report, full, group, uids, exempt,
-                        target, decay, slices, sorted_idx)
-        except _TargetReached:
-            pass
-
-        report.target_met = report.purged_bytes_total >= target
-        self._record_survivors(state, report, lookup)
+        # Owners present on disk but absent from the evaluation are new
+        # users: initial rank, classified both-inactive.
+        idx = np.flatnonzero(state.live)
+        owners = state.owner[idx]
+        table = activeness.with_users(owners)
+        live = _LiveOwners(idx, table.uids, table.codes,
+                           np.searchsorted(table.uids, owners))
+        if target > 0:
+            self._scan_groups(catalog, state, t_c, report, table, live,
+                              exempt, target)
+            report.target_met = report.purged_bytes_total >= target
+        self._record_survivors(state, report, lookup, live)
         if not report.target_met and self.policy.notifier is not None:
             from ..core.notify import notification_from_report
             self.policy.notifier.notify(notification_from_report(report))
         return report
 
-    def _scan_group_columnar(self, state, t_c: int,
-                             report: RetentionReport,
-                             activeness: dict[int, UserActiveness],
-                             group: UserClass, uids: list[int],
-                             exempt: np.ndarray | None, target: int,
-                             decay: float, slices, sorted_idx) -> None:
+    def _scan_groups(self, catalog, state, t_c: int,
+                     report: RetentionReport, table: ActivenessTable,
+                     live: _LiveOwners, exempt: np.ndarray | None,
+                     target: int) -> None:
+        """``ActiveDRPolicy.run``'s group scan over columns.
+
+        Users owning live files are ordered once (:func:`scan_order`),
+        and their files once, by user then plain-string path -- the
+        ``iter_user_files`` visit order.  One pass over a group is then
+        one stale mask, one cumsum and one cut: purging stops at the
+        first file whose running total reaches the target, exactly
+        where the per-user, per-file reference loop stops.
+        """
         config = self.policy.config
-        for uid in uids:
-            lifetime = adjusted_lifetime_seconds(config, activeness[uid],
-                                                 group, decay)
-            if math.isinf(lifetime):
-                continue
-            span = slices.get(uid)
-            if span is None:
-                continue
-            idxs = sorted_idx[span[0]:span[0] + span[1]]
-            stale = state.live[idxs] & ((t_c - state.atime[idxs]) > lifetime)
-            if exempt is not None:
-                stale &= ~exempt[idxs]
-            idxs = idxs[stale]
-            if idxs.size == 0:
-                continue
-            remaining = target - report.purged_bytes_total
-            cum = np.cumsum(state.size[idxs])
-            cut = int(np.searchsorted(cum, remaining, side="left"))
-            if cut < idxs.size:
-                self._apply_purges(state, report, idxs[:cut + 1], group,
-                                   lookup=None)
-                raise _TargetReached
-            self._apply_purges(state, report, idxs, group, lookup=None)
+        n_files = np.bincount(live.rows, minlength=live.uids.size)
+        users, places = scan_order(table, np.flatnonzero(n_files))
+        user_rank = np.empty(live.uids.size, dtype=np.int64)
+        user_rank[users] = np.arange(users.size)
+        files = live.idx[np.lexsort((catalog.order_rank[live.idx],
+                                     user_rank[live.rows]))]
+        per_user = n_files[users]
+        first_file = np.concatenate(([0], np.cumsum(per_user)))
+        bounds = np.searchsorted(places, np.arange(len(GROUP_SCAN_ORDER) + 1))
+        log_lifetimes = _log_lifetimes(config, table, users)
+
+        for place, group in enumerate(GROUP_SCAN_ORDER):
+            lo, hi = bounds[place], bounds[place + 1]
+            span = files[first_file[lo]:first_file[hi]]
+            for retro in range(config.retrospective_passes + 1):
+                if retro:
+                    if report.purged_bytes_total >= target:
+                        break
+                    decay = (1.0 - config.rank_decay) ** retro
+                    report.passes_used = max(report.passes_used, retro + 1)
+                else:
+                    decay = 1.0
+                if span.size == 0:
+                    continue
+                log_lt = log_lifetimes[lo:hi]
+                if decay < 1.0:
+                    log_lt = log_lt + math.log(decay)
+                # adjusted_lifetime_seconds' overflow guard: above 700
+                # the lifetime is "never purge".
+                lifetimes = np.repeat(
+                    [math.inf if x > 700.0 else math.exp(x)
+                     for x in log_lt.tolist()], per_user[lo:hi])
+                stale = state.live[span] & ((t_c - state.atime[span])
+                                            > lifetimes)
+                if exempt is not None:
+                    stale &= ~exempt[span]
+                idxs = span[stale]
+                if idxs.size == 0:
+                    continue
+                remaining = target - report.purged_bytes_total
+                cum = np.cumsum(state.size[idxs])
+                cut = int(np.searchsorted(cum, remaining, side="left"))
+                if cut < idxs.size:
+                    self._apply_purges(state, report, idxs[:cut + 1], group,
+                                       lookup=None)
+                    return
+                self._apply_purges(state, report, idxs, group, lookup=None)
 
     # ------------------------------------------------------------------
     # value-based baseline (related work): lowest-value files first
@@ -877,7 +985,7 @@ class TriggerEngine:
                 + vf.w_type * type_weight[idxs])
 
     def _value_trigger(self, catalog, state, t_c: int,
-                       activeness: dict[int, UserActiveness],
+                       activeness: ActivenessTable,
                        lookup: GroupLookup,
                        exempt: np.ndarray | None) -> RetentionReport:
         config = self.policy.config
@@ -914,7 +1022,7 @@ class TriggerEngine:
     # scratch-as-a-cache baseline (related work): evict non-resident users
 
     def _cache_trigger(self, catalog, state, t_c: int,
-                       activeness: dict[int, UserActiveness],
+                       activeness: ActivenessTable,
                        lookup: GroupLookup,
                        exempt: np.ndarray | None) -> RetentionReport:
         config = self.policy.config
@@ -955,10 +1063,12 @@ class PolicyReplay:
     Holds everything the replay of one policy accumulates: the state,
     the ``add_pos`` scratch column (first position at which each path
     materializes today, or :data:`NEVER_POS`), the daily metrics, purge
-    reports and group-count history, and the classification with its
-    :class:`GroupLookup`.  The caller supplies the days, the trigger
-    instants and the activeness evaluations: :class:`FastEmulator` from a
-    compiled trace, the streaming engine at its day boundaries.
+    reports and group-count history, and the classification as a
+    :class:`GroupLookup` taken straight from the newest
+    :class:`~repro.core.activeness.ActivenessTable`.  The caller supplies
+    the days, the trigger instants and the evaluations:
+    :class:`FastEmulator` from a compiled trace, the streaming engine at
+    its day boundaries.
     """
 
     def __init__(self, engine: TriggerEngine, config: EmulatorConfig,
@@ -971,21 +1081,21 @@ class PolicyReplay:
         self.metrics = DailyMetrics(n_days)
         self.reports: list[RetentionReport] = []
         self.group_count_history: list[dict[UserClass, int]] = []
-        self.classes: dict[int, UserClass] = {}
-        self.lookup: GroupLookup | None = None
+        self.lookup = GroupLookup()
 
     def due(self, day: int, n_days: int) -> bool:
         """Whether the purge trigger fires before replaying ``day``."""
         return (1 <= day < n_days
                 and day % self.policy.config.purge_trigger_days == 0)
 
-    def classify(self, activeness: dict[int, UserActiveness]) -> None:
-        self.classes = classify_all(activeness)
-        self.group_count_history.append(group_counts(self.classes))
-        self.lookup = GroupLookup(self.classes)
+    def classify(self, activeness: ActivenessTable) -> None:
+        self.lookup = GroupLookup(activeness.uids, activeness.codes)
+        counts = np.bincount(activeness.codes, minlength=_N_CODES)
+        self.group_count_history.append(
+            {cls: int(counts[cls.value]) for cls in UserClass})
 
     def trigger(self, catalog: PathCatalog, t_c: int,
-                activeness: dict[int, UserActiveness],
+                activeness: ActivenessTable,
                 exempt: np.ndarray | None) -> RetentionReport:
         """Reclassify, then run the purge trigger at ``t_c``."""
         self.classify(activeness)
@@ -1015,7 +1125,7 @@ class PolicyReplay:
             lifetime_days=self.policy.config.lifetime_days,
             metrics=self.metrics, reports=self.reports,
             group_count_history=self.group_count_history,
-            final_classes=self.classes,
+            final_classes=self.lookup.classes(),
             final_total_bytes=self.state.total_bytes,
             final_file_count=self.state.file_count)
 
@@ -1068,7 +1178,7 @@ class FastEmulator:
         exempt = catalog.exempt_mask(self.exemptions)
         store = compiled.store
 
-        def evaluate(t_c: int) -> dict[int, UserActiveness]:
+        def evaluate(t_c: int) -> ActivenessTable:
             if activeness_cache is None:
                 return store.evaluate(t_c, self.params, known_uids)
             got = activeness_cache.get(t_c)

@@ -77,6 +77,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..core.activeness import ActivenessTable
 from ..core.classification import UserClass
 from ..core.report import RetentionReport
 from ..emulation.emulator import EmulationResult
@@ -233,24 +234,19 @@ class HashRing:
 
         return check
 
-    def owned_filter(self, name: str) -> Callable[[dict], dict]:
+    def owned_filter(self, name: str,
+                     ) -> Callable[[ActivenessTable], ActivenessTable]:
         """Restrict an activeness evaluation to this shard's users.
 
         Publication rows are duplicated to co-author shards so scores
         fold identically everywhere, but only the owner may *classify*
         a user -- otherwise a co-author would be counted (and purged)
-        on several shards at once.
+        on several shards at once.  The filter masks the table's rows.
         """
 
-        def filt(result: dict) -> dict:
-            if not result:
-                return result
-            uids = np.fromiter(result.keys(), np.int64, len(result))
-            keep = self.member_mask(name, uids)
-            if keep.all():
-                return result
-            kept = set(uids[keep].tolist())
-            return {u: v for u, v in result.items() if u in kept}
+        def filt(table: ActivenessTable) -> ActivenessTable:
+            keep = self.member_mask(name, table.uids)
+            return table if keep.all() else table.rows(keep)
 
         return filt
 

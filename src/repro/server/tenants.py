@@ -79,7 +79,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..core.activeness import ActivenessParams, UserActiveness
+from ..core.activeness import ActivenessParams, ActivenessTable, safe_exp
 from ..core.classification import UserClass
 from ..core.config import RetentionConfig
 from ..core.exemption import ExemptionList
@@ -335,13 +335,13 @@ class MultiTenantService:
         #: checkpoint (shard workers stamp a ``shard`` provenance
         #: section: shard name + ring digest).
         self.manifest_extra: Callable[[], dict] | None = None
-        #: Optional post-evaluation filter ``activeness_dict -> dict``
-        #: restricting classification to the users this shard owns
-        #: (publication rows are duplicated to every co-author's shard,
-        #: so un-owned authors acquire activity here; without the filter
-        #: they would be classified on several shards at once).
-        self.owned_filter: Callable[[dict[int, UserActiveness]],
-                                    dict[int, UserActiveness]] | None = None
+        #: Optional post-evaluation filter ``table -> table`` keeping
+        #: only the rows of the users this shard owns (publication rows
+        #: are duplicated to every co-author's shard, so un-owned authors
+        #: acquire activity here; without the filter they would be
+        #: classified on several shards at once).
+        self.owned_filter: Callable[[ActivenessTable],
+                                    ActivenessTable] | None = None
         #: True when this service was resumed from a donor's rebalance
         #: clone that has not yet been narrowed to this shard's users
         #: (manifest flag ``shard_seed_pending``); the serve wiring then
@@ -379,10 +379,9 @@ class MultiTenantService:
             "checkpoints_written": 0, "checkpoint_failures": 0,
         }
         self.last_checkpoint_error: str | None = None
-        #: params_key -> (t_c, activeness dict) of the newest evaluation,
-        #: kept for the admin plane's ``query user``.
-        self._last_eval: dict[tuple, tuple[int, dict[int,
-                                                     UserActiveness]]] = {}
+        #: params_key -> (t_c, table) of the newest evaluation, kept for
+        #: the admin plane's ``query user`` and ``activity_summary``.
+        self._last_eval: dict[tuple, tuple[int, ActivenessTable]] = {}
 
         #: The observability plane's sample store: one sample appended at
         #: every day boundary.  ``sample_extra`` (set by the serve
@@ -552,14 +551,7 @@ class MultiTenantService:
                     state.file_count -= n_drop
                     dropped_files += n_drop
                     dropped_bytes += bytes_drop
-            if tenant.classes:
-                cu = np.fromiter(tenant.classes.keys(), np.int64,
-                                 len(tenant.classes))
-                m = np.asarray(keep_mask(cu), dtype=bool)
-                if not m.all():
-                    tenant.classes = {int(u): tenant.classes[int(u)]
-                                      for u in cu[m].tolist()}
-                    tenant.lookup = GroupLookup(tenant.classes)
+            tenant.lookup = tenant.lookup.restricted(keep_mask)
         self._last_eval.clear()
         return {"dropped_users": dropped_users,
                 "dropped_files": dropped_files,
@@ -861,7 +853,7 @@ class MultiTenantService:
         self._sample_metrics(boundary)
 
     def _evaluate_for(self, tenants: Iterable[Tenant], t_c: int,
-                      ) -> dict[tuple, dict[int, UserActiveness]]:
+                      ) -> dict[tuple, ActivenessTable]:
         """One activeness fold per *distinct* parameter set at ``t_c``.
 
         This is where multi-tenant sharing pays: same-params tenants
@@ -869,7 +861,7 @@ class MultiTenantService:
         shares evaluations the same way, so downstream consumers are
         known not to mutate it).
         """
-        out: dict[tuple, dict[int, UserActiveness]] = {}
+        out: dict[tuple, ActivenessTable] = {}
         for tenant in tenants:
             key = tenant.params_key
             if key in out:
@@ -986,12 +978,17 @@ class MultiTenantService:
         evaluation.  Per tenant: the latest classification's group
         counts.  Point-in-time reads only (admin-thread safe).
         """
+        def linear(log_rank: np.ndarray, has: np.ndarray) -> np.ndarray:
+            # UserActiveness.op_rank / oc_rank, element by element.
+            return np.fromiter(
+                (safe_exp(x) if h else 0.0
+                 for x, h in zip(log_rank.tolist(), has.tolist())),
+                np.float64, log_rank.size)
+
         out: dict = {"params": {}, "tenants": {}}
-        for key, (t_c, activeness) in list(self._last_eval.items()):
-            op = np.asarray([ua.op_rank for ua in activeness.values()],
-                            dtype=np.float64)
-            oc = np.asarray([ua.oc_rank for ua in activeness.values()],
-                            dtype=np.float64)
+        for key, (t_c, table) in list(self._last_eval.items()):
+            op = linear(table.log_op, table.has_op)
+            oc = linear(table.log_oc, table.has_oc)
             entry: dict = {
                 "period_days": key[0],
                 "evaluated_at": t_c,
@@ -1127,11 +1124,8 @@ class MultiTenantService:
             # Views, not copies: the write is synchronous.
             for name in ReplayState.COLUMNS:
                 arrays[prefix + name] = getattr(tenant.state, name)
-            arrays[prefix + "class_uids"] = np.fromiter(
-                tenant.classes.keys(), np.int64, len(tenant.classes))
-            arrays[prefix + "class_codes"] = np.fromiter(
-                (c.value for c in tenant.classes.values()), np.int64,
-                len(tenant.classes))
+            arrays[prefix + "class_uids"] = tenant.lookup.uids
+            arrays[prefix + "class_codes"] = tenant.lookup.class_codes
             arrays[prefix + "group_count_history"] = ghist
             for key, value in metrics_to_arrays(tenant.metrics).items():
                 arrays[prefix + key] = value
@@ -1254,11 +1248,12 @@ class MultiTenantService:
             tenant.group_count_history = [
                 {cls: int(row[j]) for j, cls in enumerate(UserClass)}
                 for row in ghist]
-            tenant.classes = {
-                int(u): UserClass(int(c))
-                for u, c in zip(arrays[prefix + "class_uids"].tolist(),
-                                arrays[prefix + "class_codes"].tolist())}
-            tenant.lookup = GroupLookup(tenant.classes)
+            # Sorted by uid: links written before the classification
+            # became columns store it in evaluation order.
+            uids = np.asarray(arrays[prefix + "class_uids"], dtype=np.int64)
+            order = np.argsort(uids, kind="stable")
+            tenant.lookup = GroupLookup(uids[order], np.asarray(
+                arrays[prefix + "class_codes"], dtype=np.int64)[order])
             tenant.admitted_boundary = int(stored["admitted_boundary"])
             tenant.stats.update(stored.get("stats", {}))
 
@@ -1316,8 +1311,9 @@ class MultiTenantService:
         out: dict = {"uid": uid, "tenants": {}}
         for tenant in list(self.tenants):
             info: dict = {}
-            cls = tenant.classes.get(uid)
-            info["class"] = cls.label if cls is not None else None
+            code = tenant.lookup.code_of(uid)
+            info["class"] = (UserClass(code).label if code is not None
+                             else None)
             held = self._last_eval.get(tenant.params_key)
             if held is not None:
                 t_c, activeness = held

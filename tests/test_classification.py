@@ -2,6 +2,11 @@
 
 import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import (
     GROUP_SCAN_ORDER,
     UserActiveness,
@@ -11,6 +16,10 @@ from repro.core import (
     group_counts,
     scan_ordered_uids,
 )
+from repro.core.activeness import ActivenessTable
+from repro.core.classification import scan_order
+
+_CODES = {cls.value: cls for cls in UserClass}
 
 
 def _ua(uid, op=None, oc=None, last_ts=-1, impact=0.0):
@@ -133,3 +142,70 @@ def test_no_history_sorts_before_collapsed_history():
 def test_labels():
     assert UserClass.BOTH_ACTIVE.label == "Both Active"
     assert UserClass.BOTH_INACTIVE.label == "Both Inactive"
+
+
+# ---------------------------------------------------------------- columns
+
+_LOG_RANKS = st.one_of(st.none(), st.just(-math.inf), st.just(0.0),
+                       st.floats(-50.0, 50.0, allow_nan=False))
+
+
+def _table_of(users):
+    """An ``ActivenessTable`` holding ``users`` (UserActiveness objects)."""
+    users = sorted(users, key=lambda ua: ua.uid)
+    cols = [np.asarray([getattr(ua, name) for ua in users], dtype=dtype)
+            for name, dtype in (("uid", np.int64), ("log_op", np.float64),
+                                ("log_oc", np.float64), ("has_op", bool),
+                                ("has_oc", bool), ("last_ts", np.int64),
+                                ("total_impact", np.float64))]
+    return ActivenessTable(*cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_LOG_RANKS, _LOG_RANKS, st.integers(-1, 3),
+                          st.sampled_from([0.0, 1.5, 2.0])),
+                max_size=40))
+def test_table_classes_and_scan_order_match_per_user(rows):
+    users = [_ua(uid, op, oc, last_ts, impact)
+             for uid, (op, oc, last_ts, impact) in enumerate(rows)]
+    table = _table_of(users)
+    by_uid = {ua.uid: ua for ua in users}
+    assert dict(table) == by_uid
+    assert [_CODES[c] for c in table.codes.tolist()] == \
+        [classify(by_uid[u]) for u in table.uids.tolist()]
+    ordered, places = scan_order(table)
+    expected = scan_ordered_uids(by_uid)
+    assert table.uids[ordered].tolist() == \
+        [uid for _, uids in expected for uid in uids]
+    assert [GROUP_SCAN_ORDER[p] for p in places.tolist()] == \
+        [cls for cls, uids in expected for _ in uids]
+
+
+def test_table_columns_are_read_only():
+    table = _table_of([_ua(1, op=0.5), _ua(2)])
+    with pytest.raises(ValueError):
+        table.codes[0] = UserClass.BOTH_INACTIVE.value
+    with pytest.raises(ValueError):
+        table.log_op[1] = 1.0
+
+
+def test_table_with_users_adds_default_rows():
+    table = _table_of([_ua(5, op=0.5, oc=0.5, last_ts=3, impact=2.0),
+                       _ua(9, op=-1.0)])
+    assert table.with_users(np.asarray([9, 5, 9])) is table
+    grown = table.with_users(np.asarray([7, 9, 1, 7]))
+    assert grown.uids.tolist() == [1, 5, 7, 9]
+    assert dict(grown) == {**dict(table), 1: UserActiveness(1),
+                           7: UserActiveness(7)}
+    assert grown.codes.tolist() == [4, 1, 4, 4]
+
+
+def test_table_rows_keep_the_mapping_order_of_known_uids():
+    table = _table_of([_ua(uid, op=0.0) for uid in (1, 3, 5, 7)])
+    table = ActivenessTable(*table.columns(), known=np.asarray([7, 2, 3]))
+    assert list(table) == [7, 3, 1, 5]
+    kept = table.rows(np.asarray([True, False, True, True]))
+    assert list(kept) == [7, 1, 5]
+    assert 3 not in kept and kept.get(3) is None and kept[5] == table[5]
+    # Keys compare as a dict's would.
+    assert 7.0 in kept and 7.5 not in kept and "7" not in kept

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.activeness import ActivenessParams
 from repro.core.cache_policy import JobResidencyIndex, ScratchAsCachePolicy
 from repro.core.config import RetentionConfig
 from repro.core.exemption import ExemptionList
@@ -24,6 +25,7 @@ from repro.emulation import (
     replay_bounds,
     run_lifetime_sweep,
 )
+from repro.emulation.compiled import PathCatalog
 from repro.synth.titan import TitanConfig, generate_dataset
 
 
@@ -92,12 +94,44 @@ def test_fast_matches_reference(dataset, policy_factory, apply_creates,
     assert_results_equal(fast, ref)
 
 
-@pytest.mark.parametrize("seed", [3, 77])
-def test_fast_matches_reference_across_seeds(seed):
-    ds = generate_dataset(TitanConfig(n_users=25, seed=seed))
-    for _, policy_factory in POLICIES:
-        fast, ref = run_both(ds, policy_factory, EmulatorConfig())
-        assert_results_equal(fast, ref)
+#: ActiveDR configurations beyond the defaults: finite ranks for the
+#: relaxed empty-period rules (the rank keys, not staleness, order the
+#: scan), a capped window, collapsed ranks kept at zero lifetime, and a
+#: tight lifetime/target pair.  On these seeds "skip" runs every
+#: retrospective pass and misses targets, and "tight" needs up to three
+#: passes.
+ACTIVEDR_CONFIGS = {
+    "skip": RetentionConfig(activeness=ActivenessParams(empty_period="skip")),
+    "epsilon": RetentionConfig(
+        activeness=ActivenessParams(empty_period="epsilon")),
+    "maxp3": RetentionConfig(activeness=ActivenessParams(max_periods=3)),
+    "zero-rank": RetentionConfig(zero_rank_as_initial=False),
+    "tight": RetentionConfig(lifetime_days=30.0,
+                             purge_target_utilization=0.2),
+}
+
+
+@pytest.mark.parametrize("seed, n_users, config", [
+    pytest.param(3, 25, None, id="3"),
+    pytest.param(77, 25, None, id="77"),
+    *(pytest.param(seed, 40, name, id=f"activedr-{name}-{seed}")
+      for name in ACTIVEDR_CONFIGS for seed in (2021, 3)),
+])
+def test_fast_matches_reference_across_seeds(seed, n_users, config):
+    ds = generate_dataset(TitanConfig(n_users=n_users, seed=seed))
+    if config is None:
+        for _, policy_factory in POLICIES:
+            fast, ref = run_both(ds, policy_factory, EmulatorConfig())
+            assert_results_equal(fast, ref)
+        return
+    retention = ACTIVEDR_CONFIGS[config]
+    fast, ref = run_both(ds, lambda cfg, _: ActiveDRPolicy(cfg),
+                         EmulatorConfig(), config=retention)
+    assert_results_equal(fast, ref)
+    if config == "skip":
+        assert max(r.passes_used for r in fast.reports) == \
+            retention.retrospective_passes + 1
+        assert not all(r.target_met for r in fast.reports)
 
 
 def test_fast_matches_reference_short_lifetime(dataset):
@@ -147,6 +181,23 @@ def test_compiled_trace_is_reusable(dataset):
                           np.array([m is not None for m in (
                               dataset.filesystem.stat(p)
                               for p in compiled.catalog.paths)]))
+
+
+def test_compiled_catalog_is_frozen(dataset):
+    # Build interns every path, computes both scan orders, and drops
+    # what only interning needs; a late intern would hand out a second
+    # pid for a known path, so it raises.
+    catalog = compile_dataset(dataset).catalog
+    fresh = PathCatalog()
+    for path in catalog.paths:
+        fresh.intern(path)
+    assert np.array_equal(catalog.order_rank, fresh.order_rank)
+    assert np.array_equal(catalog.scan_rank, fresh.scan_rank)
+    assert catalog.det_size.size == catalog.n_paths
+    with pytest.raises(RuntimeError):
+        catalog.intern(catalog.paths[0])
+    with pytest.raises(RuntimeError):
+        catalog.intern("/not/in/the/trace")
 
 
 def test_comparison_runner_engines_agree(dataset):

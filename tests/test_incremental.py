@@ -54,6 +54,27 @@ def _assert_same(a, b):
         assert ua.total_impact == pytest.approx(ub.total_impact)
 
 
+def test_evaluation_is_a_table_in_evaluator_order():
+    # Known uids first, as given, then every other user ascending --
+    # the order the per-user consumers have always iterated.
+    store = ColumnarActivityStore()
+    store.ingest_job_columns(np.asarray([8, 2, 5]), np.asarray([1, 2, 3]),
+                             np.asarray([1.0, 1.0, 1.0]))
+    table = store.evaluate(T_C, known_uids=[9, 5, 1])
+    assert list(table) == [9, 5, 1, 2, 8]
+    assert table.uids.tolist() == [1, 2, 5, 8, 9]
+    assert dict(table) == dict(ActivenessEvaluator().evaluate(
+        _ledger_of(store), T_C, known_uids=[9, 5, 1]))
+
+
+def _ledger_of(store):
+    ledger = ActivityLedger()
+    for atype, (uids, ts, imp) in store.snapshot_state().items():
+        for u, t, i in zip(uids.tolist(), ts.tolist(), imp.tolist()):
+            ledger.add(atype, Activity(u, t, i))
+    return ledger
+
+
 def test_empty_store():
     store = ColumnarActivityStore()
     assert store.total_activities() == 0

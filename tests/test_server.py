@@ -31,13 +31,16 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis import render_emulation_summary
+from repro.core.activeness import UserActiveness
 from repro.core.cache_policy import JobResidencyIndex
+from repro.core.classification import UserClass
 from repro.emulation import (EmulatorConfig, FastEmulator, compile_dataset,
                              replay_bounds)
-from repro.server import (AdminServer, MultiTenantService,
+from repro.server import (AdminServer, HashRing, MultiTenantService,
                           NetworkEventStream, SocketListener, TenantSpec,
                           admin_request, publish_batches, publish_events)
 from repro.server.ingest import PublishRefused
@@ -272,6 +275,80 @@ def test_heterogeneous_fleet_matches_batch(dataset, compiled, events):
     assert service.stats["activeness_evals"] < naive
     by_cadence = {t.name: t.stats["triggers"] for t in service.tenants}
     assert by_cadence["b"] * 2 == by_cadence["a"]  # 14-day vs 7-day cadence
+
+
+def test_engines_build_no_per_user_activeness_objects(
+        dataset, compiled, events, monkeypatch):
+    # Both engines classify and scan each evaluation as columns: the
+    # batch replay and a streaming ActiveDR tenant build no
+    # UserActiveness at all.
+    built = []
+    init = UserActiveness.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[:1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UserActiveness, "__init__", counting_init)
+    spec = TenantSpec(name="activedr", policy="activedr")
+    batch = batch_result(dataset, compiled, spec)
+    assert batch.reports and built == []
+    service = make_fleet(dataset, [spec])
+    service.run(as_runs(events))
+    assert service.tenants[0].stats["triggers"] > 10
+    assert built == []
+    UserActiveness(1)  # the counter itself is live
+    assert built == [(1,)]
+
+
+def test_admin_reads_of_the_evaluation_match_per_user_values(dataset,
+                                                             events):
+    # activity_summary and query_user read the newest evaluation's
+    # columns; they must report what the per-user objects do.
+    service = make_fleet(dataset, HETERO[:1])
+    service.run(as_runs(events))
+    (_, (t_c, table)), = service._last_eval.items()
+    users = list(table.values())
+    op = np.asarray([ua.op_rank for ua in users])
+    oc = np.asarray([ua.oc_rank for ua in users])
+    (entry,) = service.activity_summary()["params"].values()
+    qs = (10.0, 25.0, 50.0, 75.0, 90.0, 99.0)
+    assert entry["users"] == len(users)
+    assert entry["op_active"] == int(np.count_nonzero(op >= 1.0))
+    assert entry["oc_active"] == int(np.count_nonzero(oc >= 1.0))
+    for name, ranks in (("op", op), ("oc", oc)):
+        assert entry[f"{name}_rank_percentiles"] == {
+            f"p{int(q)}": float(v)
+            for q, v in zip(qs, np.percentile(ranks, qs))}
+    ranked = max(users, key=lambda ua: (ua.has_op, ua.log_op))
+    assert ranked.has_op
+    info = service.query_user(ranked.uid)["tenants"]["a"]
+    assert info["evaluated_at"] == t_c
+    assert info["op_rank"] == ranked.op_rank
+    assert info["oc_rank"] == ranked.oc_rank
+    assert info["class"] == service.tenants[0].result().final_classes[
+        ranked.uid].label
+    assert service.query_user(10**9)["tenants"]["a"]["class"] is None
+
+
+def test_owned_filter_classifies_only_owned_users(dataset, compiled,
+                                                  events):
+    # A shard worker's ActiveDR tenant classifies the users its ring
+    # slice owns, and runs its triggers over that classification.
+    ring = HashRing(["s00", "s01"])
+    spec = TenantSpec(name="activedr", policy="activedr")
+    whole = batch_result(dataset, compiled, spec)
+    owned = {uid: cls for uid, cls in whole.final_classes.items()
+             if ring.owner(uid) == "s00"}
+    assert 0 < len(owned) < len(whole.final_classes)
+    service = make_fleet(dataset, [spec])
+    service.owned_filter = ring.owned_filter("s00")
+    result = service.run(as_runs(events))["activedr"]
+    assert result.final_classes == owned
+    assert service.tenants[0].stats["triggers"] > 10
+    assert len(result.reports) == len(whole.reports)
+    for counts in result.group_count_history:
+        assert sum(counts.values()) == len(owned)
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +772,39 @@ def test_resume_from_legacy_layout_is_bit_identical(dataset, compiled,
     upgraded, arrays = load_checkpoint(CheckpointManager(ckdir).latest())
     assert upgraded["format"] == SERVER_CHECKPOINT_FORMAT
     assert "paths" not in arrays
+
+
+def test_resume_sorts_stored_class_columns(dataset, compiled, events,
+                                           tmp_path):
+    # Links written before classifications were kept as uid-sorted
+    # columns store each tenant's class columns in evaluation order.
+    # (90-day periods keep some users active at the cut.)
+    specs = [HETERO[0], TenantSpec(name="p90", policy="activedr",
+                                   period_days=90.0)]
+    ckdir = str(tmp_path / "ck")
+    service = make_fleet(dataset, specs, checkpoint_dir=ckdir)
+    service.run(as_runs(events), stop_after_events=len(events) // 2)
+    manifest, arrays = load_checkpoint(CheckpointManager(ckdir).latest())
+    for i in range(len(specs)):
+        for name in ("class_uids", "class_codes"):
+            key = f"t{i}__{name}"
+            arrays[key] = np.ascontiguousarray(arrays[key][::-1])
+    unsorted = CheckpointManager(str(tmp_path / "unsorted")).save(
+        manifest, arrays)
+    resumed = MultiTenantService.resume(
+        unsorted, policy_factory=lambda spec: build_policy(spec, dataset))
+    active = 0
+    for i, tenant in enumerate(resumed.tenants):
+        codes = arrays[f"t{i}__class_codes"]
+        active += int(np.count_nonzero(codes != UserClass.BOTH_INACTIVE.value))
+        assert np.array_equal(
+            tenant.lookup.codes(arrays[f"t{i}__class_uids"]), codes)
+    assert active
+    results = resumed.run(skip_stream_items(as_runs(events),
+                                            resumed.cursor))
+    for spec in specs:
+        assert_results_equal(results[spec.name],
+                             batch_result(dataset, compiled, spec))
 
 
 def test_seed_pending_resume_leaves_durable_ingest_unset(dataset, tmp_path):

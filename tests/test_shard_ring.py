@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import ActivenessParams
+from repro.core.incremental import ColumnarActivityStore
 from repro.server import HashRing, splitmix64
 from repro.server.shard import batch_worker_masks
 from repro.stream import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
                           BatchBuilder, StreamEvent)
 from repro.traces import AppAccessRecord, JobRecord, PublicationRecord
+from repro.vfs import DAY_SECONDS
 
 UIDS = np.arange(20_000, dtype=np.int64)
 
@@ -169,3 +172,34 @@ def test_author_less_publication_routes_to_deterministic_fallback():
     batch = builder.build()
     masks = batch_worker_masks(batch, ring, order)
     assert masks[fallback, 0] and masks.sum() == 1
+
+
+def _evaluation(uids):
+    """An activeness table over ``uids``: one job each, alternate users
+    recent (active) and stale."""
+    store = ColumnarActivityStore()
+    uids = np.asarray(uids, dtype=np.int64)
+    store.ingest_job_columns(uids, np.where(uids % 2, 50, 99) * DAY_SECONDS,
+                             np.full(uids.size, 10.0))
+    return store.evaluate(100 * DAY_SECONDS, ActivenessParams())
+
+
+def test_owned_filter_keeps_only_ring_owned_rows():
+    ring = HashRing(["s00", "s01"])
+    table = _evaluation(np.arange(200))
+    got = ring.owned_filter("s00")(table)
+    owned = ring.member_mask("s00", table.uids)
+    assert 0 < owned.sum() < table.uids.size
+    assert set(got) == {int(u) for u in table.uids[owned]}
+    for col, full in zip((*got.columns(), got.codes),
+                         (*table.columns(), table.codes)):
+        assert np.array_equal(col, full[owned])
+    assert {u: got[u] for u in got} == {u: table[u] for u in got}
+
+
+def test_owned_filter_passes_an_all_owned_evaluation_through():
+    ring = HashRing(["s00", "s01"])
+    uids = np.arange(200)
+    table = _evaluation(uids[ring.member_mask("s01", uids)])
+    assert ring.owned_filter("s01")(table) is table
+    assert len(ring.owned_filter("s00")(table)) == 0
