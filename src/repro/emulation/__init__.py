@@ -3,8 +3,8 @@ the columnar fast-replay engine, and the multi-policy comparison runner
 (FLT vs ActiveDR by default, full retention spectrum on request)."""
 
 from .compiled import (
-    NEVER_POS,
     CompiledTrace,
+    DayPlan,
     FastEmulator,
     GroupLookup,
     ReplayIndex,
@@ -35,8 +35,8 @@ from .runner import (
 )
 
 __all__ = [
-    "NEVER_POS",
     "CompiledTrace",
+    "DayPlan",
     "FastEmulator",
     "GroupLookup",
     "ReplayIndex",

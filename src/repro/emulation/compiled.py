@@ -15,14 +15,26 @@ splits that work:
   is pre-ingested into a consolidated
   :class:`~repro.core.incremental.ColumnarActivityStore` -- the same
   store the streaming engine appends to as events arrive.
-* :class:`FastEmulator` then replays whole-day slices against a copy of
-  that state: liveness masks, vectorized atime updates, and per-group
-  miss bincounts replace per-record trie traffic, and the purge triggers
-  run columnar ports of the FLT / ActiveDR scans.
+* :class:`FastEmulator` then replays whole days against a copy of that
+  state: one liveness gather per day, vectorized atime updates and
+  per-group miss bincounts replace per-record trie traffic, and the
+  purge triggers run columnar ports of the retention spectrum's scans.
+
+Work that does not depend on a replay's state is done once for every
+replay of the same records, not once per replay:
+
+* a :class:`DayPlan` holds what each day's records do whatever the state
+  (access counts, miss candidates, each path's first materializing and
+  last record).  A compiled trace's index builds one per replay config
+  on the first replay (:meth:`ReplayIndex.plan`), and every replay of a
+  sweep shares it; the streaming engine builds one per flushed day and
+  applies it to every tenant.
+* the value trigger's per-path columns (type weight and smallness) are
+  computed once per :class:`PathCatalog` (:meth:`PathCatalog.value_columns`).
 
 The replay core is shared by both engines, not private to the batch path:
 
-* :class:`PathCatalog` interns paths to dense pids and keeps the two scan
+* :class:`PathCatalog` interns paths to dense pids and keeps the scan
   orders the purge triggers need.  A compiled trace interns every path up
   front; the streaming engine interns them in arrival order.
 * :class:`ReplayState` holds one replay's ``live/atime/size/owner``
@@ -55,7 +67,8 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,9 +90,9 @@ from ..vfs.path_trie import split_path
 from .emulator import EmulationResult, EmulatorConfig, deterministic_file_size
 from .metrics import DailyMetrics
 
-__all__ = ["OP_ACCESS", "OP_CREATE", "OP_TOUCH", "NEVER_POS", "PathCatalog",
-           "ReplayState", "ReplayIndex", "CompiledTrace", "GroupLookup",
-           "TriggerEngine", "PolicyReplay", "FastEmulator",
+__all__ = ["OP_ACCESS", "OP_CREATE", "OP_TOUCH", "PathCatalog",
+           "ReplayState", "ReplayIndex", "DayPlan", "CompiledTrace",
+           "GroupLookup", "TriggerEngine", "PolicyReplay", "FastEmulator",
            "compile_dataset", "replay_bounds", "replay_day_columns"]
 
 OP_ACCESS = 0
@@ -87,12 +100,6 @@ OP_CREATE = 1
 OP_TOUCH = 2
 
 _OP_CODES = {"access": OP_ACCESS, "create": OP_CREATE, "touch": OP_TOUCH}
-
-#: Sentinel "this path is never materialized today" position, larger than
-#: any within-day record index.  Scratch ``add_pos`` columns passed to
-#: :func:`replay_day_columns` must be filled with it between days.
-NEVER_POS = np.iinfo(np.int64).max
-_NEVER = NEVER_POS
 
 
 def replay_bounds(dataset) -> tuple[int, int]:
@@ -149,20 +156,24 @@ class PathCatalog:
     them as they arrive.  Either way the two scan orders the triggers
     need -- plain-string order (the per-user ActiveDR walk and value
     tie-breaks) and prefix-trie order (the FLT system scan) -- are rank
-    columns, brought up to date lazily when new paths intern.  A
+    columns, brought up to date lazily when new paths intern, and
+    :attr:`path_order` lists the pids in plain-string order.  A
     compiled trace's catalog is then frozen (:meth:`freeze`).
 
     ``det_size`` is stamped at intern time (it depends only on the
     path); ``snap_size`` is the snapshot size for snapshot files and 0
     for paths first seen in the trace, which keeps the value-function
-    smallness columns identical across engines.  ``version`` advances on
-    every intern so rank columns and engine-side value columns know when
-    to extend.
+    smallness columns identical across engines.  Those per-path value
+    columns (:meth:`value_columns`) are computed once per catalog, on a
+    value trigger's first use, and extended as paths intern: every
+    replay of a catalog shares them.  ``version`` advances on every
+    intern so the cached columns know when to extend.
     """
 
     __slots__ = ("_paths", "_pid_of", "_det_size", "_snap_size",
                  "version", "_scan_rank", "_order_rank", "_ranks_version",
-                 "_scan_keys", "_path_order", "_scan_order")
+                 "_scan_keys", "_path_order", "_scan_order",
+                 "_order_pids", "_order_pids_version", "_value_cols")
 
     def __init__(self) -> None:
         self._paths: list[str] = []
@@ -178,6 +189,10 @@ class PathCatalog:
         # are bisected in, not re-sorted.
         self._path_order = array("q")
         self._scan_order = array("q")
+        self._order_pids: np.ndarray | None = None
+        self._order_pids_version = -1
+        #: Type-weight key -> (type_weight, smallness_snap, smallness_det).
+        self._value_cols: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     @property
     def n_paths(self) -> int:
@@ -214,6 +229,56 @@ class PathCatalog:
     @property
     def scan_rank(self) -> np.ndarray:
         return self._ranks()[1]
+
+    @property
+    def path_order(self) -> np.ndarray:
+        """Every pid, in plain-string path order (the inverse of
+        :attr:`order_rank`; the identity for a compiled catalog)."""
+        if self._order_pids_version != self.version:
+            rank = self.order_rank
+            pids = np.empty(rank.size, dtype=np.int64)
+            pids[rank] = np.arange(rank.size, dtype=np.int64)
+            self._order_pids = pids
+            self._order_pids_version = self.version
+        return self._order_pids
+
+    def value_columns(self, vf: CompositeValueFunction,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-pid ``(type_weight, smallness_snap, smallness_det)``
+        columns of a ``CompositeValueFunction``.
+
+        All three are time-invariant per path: the type weight depends
+        only on the path, and a live file's size is either its snapshot
+        size or (once re-materialized during the replay) its
+        deterministic ``det_size``.  Smallness uses ``math.log2`` per
+        element so the scores are bit-identical to the scalar reference
+        even where ``np.log2`` takes a differently-rounded SIMD path.
+        The columns are cached per type-weight table, and paths never
+        change once interned, so a grown catalog only computes its new
+        tail.
+        """
+        key = (frozenset(vf.type_weights.items()), vf.default_type_weight)
+        cols = self._value_cols.get(key)
+        n = self.n_paths
+        if cols is not None and cols[0].size == n:
+            return cols
+        lo = 0 if cols is None else cols[0].size
+
+        def smallness_of(size: int) -> float:
+            if size > 4096:
+                return 1.0 / (1.0 + math.log2(max(size, 1) / 4096.0) / 10.0)
+            return 1.0
+
+        tail = (np.fromiter(map(vf.type_weight, self._paths[lo:n]),
+                            np.float64, n - lo),
+                np.fromiter(map(smallness_of, self.snap_size[lo:n].tolist()),
+                            np.float64, n - lo),
+                np.fromiter(map(smallness_of, self.det_size[lo:n].tolist()),
+                            np.float64, n - lo))
+        cols = tail if cols is None else tuple(
+            np.concatenate(pair) for pair in zip(cols, tail))
+        self._value_cols[key] = cols
+        return cols
 
     def freeze(self) -> None:
         """Compute both rank columns, then drop what only interning needs
@@ -339,7 +404,9 @@ class ReplayIndex:
 
     All four columns are parallel and time-sorted; ``day_offsets`` has
     ``n_days + 1`` entries so day ``d`` occupies the half-open slice
-    ``[day_offsets[d], day_offsets[d + 1])``.
+    ``[day_offsets[d], day_offsets[d + 1])``.  :meth:`plan` derives the
+    records' :class:`DayPlan` on first use, once per replay config, and
+    every replay of the index shares it.
     """
 
     replay_start: int
@@ -349,15 +416,21 @@ class ReplayIndex:
     ts: np.ndarray    # int64 epoch seconds, non-decreasing
     op: np.ndarray    # int8 op-codes (OP_ACCESS / OP_CREATE / OP_TOUCH)
     day_offsets: np.ndarray
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_records(self) -> int:
         return int(self.pid.size)
 
-    def day_slice(self, day: int) -> tuple[np.ndarray, ...]:
-        s = int(self.day_offsets[day])
-        e = int(self.day_offsets[day + 1])
-        return self.pid[s:e], self.uid[s:e], self.ts[s:e], self.op[s:e]
+    def plan(self, config: EmulatorConfig) -> "DayPlan":
+        """The records' day plan under ``config``'s replay switches."""
+        key = (config.apply_creates, config.restore_on_miss)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = DayPlan.build(
+                config, self.pid, self.uid, self.ts, self.op,
+                self.day_offsets)
+        return plan
 
 
 @dataclass(slots=True, frozen=True)
@@ -371,7 +444,10 @@ class CompiledTrace:
     build (:meth:`PathCatalog.freeze`): both rank columns are computed
     before ``run_lifetime_sweep`` forks ranks over the trace, and nothing
     interns into it after.  ``snapshot`` is the snapshot file system;
-    each replay starts from a copy of it.
+    each replay starts from a copy of it.  The index's day plans and the
+    catalog's value columns are not built here: the first replay that
+    needs one builds it (in each forked rank), and later replays share
+    it.
     """
 
     catalog: PathCatalog
@@ -586,92 +662,196 @@ def _log_lifetimes(config, table: ActivenessTable,
 
 
 # ---------------------------------------------------------------------------
-# day replay kernel (shared by FastEmulator and the streaming engine)
+# day plan and day kernel (shared by FastEmulator and the streaming engine)
 
 
-def replay_day_columns(config: EmulatorConfig, det_size: np.ndarray,
-                       state, day: int, metrics: DailyMetrics,
-                       lookup: GroupLookup, add_pos: np.ndarray,
-                       pid: np.ndarray, uid: np.ndarray,
-                       ts: np.ndarray, op: np.ndarray) -> None:
-    """Apply one day's access records to a live/atime/size/owner state.
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``keys`` that start a run."""
+    head = np.empty(keys.size, dtype=np.bool_)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return head
+
+
+class DayPlan:
+    """What each replay day's records do, as far as no replay state
+    decides it.
+
+    Within one day nothing is removed, so a day's effect on a replay
+    state depends on that state only through which of the day's paths
+    are live when the day starts.  Everything else is fixed by the
+    records and the replay switches, and is derived here once, for
+    every replay of the same records:
+
+    * ``n_access``: the day's access count;
+    * per distinct path of the day (a *group*, in pid order): its
+      ``path``, the ``last_ts`` of its last record, which stamps the
+      atime if the path is live at the end of the day, and its
+      ``miss_count``;
+    * the *miss candidates*, group by group: the access records that
+      miss if their path is dead at day start -- those before the
+      path's first materializing record, or with ``restore_on_miss`` up
+      to and including it -- as rows (``miss_row``);
+    * each path's first materializing record, a create (with
+      ``apply_creates``) or an access (with ``restore_on_miss``), as its
+      group (``mat_group``) and row (``mat_row``): it materializes the
+      path, owned by its user, if the path is dead at day start.
+
+    Groups are numbered from 0 within each day, and rows index the
+    ``uid`` column the plan was built from.  The columns every applied
+    day indexes with are int64; in a plan of many days, the rows and
+    counts, read only where paths are dead, are int32.  A plan covers
+    days ``first_day .. first_day + n_days - 1``;
+    :func:`replay_day_columns` applies one of them to one state.
+    """
+
+    __slots__ = ("first_day", "n_access", "uid", "path", "last_ts",
+                 "miss_count", "miss_row", "mat_group", "mat_row",
+                 "_groups", "_misses", "_mats")
+
+    @classmethod
+    def build(cls, config: EmulatorConfig, pid: np.ndarray, uid: np.ndarray,
+              ts: np.ndarray, op: np.ndarray, day_offsets: np.ndarray,
+              first_day: int = 0) -> "DayPlan":
+        """Plan the time-sorted records ``pid/uid/ts/op``, bucketed into
+        days by ``day_offsets`` (``n_days + 1`` entries), under
+        ``config``'s ``apply_creates`` / ``restore_on_miss``."""
+        n = pid.size
+        n_days = day_offsets.size - 1
+        # A plan of many days serves many replays: its rows and counts
+        # (and the build's temporaries) are int32 where they fit.  A
+        # one-day plan serves one flush, and int64 indexes fastest.
+        small = np.int32 if n_days > 1 and n < 2 ** 31 else np.int64
+        # The records grouped by (day, path), in time order within each
+        # group; temporaries are dropped as soon as they are used.
+        if n_days == 1 or n == 0:
+            key = pid
+        else:
+            key = np.repeat(np.arange(n_days, dtype=np.int64)
+                            * (int(pid.max()) + 1), np.diff(day_offsets))
+            key += pid
+        order = np.argsort(key, kind="stable").astype(small, copy=False)
+        head = _heads(key[order])
+        del key
+        group = np.cumsum(head, dtype=small)
+        group -= 1
+        n_groups = int(group[-1]) + 1 if n else 0
+        tail = np.empty(n, dtype=np.bool_)
+        tail[:-1] = head[1:]
+        tail[-1:] = True
+        last = order[tail]
+        del head, tail
+
+        creates, restore = config.apply_creates, config.restore_on_miss
+        is_access = op == OP_ACCESS
+        if creates and restore:
+            can_add = op != OP_TOUCH
+        elif creates:
+            can_add = op == OP_CREATE
+        elif restore:
+            can_add = is_access
+        else:
+            can_add = None
+        miss = is_access[order]
+        if can_add is None:
+            mat = order[:0]
+        else:
+            adds = np.flatnonzero(can_add[order])
+            mat = adds[_heads(group[adds])]
+            limit = np.full(n_groups, n, dtype=small)
+            limit[group[mat]] = mat
+            cmp = np.less_equal if restore else np.less
+            miss &= cmp(np.arange(n, dtype=small), limit[group])
+            del adds, limit
+
+        plan = cls()
+        plan.first_day = first_day
+        plan.uid = uid
+        plan.path = pid[last]
+        plan.last_ts = ts[last]
+        miss_count = np.bincount(group[miss], minlength=n_groups)
+        plan.miss_count = miss_count.astype(small, copy=False)
+        plan.miss_row = order[miss]
+        plan.mat_row = order[mat]
+        mat_group = group[mat].astype(np.int64)
+        if n_days == 1:
+            # The stream builds one of these per flushed day: its bounds
+            # are the columns' ends, so skip the searches below.
+            plan.n_access = [int(np.count_nonzero(is_access))]
+            plan.mat_group = mat_group
+            plan._groups = [0, n_groups]
+            plan._misses = [0, int(plan.miss_row.size)]
+            plan._mats = [0, int(mat.size)]
+            return plan
+        plan.n_access = np.diff(np.searchsorted(np.flatnonzero(is_access),
+                                                day_offsets)).tolist()
+        # Each day's first group, miss candidate and materializing record.
+        group_day = np.searchsorted(day_offsets, last, side="right") - 1
+        group_lo = np.searchsorted(group_day, np.arange(n_days + 1))
+        plan.mat_group = mat_group - group_lo[group_day[mat_group]]
+        plan._groups = group_lo.tolist()
+        plan._misses = np.concatenate(
+            ([0], np.cumsum(miss_count)))[group_lo].tolist()
+        plan._mats = np.searchsorted(mat_group, group_lo).tolist()
+        return plan
+
+    def day(self, day: int) -> tuple[int, slice, slice, slice]:
+        """Replay day ``day``'s access count, and its group,
+        miss-candidate and materializing-record slices."""
+        d = day - self.first_day
+        g, m, a = self._groups, self._misses, self._mats
+        return (self.n_access[d], slice(g[d], g[d + 1]),
+                slice(m[d], m[d + 1]), slice(a[d], a[d + 1]))
+
+
+def replay_day_columns(plan: DayPlan, day: int, state,
+                       det_size: np.ndarray, metrics: DailyMetrics,
+                       lookup: GroupLookup) -> None:
+    """Apply replay day ``day`` of ``plan`` to a live/atime/size/owner
+    state.
 
     ``state`` is any object with ``live/atime/size/owner`` arrays plus
-    ``total_bytes``/``file_count`` counters indexed by the same pids as
-    ``det_size``; ``add_pos`` is a per-pid scratch column pre-filled with
-    :data:`NEVER_POS` (reset before returning).  The record columns must
-    be one replay day, time-sorted.
+    ``total_bytes``/``file_count`` counters, indexed by the same pids as
+    ``det_size``.  The day's paths' liveness is read once, at day start:
+    dead paths count their miss candidates as misses, per class of the
+    accessing user, and materialize at their first materializing record;
+    every path live at the end of the day takes its last record's
+    timestamp as atime.
     """
-    if pid.size == 0:
+    n_access, groups, misses, mats = plan.day(day)
+    pids = plan.path[groups]
+    if pids.size == 0:
         return
-    is_access = op == OP_ACCESS
-    metrics.accesses[day] = int(is_access.sum())
+    metrics.accesses[day] = n_access
+    live = state.live[pids]
+    stamps = plan.last_ts[groups]
+    if live.all():  # nothing misses or materializes
+        state.atime[pids] = stamps
+        return
+    dead = ~live
 
-    live_start = state.live[pid]
-    positions = np.arange(pid.size, dtype=np.int64)
-
-    # Records that can materialize a currently-dead path.  Within one
-    # day liveness is monotone -- nothing is removed -- so each path's
-    # effective add position is the *first* such candidate.
-    creates = config.apply_creates
-    restore = config.restore_on_miss
-    if creates and restore:
-        can_add = op != OP_TOUCH
-    elif creates:
-        can_add = op == OP_CREATE
-    elif restore:
-        can_add = is_access
-    else:
-        can_add = None
-
-    added: np.ndarray | None = None
-    if can_add is not None:
-        cand = can_add & ~live_start
-        if cand.any():
-            cpid = pid[cand]
-            cpos = positions[cand]
-            cuid = uid[cand]
-            added, first = np.unique(cpid, return_index=True)
-            add_pos[added] = cpos[first]
-        else:
-            added = None
-    limit = add_pos[pid]
-
-    # Misses: accesses to paths dead at day start and not yet
-    # materialized.  With restore_on_miss the materializing access
-    # itself still counts as a miss (position == limit).
-    miss = is_access & ~live_start & (
-        positions <= limit if restore else positions < limit)
-    n_miss = int(miss.sum())
-    if n_miss:
-        metrics.misses[day] = n_miss
-        counts = np.bincount(lookup.codes(uid[miss]), minlength=5)
+    missed = np.repeat(dead, plan.miss_count[groups])
+    if missed.any():
+        uids = plan.uid[plan.miss_row[misses][missed]]
+        metrics.misses[day] = uids.size
+        counts = np.bincount(lookup.codes(uids), minlength=_N_CODES).tolist()
         for cls in UserClass:
-            c = int(counts[cls.value])
-            if c:
-                metrics.group_misses[cls][day] = c
+            if counts[cls.value]:
+                metrics.group_misses[cls][day] = counts[cls.value]
 
-    if added is not None:
+    at = plan.mat_group[mats]
+    born = dead[at]
+    if born.any():
+        at = at[born]
+        added = pids[at]
         state.live[added] = True
-        state.owner[added] = cuid[first]
+        state.owner[added] = plan.uid[plan.mat_row[mats][born]]
         sizes = det_size[added]
         state.size[added] = sizes
         state.total_bytes += int(sizes.sum())
         state.file_count += int(added.size)
-
-    # atime: last qualifying record per path.  A record qualifies when
-    # the path was live at day start or the record is at/after the add
-    # position (the materializing record stamps the atime itself, and
-    # timestamps ascend within the day, so last-write wins == max).
-    qual = live_start | (positions >= limit)
-    if qual.any():
-        qpid = pid[qual][::-1]
-        qts = ts[qual][::-1]
-        upq, last = np.unique(qpid, return_index=True)
-        state.atime[upq] = qts[last]
-
-    if added is not None:
-        add_pos[added] = _NEVER  # reset scratch for the next day
+        live[at] = True
+    state.atime[pids[live]] = stamps[live]
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +865,17 @@ class TriggerEngine:
     to the columnar port of the policy's scan, operating on
 
     * a :class:`PathCatalog`: paths, ``det_size`` / ``snap_size``
-      columns, the ``order_rank`` / ``scan_rank`` scan orders, and a
-      ``version`` counter that advances whenever paths are appended (so
-      per-path value columns can be extended incrementally);
+      columns, the ``order_rank`` / ``scan_rank`` scan orders and the
+      pids in path order, and the value columns every value trigger of
+      the catalog shares;
     * a :class:`ReplayState` whose columns cover the catalog.
 
-    Constructing the engine raises ``TypeError`` for policy types (or
-    custom value functions) it cannot replay exactly.
+    The engine itself holds nothing but the policy.  Constructing it
+    raises ``TypeError`` for policy types (or custom value functions) it
+    cannot replay exactly.
     """
 
-    __slots__ = ("policy", "_trigger", "_type_weights", "_smallness_snap",
-                 "_smallness_det", "_cols_src", "_cols_version",
-                 "_cols_count")
+    __slots__ = ("policy", "_trigger")
 
     def __init__(self, policy: RetentionPolicy) -> None:
         if isinstance(policy, FixedLifetimePolicy):
@@ -717,16 +896,6 @@ class TriggerEngine:
                 f"the columnar engine cannot replay {type(policy).__name__} "
                 "exactly; use the reference Emulator")
         self.policy = policy
-        #: Per-pid basename-extension keep weights for the value trigger,
-        #: cached per catalog and *extended* (never recomputed) as a
-        #: growing catalog appends paths.  The source catalog is kept as
-        #: a strong reference so the cache can never alias another one.
-        self._type_weights: np.ndarray | None = None
-        self._smallness_snap: np.ndarray | None = None
-        self._smallness_det: np.ndarray | None = None
-        self._cols_src: object | None = None
-        self._cols_version = -1
-        self._cols_count = 0
 
     def trigger(self, catalog, state, t_c: int,
                 activeness: ActivenessTable,
@@ -904,63 +1073,23 @@ class TriggerEngine:
     # ------------------------------------------------------------------
     # value-based baseline (related work): lowest-value files first
 
-    def _value_columns(self, catalog
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pid ``(type_weight, smallness_snap, smallness_det)``
-        columns for the value function.
+    def _size_type_terms(self, catalog, state, idxs: np.ndarray,
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """``w_size * smallness`` and ``w_type * type_weight`` of the
+        ``idxs`` files, from the catalog's value columns."""
+        vf = self.policy.value_function
+        type_weight, s_snap, s_det = catalog.value_columns(vf)
+        # A live file's size is snap_size until first purged, det_size
+        # after any re-materialization; pick whichever column matches.
+        smallness = np.where(state.size[idxs] == catalog.det_size[idxs],
+                             s_det[idxs], s_snap[idxs])
+        return vf.w_size * smallness, vf.w_type * type_weight[idxs]
 
-        All three are time-invariant per path: the type weight depends
-        only on the path, and a live file's size is either its snapshot
-        size or (once re-materialized during the replay) its
-        deterministic ``det_size``.  Smallness uses ``math.log2`` per
-        element so the scores are bit-identical to the scalar reference
-        even where ``np.log2`` takes a differently-rounded SIMD path.
-        Catalogs append paths but never change existing ones, so a
-        version bump only computes the new tail.
-        """
-        if self._cols_src is not catalog:
-            self._cols_src = catalog
-            self._cols_version = -1
-            self._cols_count = 0
-            empty = np.empty(0, dtype=np.float64)
-            self._type_weights = empty
-            self._smallness_snap = empty.copy()
-            self._smallness_det = empty.copy()
-        if self._cols_version != catalog.version:
-            n = catalog.n_paths
-            lo = self._cols_count
-            if n > lo:
-                vf = self.policy.value_function
-
-                def smallness_of(size: int) -> float:
-                    if size > 4096:
-                        return 1.0 / (1.0 + math.log2(max(size, 1) / 4096.0)
-                                      / 10.0)
-                    return 1.0
-
-                new = n - lo
-                self._type_weights = np.concatenate([
-                    self._type_weights,
-                    np.fromiter((vf.type_weight(p)
-                                 for p in catalog.paths[lo:n]),
-                                np.float64, new)])
-                self._smallness_snap = np.concatenate([
-                    self._smallness_snap,
-                    np.fromiter((smallness_of(s)
-                                 for s in catalog.snap_size[lo:n].tolist()),
-                                np.float64, new)])
-                self._smallness_det = np.concatenate([
-                    self._smallness_det,
-                    np.fromiter((smallness_of(s)
-                                 for s in catalog.det_size[lo:n].tolist()),
-                                np.float64, new)])
-                self._cols_count = n
-            self._cols_version = catalog.version
-        return self._type_weights, self._smallness_snap, self._smallness_det
-
-    def _file_values(self, catalog, state, idxs: np.ndarray,
-                     t_c: int) -> np.ndarray:
-        """Vectorized ``CompositeValueFunction`` over the ``idxs`` files.
+    def _file_values(self, state, idxs: np.ndarray, t_c: int,
+                     size_term: np.ndarray,
+                     type_term: np.ndarray) -> np.ndarray:
+        """Vectorized ``CompositeValueFunction`` over the ``idxs`` files,
+        given their :meth:`_size_type_terms`.
 
         Mirrors the scalar ``__call__`` operation for operation so the
         scores (and therefore the purge order and target cut) are
@@ -968,21 +1097,15 @@ class TriggerEngine:
         / divide round identically whether vectorized or scalar; the two
         transcendentals do not (NumPy's SIMD ``log2`` / ``pow`` loops
         can differ from libm by an ulp), so smallness comes from the
-        precomputed per-size columns and the recency power is folded
-        with the scalar operator.
+        precomputed per-size columns and the recency power is libm's
+        ``pow``, the scalar operator's own call, once per file.
         """
         vf = self.policy.value_function
-        type_weight, s_snap, s_det = self._value_columns(catalog)
-        # A live file's size is snap_size until first purged, det_size
-        # after any re-materialization; pick whichever column matches.
-        smallness = np.where(state.size[idxs] == catalog.det_size[idxs],
-                             s_det[idxs], s_snap[idxs])
         age_days = np.maximum((t_c - state.atime[idxs]) / DAY_SECONDS, 0.0)
         exponents = age_days / vf.recency_halflife_days
-        recency = np.fromiter((0.5 ** e for e in exponents.tolist()),
+        recency = np.fromiter(map(pow, repeat(0.5), exponents.tolist()),
                               np.float64, exponents.size)
-        return (vf.w_recency * recency + vf.w_size * smallness
-                + vf.w_type * type_weight[idxs])
+        return vf.w_recency * recency + size_term + type_term
 
     def _value_trigger(self, catalog, state, t_c: int,
                        activeness: ActivenessTable,
@@ -994,24 +1117,46 @@ class TriggerEngine:
                                  lifetime_days=config.lifetime_days,
                                  target_bytes=target)
 
-        cand = np.flatnonzero(state.live & ~exempt if exempt is not None
-                              else state.live)
-        if cand.size:
-            values = self._file_values(catalog, state, cand, t_c)
-            # Ascending (value, path): ties break on plain-string path
-            # order.
-            order = np.lexsort((catalog.order_rank[cand], values))
-            cand, values = cand[order], values[order]
-            if target > 0:
+        if target > 0:
+            # Ascending (value, path): the candidates in plain-string
+            # path order, then one stable sort on value.
+            order = catalog.path_order
+            keep = state.live[order]
+            if exempt is not None:
+                keep &= ~exempt[order]
+            cand = order[keep]
+            if cand.size:
+                values = self._file_values(
+                    state, cand, t_c,
+                    *self._size_type_terms(catalog, state, cand))
+                cand = cand[np.argsort(values, kind="stable")]
                 cum = np.cumsum(state.size[cand])
                 cut = int(np.searchsorted(cum, target, side="left"))
                 idxs = cand if cut >= cand.size else cand[:cut + 1]
-            else:
-                # No mandatory target: the information-lifecycle mode
-                # purges everything below the value threshold.
-                idxs = cand[values < self.policy.value_threshold]
-            if idxs.size:
                 self._apply_purges(state, report, idxs, None, lookup)
+        else:
+            # No mandatory target: the information-lifecycle mode purges
+            # every file below the value threshold.  The purge set and
+            # its tallies are order-free, so nothing is sorted.  With
+            # w_recency >= 0 a value is fl(fl(r + a) + b) with r >= 0,
+            # never below fl(a + b) (rounding is monotone), so a file
+            # whose size and type terms reach the threshold is kept
+            # without computing its recency.
+            threshold = self.policy.value_threshold
+            cand = np.flatnonzero(state.live & ~exempt if exempt is not None
+                                  else state.live)
+            size_term, type_term = self._size_type_terms(catalog, state,
+                                                         cand)
+            if self.policy.value_function.w_recency >= 0:
+                low = size_term + type_term < threshold
+                cand = cand[low]
+                size_term, type_term = size_term[low], type_term[low]
+            if cand.size:
+                values = self._file_values(state, cand, t_c, size_term,
+                                           type_term)
+                idxs = cand[values < threshold]
+                if idxs.size:
+                    self._apply_purges(state, report, idxs, None, lookup)
 
         self._record_survivors(state, report, lookup)
         if target > 0:
@@ -1061,23 +1206,19 @@ class PolicyReplay:
     """One retention policy's replay over a catalog and a replay state.
 
     Holds everything the replay of one policy accumulates: the state,
-    the ``add_pos`` scratch column (first position at which each path
-    materializes today, or :data:`NEVER_POS`), the daily metrics, purge
-    reports and group-count history, and the classification as a
-    :class:`GroupLookup` taken straight from the newest
-    :class:`~repro.core.activeness.ActivenessTable`.  The caller supplies
-    the days, the trigger instants and the evaluations:
-    :class:`FastEmulator` from a compiled trace, the streaming engine at
-    its day boundaries.
+    the daily metrics, purge reports and group-count history, and the
+    classification as a :class:`GroupLookup` taken straight from the
+    newest :class:`~repro.core.activeness.ActivenessTable`.  The caller
+    supplies the days (as :class:`DayPlan` days), the trigger instants
+    and the evaluations: :class:`FastEmulator` from a compiled trace,
+    the streaming engine at its day boundaries.
     """
 
-    def __init__(self, engine: TriggerEngine, config: EmulatorConfig,
-                 state: ReplayState, n_days: int) -> None:
+    def __init__(self, engine: TriggerEngine, state: ReplayState,
+                 n_days: int) -> None:
         self.engine = engine
         self.policy = engine.policy
-        self.config = config
         self.state = state
-        self.add_pos = np.full(state.n_paths, _NEVER, dtype=np.int64)
         self.metrics = DailyMetrics(n_days)
         self.reports: list[RetentionReport] = []
         self.group_count_history: list[dict[UserClass, int]] = []
@@ -1105,19 +1246,13 @@ class PolicyReplay:
         self.reports.append(report)
         return report
 
-    def replay_day(self, det_size: np.ndarray, day: int, pid: np.ndarray,
-                   uid: np.ndarray, ts: np.ndarray, op: np.ndarray) -> None:
-        """Apply one day's time-sorted access records; ``det_size`` is the
-        catalog's column, covering every pid in ``pid``."""
-        n = det_size.size
-        self.state.ensure(n)
-        if self.add_pos.size < n:
-            self.add_pos = _grown(
-                self.add_pos, max(n, self.add_pos.size * 2, _MIN_CAPACITY),
-                _NEVER)
-        replay_day_columns(self.config, det_size, self.state, day,
-                           self.metrics, self.lookup, self.add_pos,
-                           pid, uid, ts, op)
+    def replay_day(self, plan: DayPlan, day: int,
+                   det_size: np.ndarray) -> None:
+        """Apply replay day ``day`` of ``plan``; ``det_size`` is the
+        catalog's column, covering every pid the plan names."""
+        self.state.ensure(det_size.size)
+        replay_day_columns(plan, day, self.state, det_size, self.metrics,
+                           self.lookup)
 
     def result(self) -> EmulationResult:
         return EmulationResult(
@@ -1173,8 +1308,7 @@ class FastEmulator:
         index = compiled.index
         n_days = index.n_days
         catalog = compiled.catalog
-        replay = PolicyReplay(self._engine, self.config,
-                              compiled.snapshot.copy(), n_days)
+        replay = PolicyReplay(self._engine, compiled.snapshot.copy(), n_days)
         exempt = catalog.exempt_mask(self.exemptions)
         store = compiled.store
 
@@ -1188,10 +1322,11 @@ class FastEmulator:
             return got
 
         det_size = catalog.det_size
+        plan = index.plan(self.config)
         replay.classify(evaluate(compiled.replay_start))
         for day in range(n_days):
             if replay.due(day, n_days):
                 t_c = compiled.replay_start + day * DAY_SECONDS
                 replay.trigger(catalog, t_c, evaluate(t_c), exempt)
-            replay.replay_day(det_size, day, *index.day_slice(day))
+            replay.replay_day(plan, day, det_size)
         return replay.result()

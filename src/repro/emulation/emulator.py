@@ -93,8 +93,6 @@ class EmulatorConfig:
 
     apply_creates: bool = True
     restore_on_miss: bool = False
-    count_create_misses: bool = False  # creates never miss (paper replays
-    #                                    accesses; creates make new paths)
 
 
 @dataclass(slots=True)

@@ -11,10 +11,12 @@ with its own lifetime, purge target, trigger cadence and activeness
 period) making independent purge decisions over its own replica of the
 replay state.  Everything that does not depend on the policy is shared:
 
-* the event feed, cursor and day buffers (one merge, consumed once);
+* the event feed, cursor and day buffers (one merge, consumed once),
+  and each flushed day's :class:`~repro.emulation.compiled.DayPlan` (one
+  plan of the day's records, applied to every tenant);
 * the :class:`~repro.emulation.compiled.PathCatalog` (pids are
-  positional identity, so one interner serves every tenant) and the
-  exemption flags over it;
+  positional identity, so one interner serves every tenant), the
+  exemption flags over it and its value-trigger columns;
 * the :class:`~repro.core.incremental.ColumnarActivityStore`, the
   activity store the batch engines evaluate through -- and, decisively,
   its *evaluation*: at a boundary where several tenants trigger,
@@ -32,7 +34,8 @@ The batch loop for day ``d`` runs *trigger (if due), then replay day d*.
 The engine mirrors that with boundaries ``B = 0 .. n_days``: boundary 0
 classifies every tenant at ``replay_start``; boundary ``B >= 1`` first
 flushes day ``B - 1`` through the shared
-:func:`~repro.emulation.compiled.replay_day_columns` kernel, then fires
+:func:`~repro.emulation.compiled.replay_day_columns` kernel, one plan
+applied to each tenant, then fires
 the purge trigger of every tenant due at ``t_c = replay_start + B *
 DAY`` through its :class:`~repro.emulation.compiled.TriggerEngine`.  An
 arriving access of day ``d`` forces boundaries through ``d`` first; an
@@ -85,8 +88,8 @@ from ..core.config import RetentionConfig
 from ..core.exemption import ExemptionList
 from ..core.incremental import ColumnarActivityStore
 from ..core.policy import RetentionPolicy
-from ..emulation.compiled import (GroupLookup, PathCatalog, PolicyReplay,
-                                  ReplayState, TriggerEngine)
+from ..emulation.compiled import (DayPlan, GroupLookup, PathCatalog,
+                                  PolicyReplay, ReplayState, TriggerEngine)
 from ..emulation.emulator import EmulationResult, EmulatorConfig
 from ..emulation.metrics import DailyMetrics
 from ..vfs.file_meta import DAY_SECONDS
@@ -218,9 +221,8 @@ class Tenant(PolicyReplay):
                 "purged_files": 0, "target_misses": 0}
 
     def __init__(self, spec: TenantSpec, policy: RetentionPolicy,
-                 config: EmulatorConfig, state: ReplayState,
-                 n_days: int) -> None:
-        super().__init__(TriggerEngine(policy), config, state, n_days)
+                 state: ReplayState, n_days: int) -> None:
+        super().__init__(TriggerEngine(policy), state, n_days)
         self.spec = spec
         self.admitted_boundary = 0
         self.stats = dict(self.NO_STATS)
@@ -310,8 +312,8 @@ class MultiTenantService:
         self.catalog = PathCatalog()
         self.activity = ColumnarActivityStore()
         self.tenants: list[Tenant] = [
-            Tenant(spec, policy, self.config,
-                   ReplayState(self.capacity_bytes), self.n_days)
+            Tenant(spec, policy, ReplayState(self.capacity_bytes),
+                   self.n_days)
             for spec, policy in tenants]
 
         self._next_boundary = 0
@@ -348,10 +350,9 @@ class MultiTenantService:
         #: calls :meth:`restrict_users` + :meth:`reset_measurements`.
         self.resumed_seed_pending = False
         self.resumed_shard: dict | None = None
-        self._buf_pid: list[int] = []
-        self._buf_uid: list[int] = []
-        self._buf_ts: list[int] = []
-        self._buf_op: list[int] = []
+        #: The current day's in-window accesses as column slices
+        #: ``(pid, uid, ts, op)``, concatenated when the day flushes.
+        self._day_buf: list[tuple[np.ndarray, ...]] = []
         #: The catalog's exemption flags, extended as paths intern.
         self._exempt_flags: np.ndarray | None = None
 
@@ -585,8 +586,8 @@ class MultiTenantService:
                  else (self.tenants[0] if self.tenants else None))
         if donor is None:
             raise ValueError(f"no donor tenant {clone_from!r} to clone")
-        tenant = Tenant(spec, self.policy_factory(spec), self.config,
-                        donor.state.copy(), self.n_days)
+        tenant = Tenant(spec, self.policy_factory(spec), donor.state.copy(),
+                        self.n_days)
         tenant.admitted_boundary = boundary
         self.tenants.append(tenant)
         # Give the newcomer a classification immediately -- unless its
@@ -738,13 +739,10 @@ class MultiTenantService:
                         if pid_map[k] < 0:
                             pid_map[k] = intern(pool[k])
                         inext += 1
-                    pid = pid_map[pwin[s - aw0:e_w]]
-                    self._buf_pid.extend(pid.tolist())
-                    self._buf_uid.extend(
-                        batch.acc_uid[a0 + s:a0 + e].tolist())
-                    self._buf_ts.extend(ts_acc[s:e].tolist())
-                    self._buf_op.extend(
-                        batch.acc_op[a0 + s:a0 + e].tolist())
+                    self._day_buf.append((
+                        pid_map[pwin[s - aw0:e_w]],
+                        batch.acc_uid[a0 + s:a0 + e], ts_acc[s:e],
+                        batch.acc_op[a0 + s:a0 + e]))
                 else:
                     e = s
                 self.dropped_accesses += (pa2 - pa) - (e - s)
@@ -880,18 +878,19 @@ class MultiTenantService:
         return out
 
     def _flush_day(self, day: int) -> None:
-        if not self._buf_pid:
+        """Replay the buffered day through every admitted tenant: one
+        :class:`DayPlan` of the day's records, applied to each."""
+        if not self._day_buf:
             return
-        pid = np.asarray(self._buf_pid, dtype=np.int64)
-        uid = np.asarray(self._buf_uid, dtype=np.int64)
-        ts = np.asarray(self._buf_ts, dtype=np.int64)
-        op = np.asarray(self._buf_op, dtype=np.int8)
-        self._buf_pid, self._buf_uid = [], []
-        self._buf_ts, self._buf_op = [], []
+        chunks, self._day_buf = self._day_buf, []
+        cols = (chunks[0] if len(chunks) == 1
+                else [np.concatenate(col) for col in zip(*chunks)])
+        plan = DayPlan.build(self.config, *cols,
+                             np.array([0, cols[0].size]), first_day=day)
         det_size = self.catalog.det_size
         for tenant in self.tenants:
             if day >= tenant.admitted_boundary:
-                tenant.replay_day(det_size, day, pid, uid, ts, op)
+                tenant.replay_day(plan, day, det_size)
 
     # ------------------------------------------------------------------
     # observability sampling
@@ -1075,7 +1074,7 @@ class MultiTenantService:
         manager = self.checkpoints if manager is None else manager
         if manager is None:
             raise ValueError("service has no checkpoint directory")
-        if self._buf_pid:
+        if self._day_buf:
             raise ValueError("cannot checkpoint with a partial day buffered")
         act_table, act_arrays = activeness_to_arrays(
             self.activity.snapshot_state())

@@ -13,10 +13,11 @@ from repro.core.config import RetentionConfig
 from repro.core.exemption import ExemptionList
 from repro.core.flt import FixedLifetimePolicy
 from repro.core.retention import ActiveDRPolicy
-from repro.core.value_based import ValueBasedPolicy
+from repro.core.value_based import CompositeValueFunction, ValueBasedPolicy
 from repro.emulation import (
     ComparisonRunner,
     CompiledTrace,
+    DayPlan,
     Emulator,
     EmulatorConfig,
     FastEmulator,
@@ -111,11 +112,28 @@ ACTIVEDR_CONFIGS = {
 }
 
 
+#: ValueBased configurations beyond the defaults, each purging files in
+#: threshold mode (triggers without a purge target) on these seeds: a
+#: threshold some live files score below, a value without recency, and
+#: a negative recency weight, which the value trigger must score in
+#: full (its no-target shortcut holds for w_recency >= 0 only).
+VALUE_POLICIES = {
+    "threshold": lambda cfg, _: ValueBasedPolicy(cfg, value_threshold=0.45),
+    "no-recency": lambda cfg, _: ValueBasedPolicy(
+        cfg, value_function=CompositeValueFunction(w_recency=0.0),
+        value_threshold=0.45),
+    "negative-recency": lambda cfg, _: ValueBasedPolicy(
+        cfg, value_function=CompositeValueFunction(w_recency=-0.5)),
+}
+
+
 @pytest.mark.parametrize("seed, n_users, config", [
     pytest.param(3, 25, None, id="3"),
     pytest.param(77, 25, None, id="77"),
     *(pytest.param(seed, 40, name, id=f"activedr-{name}-{seed}")
       for name in ACTIVEDR_CONFIGS for seed in (2021, 3)),
+    *(pytest.param(seed, 40, name, id=f"value-{name}-{seed}")
+      for name in VALUE_POLICIES for seed in (2021, 3)),
 ])
 def test_fast_matches_reference_across_seeds(seed, n_users, config):
     ds = generate_dataset(TitanConfig(n_users=n_users, seed=seed))
@@ -123,6 +141,12 @@ def test_fast_matches_reference_across_seeds(seed, n_users, config):
         for _, policy_factory in POLICIES:
             fast, ref = run_both(ds, policy_factory, EmulatorConfig())
             assert_results_equal(fast, ref)
+        return
+    if config in VALUE_POLICIES:
+        fast, ref = run_both(ds, VALUE_POLICIES[config], EmulatorConfig())
+        assert_results_equal(fast, ref)
+        assert any(r.target_bytes == 0 and r.purged_bytes_total
+                   for r in fast.reports)
         return
     retention = ACTIVEDR_CONFIGS[config]
     fast, ref = run_both(ds, lambda cfg, _: ActiveDRPolicy(cfg),
@@ -261,6 +285,40 @@ def test_spectrum_sweep_matches_per_policy_runs(dataset):
         for name in ("ValueBased", "ScratchAsCache"):
             assert_results_equal(solo[lifetime].results[name],
                                  sweep[lifetime].results[name])
+
+
+def test_sweep_shares_the_day_plan_and_value_columns(dataset, monkeypatch):
+    # Every replay of one compiled trace shares its day plan, built on
+    # the first replay once per replay config (never at compile time),
+    # and its catalog's value columns: one type weight per path for a
+    # four-lifetime spectrum sweep, not one per ValueBased replay.
+    weighed, built = [], []
+    type_weight, build = CompositeValueFunction.type_weight, DayPlan.build
+
+    def counting_type_weight(self, path):
+        weighed.append(path)
+        return type_weight(self, path)
+
+    def counting_build(config, *args, **kwargs):
+        built.append(config)
+        return build(config, *args, **kwargs)
+
+    monkeypatch.setattr(CompositeValueFunction, "type_weight",
+                        counting_type_weight)
+    monkeypatch.setattr(DayPlan, "build", staticmethod(counting_build))
+    compiled = compile_dataset(dataset)
+    assert built == [] and weighed == []
+    lifetimes = (7.0, 30.0, 60.0, 90.0)
+    run_lifetime_sweep(dataset, lifetimes, engine="fast",
+                       policies="spectrum", compiled=compiled)
+    assert len(weighed) == compiled.catalog.n_paths
+    assert built == [EmulatorConfig()]
+    restore = EmulatorConfig(restore_on_miss=True)
+    run_lifetime_sweep(dataset, lifetimes, engine="fast",
+                       policies="spectrum", compiled=compiled,
+                       emulator_config=restore)
+    assert built == [EmulatorConfig(), restore]
+    assert len(weighed) == compiled.catalog.n_paths
 
 
 def sweep_equal(a, b):

@@ -38,8 +38,8 @@ from repro.analysis import render_emulation_summary
 from repro.core.activeness import UserActiveness
 from repro.core.cache_policy import JobResidencyIndex
 from repro.core.classification import UserClass
-from repro.emulation import (EmulatorConfig, FastEmulator, compile_dataset,
-                             replay_bounds)
+from repro.emulation import (DayPlan, EmulatorConfig, FastEmulator,
+                             compile_dataset, replay_bounds)
 from repro.server import (AdminServer, HashRing, MultiTenantService,
                           NetworkEventStream, SocketListener, TenantSpec,
                           admin_request, publish_batches, publish_events)
@@ -299,6 +299,27 @@ def test_engines_build_no_per_user_activeness_objects(
     assert built == []
     UserActiveness(1)  # the counter itself is live
     assert built == [(1,)]
+
+
+def test_fleet_builds_one_day_plan_per_flushed_day(dataset, compiled, events,
+                                                   monkeypatch):
+    # Every admitted tenant replays a flushed day through one shared
+    # DayPlan of its records: four tenants, one plan per day.
+    built = []
+    build = DayPlan.build
+
+    def counting_build(*args, **kwargs):
+        plan = build(*args, **kwargs)
+        built.append(plan.first_day)
+        return plan
+
+    monkeypatch.setattr(DayPlan, "build", staticmethod(counting_build))
+    service = make_fleet(dataset, HETERO)
+    results = service.run(as_runs(events))
+    assert len(service.tenants) == len(results) == 4
+    days = np.flatnonzero(np.diff(compiled.index.day_offsets)).tolist()
+    assert len(days) > 100
+    assert built == days
 
 
 def test_admin_reads_of_the_evaluation_match_per_user_values(dataset,
@@ -910,7 +931,7 @@ def test_resume_refuses_partial_day_checkpoint(dataset, events, tmp_path):
                          checkpoint_dir=str(tmp_path / "ck"))
     for run in as_runs(events, size=1):
         service.ingest_run(run)
-        if service._buf_pid:
+        if service._day_buf:
             break
     with pytest.raises(ValueError, match="partial day"):
         service.save_checkpoint()

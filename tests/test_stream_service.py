@@ -215,7 +215,7 @@ def test_checkpoint_refuses_partial_day(dataset, tmp_path):
                            checkpoint_dir=ckdir)
     for run in as_runs(dataset_event_stream(dataset), size=1):
         service.ingest_run(run)
-        if service._buf_pid:
+        if service._day_buf:
             break
     before = CheckpointManager(ckdir).latest()
     with pytest.raises(ValueError, match="partial day"):
