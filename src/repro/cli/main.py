@@ -829,7 +829,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
             if manager is None:
                 print("--resume requires --checkpoint-dir", file=sys.stderr)
                 return 1
-            newest, failures = manager.latest_verified()
+            newest, loaded, failures = manager.load_newest()
             for failed_path, reason in failures:
                 print(f"checkpoint {failed_path} failed verification: "
                       f"{reason}", file=sys.stderr)
@@ -846,7 +846,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
                 print(f"rolling back to {newest}", file=sys.stderr)
             try:
                 service = MultiTenantService.resume(
-                    newest, policy_factory=factory,
+                    newest, policy_factory=factory, loaded=loaded,
                     checkpoint_every_days=args.checkpoint_every,
                     checkpoint_manager=manager,
                     metrics_history=history)

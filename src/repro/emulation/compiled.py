@@ -167,13 +167,15 @@ class PathCatalog:
     columns (:meth:`value_columns`) are computed once per catalog, on a
     value trigger's first use, and extended as paths intern: every
     replay of a catalog shares them.  ``version`` advances on every
-    intern so the cached columns know when to extend.
+    intern so the cached columns know when to extend.  The packed form
+    a checkpoint stores (:meth:`packed_paths`) is kept the same way.
     """
 
     __slots__ = ("_paths", "_pid_of", "_det_size", "_snap_size",
                  "version", "_scan_rank", "_order_rank", "_ranks_version",
                  "_scan_keys", "_path_order", "_scan_order",
-                 "_order_pids", "_order_pids_version", "_value_cols")
+                 "_order_pids", "_order_pids_version", "_value_cols",
+                 "_pool_off", "_pool_blob", "_pool_n")
 
     def __init__(self) -> None:
         self._paths: list[str] = []
@@ -193,6 +195,10 @@ class PathCatalog:
         self._order_pids_version = -1
         #: Type-weight key -> (type_weight, smallness_snap, smallness_det).
         self._value_cols: dict[tuple, tuple[np.ndarray, ...]] = {}
+        #: The packed paths' offsets and UTF-8 blob (see packed_paths).
+        self._pool_off = np.zeros(1, dtype=np.int64)
+        self._pool_blob = np.empty(0, dtype=np.uint8)
+        self._pool_n = 0
 
     @property
     def n_paths(self) -> int:
@@ -279,6 +285,41 @@ class PathCatalog:
             np.concatenate(pair) for pair in zip(cols, tail))
         self._value_cols[key] = cols
         return cols
+
+    def packed_paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """The paths as :func:`~repro.stream.batch.pack_strings` packs
+        them: int64 ``offsets`` and the UTF-8 ``blob`` as ``uint8``.
+
+        Both are views of a pool kept across calls.  A call packs only
+        the paths interned since the previous one and writes them in
+        place; the buffers double as they fill, like the replay columns,
+        so each path is encoded once and the pool holds one copy of the
+        paths.  Nothing is packed at intern time: a catalog nobody
+        checkpoints never builds the pool.
+        """
+        # Imported here: the stream package imports this module.
+        from ..stream.batch import pack_strings
+
+        done, n = self._pool_n, len(self._paths)
+        if n > done:
+            offsets, blob = pack_strings(self._paths[done:n])
+            lo = int(self._pool_off[done])
+            hi = lo + len(blob)
+            if n + 1 > self._pool_off.size:
+                self._pool_off = _grown(
+                    self._pool_off, max(2 * self._pool_off.size, n + 1), 0)
+            if hi > self._pool_blob.size:
+                # Not _grown: np.empty leaves the spare capacity
+                # untouched, so it is not resident until written.
+                grown = np.empty(max(2 * self._pool_blob.size, hi),
+                                 dtype=np.uint8)
+                grown[:lo] = self._pool_blob[:lo]
+                self._pool_blob = grown
+            self._pool_off[done + 1:n + 1] = offsets[1:] + lo
+            self._pool_blob[lo:hi] = np.frombuffer(blob, dtype=np.uint8)
+            self._pool_n = n
+        return (self._pool_off[:n + 1],
+                self._pool_blob[:int(self._pool_off[n])])
 
     def freeze(self) -> None:
         """Compute both rank columns, then drop what only interning needs

@@ -451,7 +451,7 @@ def render_prometheus(service, *, stream=None, admin=None,
                  tenant.stats.get("target_misses", 0), label, type="counter",
                  help="Triggers that failed to reach the purge target.")
         exp.summary("repro_trigger_latency_seconds",
-                    tail_stats(tenant.trigger_latency_log), label,
+                    tenant.trigger_latency, label,
                     help="Per-trigger wall seconds (recent window).")
 
     # -- forecasts (from the newest history sample) --------------------

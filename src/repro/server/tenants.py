@@ -63,13 +63,13 @@ a donor tenant (its scratch *as that tenant retained it*) and
 participates from the admission boundary on.
 
 Checkpoints pack every tenant into one digest-verified link of the
-existing chain (format ``repro-server-checkpoint/2``): shared arrays
-(catalog, activeness history) stored once, per-tenant arrays under a
-``t<i>__`` namespace prefix, per-tenant config fingerprints cross-checked
-on resume.  Checkpoints happen *between* events -- the manifest cursor
-counts fully-consumed merged events -- so resuming is: rebuild the same
-deterministic merge, ``skip_stream_items(stream, cursor)``, and keep
-going.
+existing chain (format ``repro-server-checkpoint/3``): shared arrays
+(catalog, activeness history) stored once, per-tenant arrays -- the
+retention reports among them -- under a ``t<i>__`` namespace prefix,
+per-tenant config fingerprints cross-checked on resume.  Checkpoints
+happen *between* events -- the manifest cursor counts fully-consumed
+merged events -- so resuming is: rebuild the same deterministic merge,
+``skip_stream_items(stream, cursor)``, and keep going.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ from ..core.config import RetentionConfig
 from ..core.exemption import ExemptionList
 from ..core.incremental import ColumnarActivityStore
 from ..core.policy import RetentionPolicy
+from ..core.report import RetentionReport
 from ..emulation.compiled import (DayPlan, GroupLookup, PathCatalog,
                                   PolicyReplay, ReplayState, TriggerEngine)
 from ..emulation.emulator import EmulationResult, EmulatorConfig
@@ -98,8 +99,9 @@ from ..stream.checkpoint import (SERVER_CHECKPOINT_FORMAT, CheckpointManager,
                                  activeness_from_arrays, activeness_to_arrays,
                                  catalog_from_arrays, catalog_to_arrays,
                                  load_checkpoint, metrics_from_arrays,
-                                 metrics_to_arrays, reports_from_jsonable,
-                                 reports_to_jsonable)
+                                 metrics_to_arrays, report_json,
+                                 reports_from_jsonable, reports_from_member,
+                                 reports_member)
 from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
                             BatchRun, EventBatch)
 from ..traces.schema import PublicationRecord
@@ -228,12 +230,64 @@ class Tenant(PolicyReplay):
         self.stats = dict(self.NO_STATS)
         #: Recent per-trigger wall seconds (forensic tail-latency window
         #: for ``admin metrics``; not checkpointed -- ``stats`` stays
-        #: JSON-able).
+        #: JSON-able).  Change it through :meth:`note_trigger_latency`
+        #: and :meth:`clear_trigger_latency`, which count the changes
+        #: :attr:`trigger_latency` caches against.
         self.trigger_latency_log: deque = deque(maxlen=512)
+        self._latency_changes = 0
+        self._latency_tails = (0, tail_stats(()))
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def reports(self) -> list[RetentionReport]:
+        return self._reports
+
+    @reports.setter
+    def reports(self, reports: list[RetentionReport]) -> None:
+        # A replaced list (resume, reset_measurements) restarts the
+        # cache of encoded reports.
+        self._reports = reports
+        self._report_texts: list[str] = []
+
+    def encoded_reports(self) -> np.ndarray:
+        """The checkpoint member holding this tenant's reports.
+
+        Each report's JSON text is kept once encoded, so a link encodes
+        only the reports made since the previous one.
+        """
+        texts = self._report_texts
+        texts.extend(map(report_json, self._reports[len(texts):]))
+        return reports_member(texts)
+
+    @property
+    def trigger_latency(self) -> dict:
+        """``tail_stats`` of :attr:`trigger_latency_log`, computed on the
+        first read after the window changed, not at every read (the
+        engine samples every boundary; the window changes only at this
+        tenant's triggers) nor at a change nobody reads.
+
+        Only the engine thread changes the window.  An admin-thread read
+        labels what it computes with the change count it saw *before*
+        taking the window, so a result the engine overtakes is
+        recomputed by the next read, never kept.
+        """
+        changes = self._latency_changes
+        seen, tails = self._latency_tails
+        if seen != changes:
+            tails = tail_stats(self.trigger_latency_log)
+            self._latency_tails = (changes, tails)
+        return tails
+
+    def note_trigger_latency(self, seconds: float) -> None:
+        self.trigger_latency_log.append(seconds)
+        self._latency_changes += 1
+
+    def clear_trigger_latency(self) -> None:
+        self.trigger_latency_log.clear()
+        self._latency_changes += 1
 
     @property
     def params(self) -> ActivenessParams:
@@ -571,7 +625,7 @@ class MultiTenantService:
             tenant.metrics = DailyMetrics(self.n_days)
             tenant.reports = []
             tenant.group_count_history = []
-            tenant.trigger_latency_log.clear()
+            tenant.clear_trigger_latency()
             tenant.stats = dict(Tenant.NO_STATS)
         self.dropped_accesses = 0
 
@@ -839,7 +893,7 @@ class MultiTenantService:
                         tenant.stats.get("target_misses", 0) + 1)
                 elapsed = time.perf_counter() - started
                 tenant.stats["trigger_seconds"] += elapsed
-                tenant.trigger_latency_log.append(elapsed)
+                tenant.note_trigger_latency(elapsed)
             triggered = True
         self._next_boundary = boundary + 1
         if (triggered and self.checkpoints is not None
@@ -927,7 +981,7 @@ class MultiTenantService:
                 "purged_bytes": tenant.stats.get("purged_bytes", 0),
                 "purged_files": tenant.stats.get("purged_files", 0),
                 "target_misses": tenant.stats.get("target_misses", 0),
-                "trigger_latency": tail_stats(tenant.trigger_latency_log),
+                "trigger_latency": dict(tenant.trigger_latency),
             }
             if tenant.reports:
                 info["target_met"] = bool(tenant.reports[-1].target_met)
@@ -1109,7 +1163,6 @@ class MultiTenantService:
                 "name": tenant.name,
                 "spec": tenant.spec.to_jsonable(),
                 "fingerprint": self._fingerprint_of(tenant, self.config),
-                "reports": reports_to_jsonable(tenant.reports),
                 "stats": dict(tenant.stats),
                 "admitted_boundary": tenant.admitted_boundary,
                 "total_bytes": tenant.state.total_bytes,
@@ -1126,6 +1179,7 @@ class MultiTenantService:
             arrays[prefix + "class_uids"] = tenant.lookup.uids
             arrays[prefix + "class_codes"] = tenant.lookup.class_codes
             arrays[prefix + "group_count_history"] = ghist
+            arrays[prefix + "reports"] = tenant.encoded_reports()
             for key, value in metrics_to_arrays(tenant.metrics).items():
                 arrays[prefix + key] = value
         path = manager.save(manifest, arrays)
@@ -1174,6 +1228,7 @@ class MultiTenantService:
     @classmethod
     def resume(cls, checkpoint_path: str, *,
                policy_factory: Callable[[TenantSpec], RetentionPolicy],
+               loaded: tuple[dict, Mapping[str, np.ndarray]] | None = None,
                config: EmulatorConfig | None = None,
                exemptions: ExemptionList | None = None,
                checkpoint_dir: str | None = None,
@@ -1194,8 +1249,12 @@ class MultiTenantService:
         Any other checkpoint format -- including the
         ``repro-stream-checkpoint/*`` chains of the retired single-policy
         engine -- is refused with a ``ValueError`` naming it.
+        ``loaded`` is the link's verified ``(manifest, arrays)`` when the
+        caller has already read it (:meth:`CheckpointManager.load_newest`);
+        without it the link is loaded and verified here.
         """
-        manifest, arrays = load_checkpoint(checkpoint_path)
+        manifest, arrays = (loaded if loaded is not None
+                            else load_checkpoint(checkpoint_path))
         if not str(manifest.get("format")).startswith(
                 "repro-server-checkpoint/"):
             raise ValueError(
@@ -1241,7 +1300,10 @@ class MultiTenantService:
                 key: arrays[prefix + key]
                 for key in ("metrics_accesses", "metrics_misses",
                             "metrics_group_misses")})
-            tenant.reports = reports_from_jsonable(stored["reports"])
+            tenant.reports = (
+                reports_from_member(arrays[prefix + "reports"])
+                if prefix + "reports" in arrays
+                else reports_from_jsonable(stored["reports"]))  # /2, /1
             ghist = np.asarray(arrays[prefix + "group_count_history"],
                                dtype=np.int64)
             tenant.group_count_history = [

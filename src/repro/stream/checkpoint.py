@@ -3,9 +3,7 @@
 A checkpoint is one ``.npz`` written atomically and durably (tmp sibling
 + fsync + ``os.replace`` + directory fsync): either the old checkpoint
 or the new one exists, never a torn file.  The container is a plain
-zip of ``.npy`` members, deflated at level 1 -- what
-``np.savez_compressed`` writes, minus its default level 6, which costs
-about four times the CPU for a few percent smaller int64 columns -- so
+zip of ``.npy`` members, *stored* (not compressed), so
 ``np.load(path, allow_pickle=False)`` still opens it.  Inside, a single
 JSON *manifest* entry, stored as UTF-8 bytes (a ``uint8`` array),
 carries the scalars -- resume cursor, boundary position, counters,
@@ -16,6 +14,8 @@ config fingerprint -- and the bulk state travels as native NumPy arrays:
   blob plus byte offsets (:func:`catalog_to_arrays`),
 * the replay state columns (live/atime/size/owner),
 * the daily metrics and group-count history,
+* the retention reports, one UTF-8 JSON array per tenant
+  (:func:`report_json`, :func:`reports_member`),
 * the current user classification (kept verbatim: it cannot be
   re-derived after resume because activeness at the *old* trigger instant
   would see newer history),
@@ -26,20 +26,37 @@ JSON's shortest-round-trip repr or float64 arrays, sets as sorted lists.
 That exactness is what lets a resumed service continue bit-identically
 (pinned by ``tests/test_stream_checkpoint.py``).
 
+Why stored members: a link is written on the engine thread, between two
+events, so the engine waits for it.  Deflate at level 1 reads about
+100 MB/s and keeps about a quarter of the bytes, so storing wins on any
+disk faster than about 75 MB/s.  On a 2-vCPU VM (ext4, whose fsync is
+likely cheaper than a real device's) a late 4.55 MB link of the
+benchmark's ``serve_socket4`` took 9.9 ms to write and fsync stored,
+against 57 ms deflated to 1.15 MB; a pass of that workload now writes
+about 55 MB of links instead of 14 MB (three retained).  The parts of
+a link that only grow -- the catalog's paths and the reports -- are
+encoded once, as they are added
+(:meth:`~repro.emulation.compiled.PathCatalog.packed_paths`, the
+tenants' report cache), not again at every link.
+
 Formats
 -------
 The streaming engine stamps :data:`SERVER_CHECKPOINT_FORMAT`
-(``repro-server-checkpoint/2``).  The previous layout, server ``/1``,
-stored the manifest as a 0-d fixed-width UCS4 (``<U``) string and the
-catalog as a ``<U`` ``paths`` array, four bytes per character before
-compression.  It still loads: :func:`load_checkpoint` and
-:func:`catalog_from_arrays` are the only two places that decode it, so
-a running chain survives the upgrade and its next link is written in
-the new layout.  The ``repro-stream-checkpoint/*`` formats
-(:data:`CHECKPOINT_FORMAT` and its ``<U`` predecessors), written by the
-retired single-policy engine, still load and verify here so that the
-engine can refuse such a chain by name instead of reporting it as
-corrupt.
+(``repro-server-checkpoint/3``): stored members, and each tenant's
+reports in a ``t<i>__reports`` member.  Server ``/2`` deflated its
+members and kept the reports in the manifest's tenant entries; server
+``/1`` also stored the manifest as a 0-d fixed-width UCS4 (``<U``)
+string and the catalog as a ``<U`` ``paths`` array, four bytes per
+character before compression.  Both still load and resume, so a
+running chain survives the upgrade and its next link is written in the
+new layout: the reader does not care how a member is compressed,
+:func:`load_checkpoint` and :func:`catalog_from_arrays` are the only
+two places that decode the ``<U`` layout, and the resume reads a
+tenant's reports from its entry when the link has no reports member.
+The ``repro-stream-checkpoint/*`` formats (:data:`CHECKPOINT_FORMAT` and
+its ``<U`` predecessors), written by the retired single-policy engine,
+still load and verify here so that the engine can refuse such a chain
+by name instead of reporting it as corrupt.
 
 Durability and verification
 ---------------------------
@@ -48,7 +65,8 @@ dtype, and shape) in the manifest; :func:`load_checkpoint` recomputes
 and compares them, so a torn write, a truncated npz, or silent bit rot
 is reported as :class:`CheckpointCorruption` naming the failing array
 and digests rather than surfacing as a numerically-wrong resume.  (The
-manifest itself is covered by the npz container's zip CRC.)
+manifest itself is covered by the npz container's zip CRC, which every
+member carries.)
 :class:`CheckpointManager` keeps a *chain* of the last ``retain``
 checkpoints (``checkpoint-<seq>.npz``), garbage-collects older ones,
 and on load falls back to the newest checkpoint that verifies -- the
@@ -66,7 +84,7 @@ import os
 import re
 import zipfile
 import zlib
-from typing import IO, Any, Callable, Mapping
+from typing import IO, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,12 +94,13 @@ from ..core.report import GroupTally, RetentionReport
 from ..emulation.compiled import PathCatalog
 from ..emulation.metrics import DailyMetrics
 from ..traces.io import fsync_directory
-from .batch import pack_strings, unpack_strings
+from .batch import unpack_strings
 
 __all__ = ["CHECKPOINT_FORMAT", "SERVER_CHECKPOINT_FORMAT",
            "CheckpointCorruption",
            "atomic_write_npz", "load_checkpoint", "verify_checkpoint",
            "reports_to_jsonable", "reports_from_jsonable",
+           "report_json", "reports_member", "reports_from_member",
            "metrics_to_arrays", "metrics_from_arrays",
            "activeness_to_arrays", "activeness_from_arrays",
            "catalog_to_arrays", "catalog_from_arrays",
@@ -93,13 +112,15 @@ CHECKPOINT_FORMAT = "repro-stream-checkpoint/3"
 #: The multi-tenant server checkpoint: same container (atomic npz link,
 #: per-array digests), different payload schema (shared arrays once,
 #: per-tenant arrays under a ``t<i>__`` prefix, a ``tenants`` manifest).
-SERVER_CHECKPOINT_FORMAT = "repro-server-checkpoint/2"
+SERVER_CHECKPOINT_FORMAT = "repro-server-checkpoint/3"
 
 #: Formats this reader still accepts: stream /1 predates per-array
-#: digests; stream /2 and server /1 are the ``<U`` layouts (module doc).
+#: digests; stream /2 and server /1 are the ``<U`` layouts, and server
+#: /2 keeps the reports in the manifest (module doc).
 _ACCEPTED_FORMATS = (CHECKPOINT_FORMAT, "repro-stream-checkpoint/2",
                      "repro-stream-checkpoint/1",
-                     SERVER_CHECKPOINT_FORMAT, "repro-server-checkpoint/1")
+                     SERVER_CHECKPOINT_FORMAT, "repro-server-checkpoint/2",
+                     "repro-server-checkpoint/1")
 
 _MANIFEST_KEY = "__manifest__"
 _DIGESTS_KEY = "array_digests"
@@ -140,9 +161,13 @@ def _array_digest(arr: np.ndarray) -> dict:
 
 
 def _write_npz(fh: IO[bytes], arrays: Mapping[str, np.ndarray]) -> None:
-    """What ``np.savez_compressed`` writes, deflated at level 1."""
-    with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_DEFLATED,
-                         compresslevel=1, allowZip64=True) as archive:
+    """What ``np.savez`` writes: every member stored, with its zip CRC.
+
+    Not deflated: at engine speed deflate costs more than writing the
+    bytes it saves (module doc).
+    """
+    with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_STORED,
+                         allowZip64=True) as archive:
         for name, arr in arrays.items():
             with archive.open(f"{name}.npy", mode="w",
                               force_zip64=True) as member:
@@ -264,30 +289,53 @@ def verify_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 # reports
 
 
+def _report_to_jsonable(r: RetentionReport) -> dict:
+    return {
+        "policy": r.policy,
+        "t_c": r.t_c,
+        "lifetime_days": r.lifetime_days,
+        "target_bytes": r.target_bytes,
+        "purged_bytes_total": r.purged_bytes_total,
+        "target_met": r.target_met,
+        "passes_used": r.passes_used,
+        "groups": {
+            str(cls.value): {
+                "purged_files": t.purged_files,
+                "purged_bytes": t.purged_bytes,
+                "retained_files": t.retained_files,
+                "retained_bytes": t.retained_bytes,
+                "users_purged": sorted(t.users_purged),
+                "users_scanned": sorted(t.users_scanned),
+            } for cls, t in r.groups.items()
+        },
+    }
+
+
 def reports_to_jsonable(reports: list[RetentionReport]) -> list[dict]:
     """JSON-safe encoding of a report list; exact under round-trip."""
-    out = []
-    for r in reports:
-        out.append({
-            "policy": r.policy,
-            "t_c": r.t_c,
-            "lifetime_days": r.lifetime_days,
-            "target_bytes": r.target_bytes,
-            "purged_bytes_total": r.purged_bytes_total,
-            "target_met": r.target_met,
-            "passes_used": r.passes_used,
-            "groups": {
-                str(cls.value): {
-                    "purged_files": t.purged_files,
-                    "purged_bytes": t.purged_bytes,
-                    "retained_files": t.retained_files,
-                    "retained_bytes": t.retained_bytes,
-                    "users_purged": sorted(t.users_purged),
-                    "users_scanned": sorted(t.users_scanned),
-                } for cls, t in r.groups.items()
-            },
-        })
-    return out
+    return [_report_to_jsonable(r) for r in reports]
+
+
+def report_json(report: RetentionReport) -> str:
+    """One report's JSON text: ``json.dumps`` of its JSON-safe form."""
+    return json.dumps(_report_to_jsonable(report))
+
+
+def reports_member(texts: Sequence[str]) -> np.ndarray:
+    """A tenant's ``reports`` member: the :func:`report_json` texts of its
+    reports joined into one JSON array, as UTF-8 bytes (a ``uint8``
+    array, digested like every other array).
+
+    The bytes equal ``json.dumps(reports_to_jsonable(reports))``, so the
+    member decodes with :func:`reports_from_member`.
+    """
+    return np.frombuffer(("[" + ", ".join(texts) + "]").encode("utf-8"),
+                         dtype=np.uint8)
+
+
+def reports_from_member(member: np.ndarray) -> list[RetentionReport]:
+    """The reports a :func:`reports_member` array holds."""
+    return reports_from_jsonable(json.loads(member.tobytes()))
 
 
 def reports_from_jsonable(data: list[dict]) -> list[RetentionReport]:
@@ -383,11 +431,13 @@ def catalog_to_arrays(catalog: PathCatalog) -> dict[str, np.ndarray]:
     """The catalog's paths (UTF-8 blob + offsets) and snapshot sizes.
 
     Paths are stored in intern order: pids are positional, so the order
-    is the identity a resumed service must reproduce.
+    is the identity a resumed service must reproduce.  The paths are
+    ``pack_strings(catalog.paths)``, read from the catalog's packed pool
+    (:meth:`PathCatalog.packed_paths`); all three arrays are views of the
+    catalog's columns, not copies.
     """
-    offsets, blob = pack_strings(catalog.paths)
-    return {"path_offsets": offsets,
-            "path_blob": np.frombuffer(blob, dtype=np.uint8),
+    offsets, blob = catalog.packed_paths()
+    return {"path_offsets": offsets, "path_blob": blob,
             "snap_size": catalog.snap_size}
 
 
@@ -470,23 +520,34 @@ class CheckpointManager:
         entries = self._entries()
         return entries[-1][1] if entries else None
 
-    def latest_verified(self) -> tuple[str | None, list[tuple[str, str]]]:
-        """``(path, failures)`` -- the newest checkpoint that verifies.
+    def load_newest(self) -> tuple[str | None,
+                                   tuple[dict, dict[str, np.ndarray]] | None,
+                                   list[tuple[str, str]]]:
+        """``(path, (manifest, arrays), failures)`` of the newest
+        checkpoint that verifies.
 
-        Walks the chain newest-first; every checkpoint that fails
-        verification is recorded as ``(path, reason)`` and skipped.
-        ``path`` is ``None`` when nothing in the chain verifies (or the
-        chain is empty).
+        Walks the chain newest-first, loading and verifying each link
+        once; every link that fails verification is recorded as
+        ``(path, reason)`` and skipped.  ``path`` and the payload are
+        ``None`` when nothing in the chain verifies (or the chain is
+        empty).  The payload is what a resume reads, so it need not load
+        the link again.
         """
         failures: list[tuple[str, str]] = []
         for _seq, path in reversed(self._entries()):
             try:
-                load_checkpoint(path, verify=True)
+                loaded = load_checkpoint(path, verify=True)
             except CheckpointCorruption as exc:
                 failures.append((path, exc.reason))
                 continue
-            return path, failures
-        return None, failures
+            return path, loaded, failures
+        return None, None, failures
+
+    def latest_verified(self) -> tuple[str | None, list[tuple[str, str]]]:
+        """``(path, failures)`` of :meth:`load_newest`, without the
+        payload."""
+        path, _loaded, failures = self.load_newest()
+        return path, failures
 
     # -- writing -------------------------------------------------------
 
@@ -522,8 +583,8 @@ class CheckpointManager:
         :class:`CheckpointCorruption` when checkpoints exist but none
         verifies (the message lists every failure).
         """
-        path, failures = self.latest_verified()
-        if path is None:
+        _path, loaded, failures = self.load_newest()
+        if loaded is None:
             if not failures:
                 raise FileNotFoundError(
                     f"no checkpoint found in {self.directory}")
@@ -531,4 +592,4 @@ class CheckpointManager:
             raise CheckpointCorruption(
                 self.directory,
                 f"no checkpoint in the chain verifies ({detail})")
-        return load_checkpoint(path, verify=True)
+        return loaded

@@ -274,6 +274,36 @@ def test_serve_resume_keeps_the_checkpoint_tenants(ws_dir, capsys,
         == replayed
 
 
+def test_serve_resume_reads_each_tried_link_once(ws_dir, capsys, tmp_path,
+                                                monkeypatch):
+    # The chain walk hands the verified link to the resume: a resume past
+    # a corrupt head loads the head once and the link it resumes once.
+    import repro.server.tenants as tenants
+    import repro.stream.checkpoint as checkpoint
+    from repro.faults import corrupt_file
+
+    ck = str(tmp_path / "ck")
+    assert main(["serve", "--workspace", ws_dir, "--policy", "activedr",
+                 "--checkpoint-dir", ck, "--stop-after-events", "5000"]) == 0
+    links = CheckpointManager(ck).paths()
+    assert len(links) >= 2
+    corrupt_file(links[-1], "truncate")
+    loads = []
+    load = checkpoint.load_checkpoint
+
+    def counting_load(path, *args, **kwargs):
+        loads.append(path)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counting_load)
+    monkeypatch.setattr(tenants, "load_checkpoint", counting_load)
+    capsys.readouterr()
+    assert main(["serve", "--workspace", ws_dir, "--policy", "activedr",
+                 "--checkpoint-dir", ck, "--resume"]) == 0
+    assert f"resumed from {links[-2]}" in capsys.readouterr().out
+    assert loads == [links[-1], links[-2]]
+
+
 def test_serve_quarantines_a_trace_line_that_is_not_utf8(ws_dir, capsys,
                                                          tmp_path):
     import gzip

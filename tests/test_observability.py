@@ -688,6 +688,45 @@ def test_samples_carry_tenant_stats_and_stream_extra(dataset, events,
     history.close()
 
 
+def test_sampled_trigger_tails_equal_the_log_at_each_boundary(
+        dataset, events, tmp_path, monkeypatch):
+    # A tenant's tails are recomputed when a trigger appends to its
+    # latency window or a reset clears it, not at every boundary; every
+    # sample, and the exposition, still reads tail_stats of the window
+    # as it stood.
+    history = MetricsHistory(str(tmp_path / "hist.jsonl"))
+    service = make_fleet(dataset, HETERO, metrics_history=history)
+    sampled, expected = [], []
+    append = history.append
+
+    def recording_append(sample):
+        sampled.append({name: info["trigger_latency"]
+                        for name, info in sample["tenants"].items()})
+        expected.append({t.name: tail_stats(t.trigger_latency_log)
+                         for t in service.tenants})
+        return append(sample)
+
+    monkeypatch.setattr(history, "append", recording_append)
+    service.run(as_runs(events), stop_after_events=len(events) // 2)
+    before_reset = len(sampled)
+    assert max(tails["count"] for tails in sampled[-1].values()) >= 2
+    service.reset_measurements()
+    assert all(t.trigger_latency == {"count": 0} for t in service.tenants)
+    service.run(skip_stream_items(as_runs(events), service.cursor))
+    assert len(sampled) > before_reset + 10
+    assert sampled == expected
+    assert sampled[before_reset]["a"]["count"] <= 1
+    seen = _parse_exposition(render_prometheus(service))
+    for tenant in service.tenants:
+        label = f'tenant="{tenant.name}"'
+        tails = tail_stats(tenant.trigger_latency_log)
+        assert (f"{{{label}}}", tails["count"]) in \
+            seen["repro_trigger_latency_seconds_count"]
+        assert (f'{{{label},quantile="0.99"}}', tails["p99"]) in \
+            seen["repro_trigger_latency_seconds"]
+    history.close()
+
+
 def test_sampling_failure_never_stops_the_engine(dataset, events, tmp_path):
     history = MetricsHistory(str(tmp_path / "hist.jsonl"))
     service = make_fleet(dataset, HETERO[:1], metrics_history=history)

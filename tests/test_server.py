@@ -29,6 +29,7 @@ import subprocess
 import sys
 import threading
 import time
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -53,7 +54,9 @@ from repro.stream import (CheckpointManager, DeadLetterLog,
                           dataset_event_stream, load_checkpoint,
                           skip_stream_items)
 from repro.stream.batch import BatchBuilder
-from repro.stream.checkpoint import SERVER_CHECKPOINT_FORMAT
+from repro.stream.checkpoint import (SERVER_CHECKPOINT_FORMAT,
+                                     reports_from_member,
+                                     reports_to_jsonable)
 from repro.stream.events import (EVENT_ACCESS, EVENT_JOB, EVENT_PUBLICATION,
                                  StreamEvent, access_events, job_events,
                                  publication_events)
@@ -65,7 +68,7 @@ from repro.traces.schema import JobRecord
 
 from conftest import as_runs, expand_events
 from test_compiled_replay import assert_results_equal
-from test_stream_checkpoint import rewrite_as_legacy_layout
+from test_stream_checkpoint import LEGACY_FORMATS, rewrite_as_legacy_layout
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -768,31 +771,93 @@ def test_checkpoint_resume_is_bit_identical(dataset, compiled, events,
 
 def test_resume_from_legacy_layout_is_bit_identical(dataset, compiled,
                                                     events, tmp_path):
-    # A chain written in the previous layout (``<U`` catalog paths and
-    # manifest) survives the upgrade: it resumes bit-identically and the
-    # chain continues in the current layout.
+    # A chain written in an earlier layout survives the upgrade: it
+    # resumes bit-identically and the chain continues in the current
+    # layout.  Server /1 has ``<U`` catalog paths and manifest; /2 has
+    # deflated members and the reports inline in the manifest.
+    for legacy_format in LEGACY_FORMATS[SERVER_CHECKPOINT_FORMAT]:
+        ckdir = str(tmp_path / legacy_format.replace("/", "-"))
+        service = make_fleet(dataset, HETERO, checkpoint_dir=ckdir)
+        service.run(as_runs(events), stop_after_events=len(events) // 2)
+        newest = CheckpointManager(ckdir).latest()
+        rewrite_as_legacy_layout(newest, legacy_format)
+        legacy, arrays = load_checkpoint(newest)
+        assert legacy["format"] == legacy_format
+        assert all("reports" in entry for entry in legacy["tenants"])
+        assert not any(name.endswith("__reports") for name in arrays)
+        if legacy_format == "repro-server-checkpoint/1":
+            assert arrays["paths"].dtype.kind == "U"
+        else:
+            assert "paths" not in arrays
+        with zipfile.ZipFile(newest) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}
+
+        resumed = MultiTenantService.resume(
+            newest, policy_factory=lambda spec: build_policy(spec, dataset),
+            checkpoint_dir=ckdir)
+        assert resumed.catalog.paths == \
+            service.catalog.paths[:resumed.catalog.n_paths]
+        results = resumed.run(skip_stream_items(as_runs(events),
+                                                resumed.cursor))
+        for spec in HETERO:
+            assert_results_equal(results[spec.name],
+                                 batch_result(dataset, compiled, spec))
+        upgraded, arrays = load_checkpoint(CheckpointManager(ckdir).latest())
+        assert upgraded["format"] == SERVER_CHECKPOINT_FORMAT
+        assert "paths" not in arrays
+        assert all("reports" not in entry for entry in upgraded["tenants"])
+        assert len(reports_from_member(arrays["t0__reports"])) == \
+            len(results[HETERO[0].name].reports)
+
+
+def test_links_encode_each_path_and_report_once(dataset, events, tmp_path,
+                                                monkeypatch):
+    # Every link stores the whole catalog and every tenant's reports,
+    # but a path is packed, and a report JSON-encoded, once: when the
+    # first link after it appeared is written.
+    import repro.server.tenants as tenants_module
+    import repro.stream.batch as batch_module
+
+    packed, encoded = [], []
+    pack, encode = batch_module.pack_strings, tenants_module.report_json
+
+    def counting_pack(strings):
+        strings = list(strings)
+        packed.extend(strings)
+        return pack(strings)
+
+    def counting_encode(report):
+        encoded.append(report)
+        return encode(report)
+
+    monkeypatch.setattr(batch_module, "pack_strings", counting_pack)
+    monkeypatch.setattr(tenants_module, "report_json", counting_encode)
     ckdir = str(tmp_path / "ck")
     service = make_fleet(dataset, HETERO, checkpoint_dir=ckdir)
     service.run(as_runs(events), stop_after_events=len(events) // 2)
-    newest = CheckpointManager(ckdir).latest()
-    rewrite_as_legacy_layout(newest)
-    legacy, arrays = load_checkpoint(newest)
-    assert legacy["format"] == "repro-server-checkpoint/1"
-    assert arrays["paths"].dtype.kind == "U"
+    assert service.stats["checkpoints_written"] >= 5
+    assert encoded and len(set(map(id, encoded))) == len(encoded)
+    service.reset_measurements()
+    encoded.clear()
+    results = service.run(skip_stream_items(as_runs(events),
+                                            service.cursor))
+    assert service.stats["checkpoints_written"] >= 10
 
-    resumed = MultiTenantService.resume(
-        newest, policy_factory=lambda spec: build_policy(spec, dataset),
-        checkpoint_dir=ckdir)
-    assert resumed.catalog.paths == \
-        service.catalog.paths[:resumed.catalog.n_paths]
-    results = resumed.run(skip_stream_items(as_runs(events),
-                                            resumed.cursor))
-    for spec in HETERO:
-        assert_results_equal(results[spec.name],
-                             batch_result(dataset, compiled, spec))
-    upgraded, arrays = load_checkpoint(CheckpointManager(ckdir).latest())
-    assert upgraded["format"] == SERVER_CHECKPOINT_FORMAT
-    assert "paths" not in arrays
+    assert packed == service.catalog.paths
+    made_since = [r for name in results for r in results[name].reports]
+    assert made_since and sorted(map(id, encoded)) == \
+        sorted(map(id, made_since))
+    manifest, arrays = CheckpointManager(ckdir).load()
+    assert manifest["cursor"] == len(events)
+    assert arrays["path_blob"].tobytes() == pack(service.catalog.paths)[1]
+    for i, tenant in enumerate(service.tenants):
+        # Only the reports made since reset_measurements, encoded as
+        # json.dumps would encode the whole list.
+        member = arrays[f"t{i}__reports"]
+        assert member.tobytes() == json.dumps(
+            reports_to_jsonable(tenant.reports)).encode("utf-8")
+        assert reports_from_member(member) == tenant.reports
 
 
 def test_resume_sorts_stored_class_columns(dataset, compiled, events,

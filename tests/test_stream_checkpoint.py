@@ -10,11 +10,14 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.classification import UserClass
 from repro.core.report import GroupTally, RetentionReport
 from repro.emulation.metrics import DailyMetrics
 from repro.stream import atomic_write_npz, load_checkpoint
+from repro.stream.batch import pack_strings
 from repro.stream.checkpoint import (
     CHECKPOINT_FORMAT,
     SERVER_CHECKPOINT_FORMAT,
@@ -34,9 +37,11 @@ from repro.stream.state import PathCatalog
 
 from test_hostile_paths import HOSTILE_PATHS
 
-#: The format each current format replaced: same payload, ``<U`` layout.
-LEGACY_FORMATS = {CHECKPOINT_FORMAT: "repro-stream-checkpoint/2",
-                  SERVER_CHECKPOINT_FORMAT: "repro-server-checkpoint/1"}
+#: The earlier formats each current format can be rewritten into, the
+#: ``<U`` layout first: same payload, earlier layout.
+LEGACY_FORMATS = {CHECKPOINT_FORMAT: ("repro-stream-checkpoint/2",),
+                  SERVER_CHECKPOINT_FORMAT: ("repro-server-checkpoint/1",
+                                             "repro-server-checkpoint/2")}
 
 
 def manifest(**extra):
@@ -52,25 +57,37 @@ def _legacy_digest(arr):
             "sha256": hashlib.sha256(raw).hexdigest()}
 
 
-def rewrite_as_legacy_layout(path):
-    """Rewrite a checkpoint the way the previous format's writer did.
+def rewrite_as_legacy_layout(path, legacy=None):
+    """Rewrite a checkpoint the way an earlier format's writer did.
 
-    That writer stored the catalog as a ``<U`` ``paths`` array and the
-    manifest as a 0-d ``<U`` JSON string under the previous format
-    string, through ``np.savez_compressed``, with digests taken over a
-    ``tobytes()`` copy of each array.
+    ``legacy`` is one of ``LEGACY_FORMATS[format]``, by default the
+    ``<U`` layout.  Every earlier writer deflated its members and kept
+    a server link's reports inline in the manifest's tenant entries.
+    Server /2 otherwise wrote the current layout.  The ``<U`` writers
+    stored the catalog as a ``<U`` ``paths`` array and the manifest as a
+    0-d ``<U`` JSON string, through ``np.savez_compressed``, with
+    digests taken over a ``tobytes()`` copy of each array.
     """
     stored, arrays = load_checkpoint(path)
-    offsets = arrays.pop("path_offsets").tolist()
-    blob = arrays.pop("path_blob").tobytes()
-    arrays["paths"] = np.asarray(
-        [blob[lo:hi].decode("utf-8") for lo, hi in zip(offsets, offsets[1:])],
-        dtype=np.str_)
-    stored["format"] = LEGACY_FORMATS[stored["format"]]
+    legacy = legacy or LEGACY_FORMATS[stored["format"]][0]
+    assert legacy in LEGACY_FORMATS[stored["format"]], legacy
+    stored["format"] = legacy
+    for i, entry in enumerate(stored.get("tenants", ())):
+        entry["reports"] = json.loads(
+            arrays.pop(f"t{i}__reports").tobytes().decode("utf-8"))
+    ucs4 = legacy != "repro-server-checkpoint/2"
+    if ucs4:
+        offsets = arrays.pop("path_offsets").tolist()
+        blob = arrays.pop("path_blob").tobytes()
+        arrays["paths"] = np.asarray(
+            [blob[lo:hi].decode("utf-8")
+             for lo, hi in zip(offsets, offsets[1:])], dtype=np.str_)
     stored["array_digests"] = {name: _legacy_digest(arr)
                                for name, arr in arrays.items()}
-    np.savez_compressed(path, __manifest__=np.asarray(json.dumps(stored)),
-                        **arrays)
+    text = json.dumps(stored)
+    np.savez_compressed(path, __manifest__=(
+        np.asarray(text) if ucs4
+        else np.frombuffer(text.encode("utf-8"), dtype=np.uint8)), **arrays)
 
 
 def hostile_catalog():
@@ -213,6 +230,31 @@ def test_catalog_round_trips_hostile_paths(tmp_path):
                         PathCatalog())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.sampled_from(HOSTILE_PATHS),
+                                   st.text(min_size=1, max_size=40)),
+                         max_size=40), min_size=1, max_size=6))
+def test_catalog_pool_grows_as_pack_strings_packs(batches):
+    # The pool is extended by each batch interned since the previous
+    # link; every link's arrays must equal packing all paths afresh,
+    # and the views an earlier link wrote must still hold its paths.
+    catalog = PathCatalog()
+    links = []
+    for batch in batches:
+        for path in batch:
+            catalog.intern(path)
+        offsets, blob = pack_strings(catalog.paths)
+        arrays = catalog_to_arrays(catalog)
+        assert arrays["path_offsets"].dtype == np.int64
+        assert arrays["path_blob"].dtype == np.uint8
+        assert np.array_equal(arrays["path_offsets"], offsets)
+        assert arrays["path_blob"].tobytes() == blob
+        links.append((arrays, offsets, blob))
+    for arrays, offsets, blob in links:
+        assert np.array_equal(arrays["path_offsets"], offsets)
+        assert arrays["path_blob"].tobytes() == blob
+
+
 def test_checkpoint_opens_with_plain_np_load(tmp_path):
     path = str(tmp_path / "ck.npz")
     arrays = catalog_to_arrays(hostile_catalog())
@@ -228,7 +270,7 @@ def test_checkpoint_opens_with_plain_np_load(tmp_path):
     with zipfile.ZipFile(path) as archive:
         assert archive.testzip() is None
         assert {info.compress_type for info in archive.infolist()} == \
-            {zipfile.ZIP_DEFLATED}
+            {zipfile.ZIP_STORED}
 
 
 def test_legacy_layout_loads_and_verifies(tmp_path):
