@@ -166,8 +166,8 @@ def run_bench(n_users: int, seed: int) -> dict:
         return per_shard, time.perf_counter() - t0
 
     def blast_json(address, source, chunks):
-        # The v1 twin of publish_batches: pipelined hello, pre-encoded
-        # event frames sent as raw byte chunks, acks collected last.
+        # The v1 load generator: pre-encoded event frames sent as raw
+        # byte chunks, the hello pipelined and both acks collected last.
         sock = connect_socket(address, timeout=10.0)
         try:
             reader = FrameReader(sock)

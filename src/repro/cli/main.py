@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep retrying the whole publish for this many "
                           "seconds when the server is down or restarting")
     pub.add_argument("--batch", type=int, default=None, metavar="N",
-                     help="events per binary batch frame (0 forces the "
-                          "v1 JSON-per-event path; default 8192)")
+                     help="most rows per binary batch frame (0 forces "
+                          "the v1 JSON-per-event path; default 8192)")
     pub.add_argument("--compress", action="store_true",
                      help="zlib-compress batch frames when the server "
                           "grants the capability")

@@ -59,6 +59,12 @@ refuses excess connections with a retryable ``busy`` error frame
 (clients back off with jittered exponential delays), and every ack
 write runs under ``write_deadline`` -- a producer that stops draining
 its socket is evicted instead of wedging a reader thread.
+
+Producing side: :class:`ProducerSession` is the one producer
+connection -- one hello, one ack, frames sized exactly against the
+negotiated cap, one ``end`` -- shared by :func:`publish_events`,
+:func:`publish_batches`, :func:`publish_workspace` and the shard
+router's lanes, and every publish retries through one loop.
 """
 
 from __future__ import annotations
@@ -77,33 +83,33 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from ..stream.batch import BatchBuilder, EventBatch, horizon_merge
-from ..stream.events import StreamEvent, job_events, publication_events, access_events
+from ..stream.events import StreamEvent
 from ..stream.reliability.quarantine import (REASON_CORRUPT_FRAME,
                                              REASON_UNPARSABLE)
 from ..stream.reliability.sources import ReliableEventStream, SourceHealth
 from .metrics import Counter
 from .protocol import (BATCH_MAX_FRAME_BYTES, CAP_BATCH, CAP_ZLIB,
-                       MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
-                       SUPPORTED_PROTOCOLS, BatchFormatError, BinaryFrame,
-                       FrameError, FrameReader, close_listener,
+                       MAX_FRAME_BYTES, MIN_FRAME_BYTES, PROTOCOL_V1,
+                       PROTOCOL_V2, SUPPORTED_PROTOCOLS, BatchFormatError,
+                       BinaryFrame, FrameError, FrameReader, close_listener,
                        connect_socket, create_listener, decode_batch,
                        decode_event, encode_batch, encode_batch_frame,
-                       encode_event, write_frame)
+                       encode_event, encode_frame, write_frame)
 
 __all__ = ["DEFAULT_SOURCES", "DEFAULT_BATCH_EVENTS", "SocketSource",
            "SocketListener", "NetworkEventStream", "SequenceLedger",
-           "PublishRefused", "publish_events", "publish_batches",
-           "publish_workspace"]
+           "PublishRefused", "ProducerSession", "publish_events",
+           "publish_batches", "publish_workspace"]
 
 #: The canonical trace families, in merge tie-break order.
 DEFAULT_SOURCES = ("jobs", "publications", "accesses")
 
-#: Default events per binary batch frame.  Big enough to amortize the
-#: per-frame fixed costs (syscall, CRC, column headers, one validation
-#: and intern pass per batch) to noise, small enough that a batch stays
-#: well under the negotiated frame cap (a full batch encodes to well
-#: under half the v1 1 MiB bound) and the merge granularity stays far
-#: below a trigger day.
+#: Default most rows per binary batch frame.  Big enough to amortize
+#: the per-frame fixed costs (syscall, CRC, column headers, one
+#: validation and intern pass per batch) to noise, small enough that
+#: the merge granularity stays far below a trigger day.  Bytes are not
+#: estimated from it: a batch whose payload exceeds the negotiated cap
+#: is split until every frame fits (:meth:`ProducerSession.send_batch`).
 DEFAULT_BATCH_EVENTS = 8192
 
 _END = object()  # queue sentinel: the source has finished
@@ -609,7 +615,7 @@ class SocketListener:
                 want = int(hello.get("max_frame_bytes", MAX_FRAME_BYTES))
             except (TypeError, ValueError):
                 want = MAX_FRAME_BYTES
-            cap = max(4096, min(want, self.max_batch_frame_bytes))
+            cap = max(MIN_FRAME_BYTES, min(want, self.max_batch_frame_bytes))
             ok["capabilities"] = granted
             ok["max_frame_bytes"] = cap
         if not self._write(conn, ok):
@@ -921,26 +927,14 @@ class NetworkEventStream(ReliableEventStream):
 
     def report(self) -> dict:
         out = super().report()
-        out["listener"] = {
-            "address": self.listener.address,
-            "closed": self.listener.closed,
-            "connections_accepted": int(self.listener.connections_accepted),
-            "connections_refused": int(self.listener.connections_refused),
-            "decode_errors": int(self.listener.decode_errors),
-            "batches_received": int(self.listener.batches_received),
-            "batch_rows_received": int(self.listener.batch_rows_received),
-            "duplicates_discarded": int(self.listener.duplicates_discarded),
-            "sequence_gaps": int(self.listener.sequence_gaps),
-            "busy_refusals": int(self.listener.busy_refusals),
-            "auth_failures": int(self.listener.auth_failures),
-            "slow_clients_evicted":
-                int(self.listener.slow_clients_evicted),
-        }
+        out["listener"] = {key: value for key, value
+                           in self.listener.describe().items()
+                           if key != "sources"}
         return out
 
 
 # ---------------------------------------------------------------------------
-# the producing side: the publish client
+# the producing side: one session, one retry loop
 
 
 class PublishRefused(ConnectionError):
@@ -949,7 +943,8 @@ class PublishRefused(ConnectionError):
     ``retryable`` says whether backing off and reconnecting can help:
     True for ``busy`` (quota), gaps, and transient refusals; False for
     ``unauthorized`` and ``unexpected source``, where retrying the same
-    credentials/config would loop forever.
+    credentials/config would loop forever, and for a row that alone
+    exceeds the negotiated frame cap.
     """
 
     def __init__(self, message: str, *, retryable: bool = True) -> None:
@@ -975,6 +970,237 @@ def _backoff_delays(interval: float, cap: float,
         base = min(cap, interval * (1 << min(attempt, 16)))
         yield base * (0.5 + 0.5 * rng.random())
         attempt += 1
+
+
+class ProducerSession:
+    """One producer connection: one hello, one ack, frames, one ``end``.
+
+    Connects and sends one hello -- protocol v2 asking for binary batch
+    frames of up to ``frame_cap`` bytes (and zlib bodies when
+    ``compress``), or protocol v1 when ``batch`` is false -- then waits
+    for the ack; a refusal raises :class:`PublishRefused`.  The ack is
+    read once: ``cursor`` (the highest sequence number the server holds
+    contiguously), ``batch`` and ``zlib`` (the granted capabilities)
+    and ``frame_cap`` (the negotiated cap).
+
+    Frame size is exact, never estimated: :meth:`send_batch` encodes a
+    batch and, while the payload exceeds the negotiated cap, halves it
+    by rows (:meth:`EventBatch.subset` prunes each half's string pool)
+    and re-encodes, so every frame fits.  A single row, or a raw
+    payload, that alone exceeds the cap raises a non-retryable
+    :class:`PublishRefused`: no reconnect can make it fit.
+    """
+
+    def __init__(self, address: str, source: str, *, producer: str,
+                 session: str | None = None, batch: bool = True,
+                 compress: bool = False,
+                 frame_cap: int = BATCH_MAX_FRAME_BYTES,
+                 auth_token: str | None = None, ssl_context=None,
+                 connect_timeout: float = 10.0) -> None:
+        self.source = source
+        hello: dict = {"type": "hello", "source": source,
+                       "producer": producer, "protocol": PROTOCOL_V1}
+        if session is not None:
+            hello["session"] = session
+        if auth_token is not None:
+            hello["auth"] = auth_token
+        if batch:
+            hello.update(protocol=PROTOCOL_V2,
+                         capabilities=([CAP_BATCH, CAP_ZLIB] if compress
+                                       else [CAP_BATCH]),
+                         max_frame_bytes=int(frame_cap))
+        self._sock = connect_socket(address, timeout=connect_timeout,
+                                    ssl_context=ssl_context)
+        try:
+            self._reader = FrameReader(self._sock)
+            write_frame(self._sock, hello)
+            ack = self._reader.read_message()
+            if ack is None or ack.get("type") != "ok":
+                raise _refusal_error(
+                    f"server refused producer of {source!r}",
+                    (ack or {}).get("reason", "connection closed"))
+            granted = ack.get("capabilities") or ()
+            self.cursor = int(ack.get("cursor", 0))
+            self.batch = (batch and ack.get("protocol") == PROTOCOL_V2
+                          and CAP_BATCH in granted)
+            self.zlib = compress and CAP_ZLIB in granted
+            try:
+                self.frame_cap = int(ack.get("max_frame_bytes",
+                                             MAX_FRAME_BYTES))
+            except (TypeError, ValueError):
+                self.frame_cap = MAX_FRAME_BYTES
+            self._sock.settimeout(None)  # streaming may block on backpressure
+        except BaseException:
+            self.close()
+            raise
+
+    def send_batch(self, batch: EventBatch, seq: int) -> None:
+        """Send ``batch`` as rows ``seq, seq + 1, ...``: in batch frames
+        that fit the negotiated cap, or as v1 event frames when the
+        server granted no batch frames."""
+        if not self.batch:
+            for event in batch.iter_events():
+                self.send_event(event, seq)
+                seq += 1
+            return
+        payload = encode_batch(batch, compress=self.zlib, seq=seq)
+        if len(payload) > self.frame_cap and batch.n > 1:
+            half = batch.n // 2
+            head = np.arange(batch.n) < half
+            self.send_batch(batch.subset(head), seq)
+            self.send_batch(batch.subset(~head), seq + half)
+            return
+        self.send_payload(payload)
+
+    def send_payload(self, payload: bytes) -> None:
+        """Send one encoded batch payload verbatim."""
+        if not self.batch:
+            raise PublishRefused(f"server granted no batch frames for "
+                                 f"{self.source!r}", retryable=False)
+        if len(payload) > self.frame_cap:
+            raise PublishRefused(
+                f"a batch payload of {len(payload)} bytes for "
+                f"{self.source!r} exceeds the negotiated cap "
+                f"({self.frame_cap}) and cannot be split",
+                retryable=False)
+        self._sock.sendall(encode_batch_frame(payload, self.frame_cap))
+
+    def send_event(self, event: StreamEvent, seq: int) -> None:
+        """Send one v1 event frame numbered ``seq``."""
+        frame = encode_event(event)
+        frame["seq"] = seq
+        try:
+            data = encode_frame(frame)
+        except FrameError as exc:
+            raise PublishRefused(f"event {seq} for {self.source!r}: {exc}",
+                                 retryable=False) from None
+        self._sock.sendall(data)
+
+    def end(self) -> int:
+        """Send ``end``; returns the cursor the server acked it with."""
+        write_frame(self._sock, {"type": "end"})
+        ack = self._reader.read_message()
+        if ack is None or ack.get("type") != "ok":
+            raise _refusal_error(
+                f"server did not ack end of {self.source!r}",
+                (ack or {}).get("reason", "connection closed"))
+        return int(ack.get("cursor", self.cursor))
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+
+    def __enter__(self) -> "ProducerSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _publish(address: str, source: str, items, send: Callable, *,
+             require_batch: bool = False, seq_offset: int = 0,
+             retry_for: float = 0.0, retry_interval: float = 0.2,
+             retry_cap: float = 5.0, retry_seed: int | None = None,
+             stats: dict | None = None,
+             sleep: Callable[[float], None] = time.sleep,
+             clock: Callable[[], float] = time.monotonic,
+             **options) -> int:
+    """The one retry loop of every publish.
+
+    Each attempt opens a :class:`ProducerSession` with ``options`` (one
+    session id for all attempts), holds off while the server cursor is
+    behind ``seq_offset``, calls ``send(session, items, skip)`` --
+    ``skip`` counts the rows of ``items`` the server already holds --
+    and returns the ``end`` cursor minus ``seq_offset``.  ``items`` is
+    re-iterated per attempt when it is a zero-argument factory or a
+    list/tuple; anything else gets one attempt.  A v2 hello refused as
+    ``unsupported protocol`` reconnects speaking v1 unless
+    ``require_batch``, which also refuses a server granting no batch
+    frames.  Failures back off along :func:`_backoff_delays` until the
+    ``retry_for`` window closes; non-retryable refusals raise at once.
+    """
+    factory = (items if callable(items)
+               else (lambda: items) if isinstance(items, (list, tuple))
+               else None)
+    if options.get("session") is None:
+        options["session"] = (f"{options['producer']}:{os.getpid():x}:"
+                              f"{os.urandom(4).hex()}")
+    delays = _backoff_delays(retry_interval, retry_cap,
+                             random.Random(retry_seed))
+    deadline = clock() + retry_for
+    failed_at: float | None = None
+
+    def connect() -> ProducerSession:
+        try:
+            session = ProducerSession(address, source, **options)
+        except PublishRefused as exc:
+            if require_batch or not options.get("batch", True) \
+                    or "unsupported protocol" not in str(exc):
+                raise
+            # v1-only server: reconnect on the compat path.
+            return ProducerSession(address, source,
+                                   **{**options, "batch": False})
+        if require_batch and not session.batch:
+            session.close()
+            raise PublishRefused(f"server granted no batch frames for "
+                                 f"{source!r}", retryable=False)
+        return session
+
+    while True:
+        try:
+            with connect() as session:
+                skip = session.cursor - seq_offset
+                if skip < 0:
+                    # Relay topology: our slice starts after the server
+                    # cursor; the predecessor producer has not caught up
+                    # yet.  Back off and retry rather than punching a
+                    # sequence gap.
+                    raise PublishRefused(
+                        f"server cursor {session.cursor} for {source!r} "
+                        f"is behind this producer's seq offset "
+                        f"{seq_offset}; predecessor still publishing",
+                        retryable=True)
+                if stats is not None:
+                    stats["attempts"] = stats.get("attempts", 0) + 1
+                    if failed_at is not None:
+                        stats.setdefault("recovery_seconds", []).append(
+                            clock() - failed_at)
+                failed_at = None
+                send(session, factory() if factory else items, skip)
+                return session.end() - seq_offset
+        except (OSError, FrameError, PublishRefused) as exc:
+            if isinstance(exc, PublishRefused) and not exc.retryable:
+                raise
+            if factory is None or clock() >= deadline:
+                raise
+            failed_at = clock()
+            if stats is not None:
+                stats["retries"] = stats.get("retries", 0) + 1
+            sleep(next(delays))
+
+
+def _send_items(session: ProducerSession, items: Iterable,
+                skip: int) -> None:
+    """Send batches and raw payloads, resuming from the cursor.
+
+    :class:`EventBatch` rows are numbered from ``session.cursor + 1``
+    after the first ``skip`` rows, which the server already holds, are
+    dropped.  Raw payload bytes are never skipped: they travel verbatim
+    (their seq, if any, was baked in by ``encode_batch``) and the edge
+    discards the rows it holds.
+    """
+    seq = session.cursor + 1
+    for item in items:
+        if isinstance(item, (bytes, bytearray)):
+            session.send_payload(bytes(item))
+        elif skip >= item.n:
+            skip -= item.n
+        else:
+            session.send_batch(item.tail(skip) if skip else item, seq)
+            seq += item.n - skip
+            skip = 0
 
 
 def publish_events(address: str, source: str,
@@ -1006,7 +1232,8 @@ def publish_events(address: str, source: str,
     exponential delays (``retry_interval * 2^k`` capped at
     ``retry_cap``; seed ``retry_seed`` for deterministic schedules in
     tests) until the ``retry_for`` window closes.  Non-retryable
-    refusals (``unauthorized``, unknown source) raise immediately.
+    refusals (``unauthorized``, unknown source, a row that alone
+    exceeds the frame cap) raise immediately.
 
     ``seq_offset`` supports relay/handoff topologies: a producer
     carrying the *second* slice of a source (events ``k+1 .. n``)
@@ -1019,9 +1246,10 @@ def publish_events(address: str, source: str,
     the net-ingest bench reports).
 
     ``batch_size > 0`` (the default) offers protocol v2: events are
-    accumulated into columnar binary batch frames of that many rows
-    (zlib-compressed when ``compress`` and the server grants the
-    capability).  A server that refuses v2, or acks without the batch
+    accumulated into columnar binary batch frames of at most that many
+    rows (zlib-compressed when ``compress`` and the server grants the
+    capability), each split further if it would exceed the negotiated
+    frame cap.  A server that refuses v2, or acks without the batch
     capability, gets v1 JSON event frames instead -- same events, same
     order, just slower; ``batch_size=0`` forces that compat path.
 
@@ -1029,160 +1257,34 @@ def publish_events(address: str, source: str,
     acked at ``end`` (i.e. everything landed, however many attempts it
     took).
     """
-    factory = (events if callable(events)
-               else (lambda: events) if isinstance(events, (list, tuple))
-               else None)
-    if session is None:
-        session = f"{producer}:{os.getpid():x}:{os.urandom(4).hex()}"
-    delays = _backoff_delays(retry_interval, retry_cap,
-                             random.Random(retry_seed))
-    deadline = clock() + retry_for
-    last_failure: list[float | None] = [None]
-
-    def on_connected() -> None:
-        if stats is not None:
-            stats["attempts"] = stats.get("attempts", 0) + 1
-            if last_failure[0] is not None:
-                stats.setdefault("recovery_seconds", []).append(
-                    clock() - last_failure[0])
-        last_failure[0] = None
-
-    while True:
-        try:
-            return _publish_once(address, source,
-                                 factory() if factory else events,
-                                 producer, connect_timeout,
-                                 batch_size, compress,
-                                 session=session, seq_offset=seq_offset,
-                                 auth_token=auth_token,
-                                 ssl_context=ssl_context,
-                                 on_connected=on_connected)
-        except (OSError, FrameError, PublishRefused) as exc:
-            if isinstance(exc, PublishRefused) and not exc.retryable:
-                raise
-            if factory is None or clock() >= deadline:
-                raise
-            last_failure[0] = clock()
-            if stats is not None:
-                stats["retries"] = stats.get("retries", 0) + 1
-            sleep(next(delays))
-
-
-def _publish_once(address: str, source: str, events: Iterable,
-                  producer: str, connect_timeout: float,
-                  batch_size: int = 0, compress: bool = False, *,
-                  session: str | None = None, seq_offset: int = 0,
-                  auth_token: str | None = None, ssl_context=None,
-                  on_connected: Callable[[], None] | None = None) -> int:
-    sock = connect_socket(address, timeout=connect_timeout,
-                          ssl_context=ssl_context)
-    try:
-        reader = FrameReader(sock)
-        want_batch = batch_size > 0
-        hello: dict = {"type": "hello", "source": source,
-                       "producer": producer}
-        if session is not None:
-            hello["session"] = session
-        if auth_token is not None:
-            hello["auth"] = auth_token
-        if want_batch:
-            hello["protocol"] = PROTOCOL_V2
-            hello["capabilities"] = ([CAP_BATCH, CAP_ZLIB] if compress
-                                     else [CAP_BATCH])
-            hello["max_frame_bytes"] = BATCH_MAX_FRAME_BYTES
-        else:
-            hello["protocol"] = PROTOCOL_V1
-        write_frame(sock, hello)
-        ack = reader.read_message()
-        if ack is None or ack.get("type") != "ok":
-            refusal = (ack or {}).get("reason", "connection closed")
-            if want_batch and isinstance(refusal, str) \
-                    and "unsupported protocol" in refusal:
-                # v1-only server: reconnect on the compat path.
-                return _publish_once(address, source, events, producer,
-                                     connect_timeout, 0, False,
-                                     session=session,
-                                     seq_offset=seq_offset,
-                                     auth_token=auth_token,
-                                     ssl_context=ssl_context,
-                                     on_connected=on_connected)
-            raise _refusal_error(
-                f"server refused producer of {source!r}", refusal)
-        cursor = int(ack.get("cursor", seq_offset))
-        skip = cursor - seq_offset
-        if skip < 0:
-            # Relay topology: our slice starts after the server cursor;
-            # the predecessor producer has not caught up yet.  Back off
-            # and retry rather than punching a sequence gap.
-            raise PublishRefused(
-                f"server cursor {cursor} for {source!r} is behind this "
-                f"producer's seq offset {seq_offset}; predecessor still "
-                f"publishing", retryable=True)
-        if on_connected is not None:
-            on_connected()
-        granted = ack.get("capabilities") or ()
-        use_batch = (want_batch and CAP_BATCH in granted
-                     and ack.get("protocol") == PROTOCOL_V2)
-        sock.settimeout(None)  # streaming may block on backpressure
-        it = iter(events)
+    def send(conn: ProducerSession, items: Iterable, skip: int) -> None:
+        it = iter(items)
         if skip:
             # Already delivered (a previous attempt/incarnation):
             # resume from cursor + 1 instead of resending.
             next(itertools.islice(it, skip - 1, skip), None)
-        next_seq = cursor + 1
-        if use_batch:
-            try:
-                frame_cap = int(ack.get("max_frame_bytes",
-                                        MAX_FRAME_BYTES))
-            except (TypeError, ValueError):
-                frame_cap = MAX_FRAME_BYTES
-            use_zlib = compress and CAP_ZLIB in granted
-            # Flush early if the estimated payload nears the cap, so a
-            # pathological path-heavy batch never overflows the frame.
-            soft_cap = max(4096, frame_cap // 2)
-            builder = BatchBuilder()
-            # Accumulate in slabs so the per-event work runs in the
-            # builder's hoisted bulk loop; the cap checks between slabs
-            # keep frames within the negotiated budget.
-            slab = max(1, min(batch_size, 2048))
-            while True:
-                before = len(builder)
-                builder.extend(itertools.islice(it, slab))
-                added = len(builder) - before
-                if not added:
-                    break
-                if len(builder) >= batch_size \
-                        or builder.approx_bytes >= soft_cap:
-                    sock.sendall(encode_batch_frame(
-                        encode_batch(builder.build(), compress=use_zlib,
-                                     seq=next_seq),
-                        frame_cap))
-                    next_seq += len(builder)
-                    builder = BatchBuilder()
-            if len(builder):
-                sock.sendall(encode_batch_frame(
-                    encode_batch(builder.build(), compress=use_zlib,
-                                 seq=next_seq),
-                    frame_cap))
-                next_seq += len(builder)
-        else:
+        seq = conn.cursor + 1
+        if not conn.batch:
             for event in it:
-                frame = encode_event(event)
-                frame["seq"] = next_seq
-                write_frame(sock, frame)
-                next_seq += 1
-        write_frame(sock, {"type": "end"})
-        ack = reader.read_message()
-        if ack is None or ack.get("type") != "ok":
-            raise _refusal_error(
-                f"server did not ack end of {source!r}",
-                (ack or {}).get("reason", "connection closed"))
-        return int(ack.get("cursor", next_seq - 1)) - seq_offset
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+                conn.send_event(event, seq)
+                seq += 1
+            return
+        while True:
+            builder = BatchBuilder()
+            builder.extend(itertools.islice(it, batch_size))
+            if not len(builder):
+                return
+            conn.send_batch(builder.build(), seq)
+            seq += len(builder)
+
+    return _publish(address, source, events, send, seq_offset=seq_offset,
+                    retry_for=retry_for, retry_interval=retry_interval,
+                    retry_cap=retry_cap, retry_seed=retry_seed,
+                    stats=stats, sleep=sleep, clock=clock,
+                    producer=producer, session=session,
+                    batch=batch_size > 0, compress=compress,
+                    auth_token=auth_token, ssl_context=ssl_context,
+                    connect_timeout=connect_timeout)
 
 
 def publish_batches(address: str, source: str,
@@ -1191,135 +1293,48 @@ def publish_batches(address: str, source: str,
                     *, producer: str = "publish",
                     compress: bool = False,
                     connect_timeout: float = 10.0,
-                    frame_cap: int = MAX_FRAME_BYTES,
+                    frame_cap: int = BATCH_MAX_FRAME_BYTES,
                     session: str | None = None, seq_offset: int = 0,
                     auth_token: str | None = None, ssl_context=None,
-                    sequenced: bool = True,
                     retry_for: float = 0.0, retry_interval: float = 0.2,
                     retry_cap: float = 5.0, retry_seed: int | None = None,
                     sleep: Callable[[float], None] = time.sleep,
                     clock: Callable[[], float] = time.monotonic) -> int:
-    """Stream pre-built columnar batches to a v2 server, hello pipelined.
+    """Stream pre-built columnar batches to a v2 server.
 
     The load-generator variant of :func:`publish_events`: the caller
     already holds :class:`EventBatch` objects (or raw ``encode_batch``
     payload bytes from a frame capture), so no per-event Python runs on
-    the wire path.  The ``hello`` is *pipelined* -- batch frames follow
-    it immediately without waiting for the ack, and both acks (hello,
-    end) are collected after the last frame.  That keeps a k-way server
-    merge from idling on per-connection handshake round-trips when many
-    producers connect at once.
+    the wire path.  Like every producer it waits for the hello ack
+    before it sends: without it a client cannot know the granted frame
+    cap, the cursor, or a refusal.
 
-    With ``sequenced`` (the default), :class:`EventBatch` items are
-    numbered cumulatively from ``seq_offset`` so pipelining stays
-    exactly-once: a retried publish resends everything and the server's
-    edge dedupe discards the rows it already holds -- no cursor
-    round-trip needed before streaming.  Raw byte payloads travel
-    verbatim (their seq, if any, was baked in by ``encode_batch``).
-    ``retry_for > 0`` retries failed publishes with the same jittered
-    exponential backoff as :func:`publish_events` (requires a callable
-    ``batches`` factory or a re-iterable list/tuple).
+    :class:`EventBatch` items are numbered cumulatively from
+    ``seq_offset`` and resume from the server's cursor, exactly as
+    :func:`publish_events` does; a batch over the granted cap is split
+    until every frame fits.  Raw byte payloads travel verbatim (their
+    seq, if any, was baked in by ``encode_batch``) and are never
+    skipped client-side: the server's edge dedupe discards the rows it
+    already holds.  ``retry_for > 0`` retries failed publishes with the
+    same jittered exponential backoff as :func:`publish_events`
+    (requires a callable ``batches`` factory or a re-iterable
+    list/tuple).
 
     No v1 fallback exists on this path: a server that refuses protocol
-    v2 fails the publish with :class:`PublishRefused`.  Returns the
-    number of events sent (raw byte payloads count zero -- the caller
-    already knows).
+    v2, or grants no batch frames, fails the publish with
+    :class:`PublishRefused`.  Returns what :func:`publish_events`
+    returns: the cursor the server acked ``end`` with, minus
+    ``seq_offset``.
     """
-    factory = (batches if callable(batches)
-               else (lambda: batches)
-               if isinstance(batches, (list, tuple)) else None)
-    if session is None:
-        session = f"{producer}:{os.getpid():x}:{os.urandom(4).hex()}"
-    delays = _backoff_delays(retry_interval, retry_cap,
-                             random.Random(retry_seed))
-    deadline = clock() + retry_for
-    while True:
-        try:
-            return _publish_batches_once(
-                address, source, factory() if factory else batches,
-                producer, compress, connect_timeout, frame_cap,
-                session=session, seq_offset=seq_offset,
-                auth_token=auth_token, ssl_context=ssl_context,
-                sequenced=sequenced)
-        except (OSError, FrameError, PublishRefused) as exc:
-            if isinstance(exc, PublishRefused) and not exc.retryable:
-                raise
-            if factory is None or clock() >= deadline:
-                raise
-            sleep(next(delays))
-
-
-def _publish_batches_once(address: str, source: str, batches: Iterable,
-                          producer: str, compress: bool,
-                          connect_timeout: float, frame_cap: int, *,
-                          session: str | None, seq_offset: int,
-                          auth_token: str | None, ssl_context,
-                          sequenced: bool) -> int:
-    sock = connect_socket(address, timeout=connect_timeout,
-                          ssl_context=ssl_context)
-    try:
-        reader = FrameReader(sock)
-        hello: dict = {"type": "hello", "source": source,
-                       "producer": producer, "protocol": PROTOCOL_V2,
-                       "capabilities": ([CAP_BATCH, CAP_ZLIB]
-                                        if compress else [CAP_BATCH]),
-                       "max_frame_bytes": int(frame_cap)}
-        if session is not None:
-            hello["session"] = session
-        if auth_token is not None:
-            hello["auth"] = auth_token
-        write_frame(sock, hello)
-        sock.settimeout(None)  # streaming may block on backpressure
-        sent = 0
-        next_seq = seq_offset + 1
-        try:
-            for batch in batches:
-                if isinstance(batch, (bytes, bytearray)):
-                    payload = bytes(batch)
-                else:
-                    sent += batch.n
-                    payload = encode_batch(
-                        batch, compress=compress,
-                        seq=next_seq if sequenced else None)
-                    next_seq += batch.n
-                sock.sendall(encode_batch_frame(payload, int(frame_cap)))
-            write_frame(sock, {"type": "end"})
-        except OSError:
-            pass  # a refusal closes the socket; the acks say why
-        for stage in ("hello", "end"):
-            ack = reader.read_message()
-            if ack is None or ack.get("type") != "ok":
-                raise _refusal_error(
-                    f"server refused {stage} of batch publish to "
-                    f"{source!r}",
-                    (ack or {}).get("reason", "connection closed"))
-        return sent
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-
-def workspace_source_factory(directory: str,
-                             source: str) -> Callable[[], Iterator]:
-    """A replayable event factory for one of a workspace's trace files."""
-    import os
-
-    from ..traces.io import read_app_log, read_jobs, read_publications
-
-    if source == "jobs":
-        return lambda: job_events(
-            read_jobs(os.path.join(directory, "jobs.txt.gz")))
-    if source == "publications":
-        return lambda: publication_events(
-            read_publications(os.path.join(directory,
-                                           "publications.txt.gz")))
-    if source == "accesses":
-        return lambda: access_events(
-            read_app_log(os.path.join(directory, "app_log.txt.gz")))
-    raise ValueError(f"unknown workspace source {source!r} "
-                     f"(expected one of {DEFAULT_SOURCES})")
+    return _publish(address, source, batches, _send_items,
+                    require_batch=True, seq_offset=seq_offset,
+                    retry_for=retry_for, retry_interval=retry_interval,
+                    retry_cap=retry_cap, retry_seed=retry_seed,
+                    sleep=sleep, clock=clock, producer=producer,
+                    session=session, compress=compress,
+                    frame_cap=frame_cap, auth_token=auth_token,
+                    ssl_context=ssl_context,
+                    connect_timeout=connect_timeout)
 
 
 def publish_workspace(address: str, directory: str, *,
@@ -1336,29 +1351,50 @@ def publish_workspace(address: str, directory: str, *,
                       stats: dict | None = None) -> dict[str, int]:
     """Publish a workspace's trace files concurrently, one per source.
 
-    Concurrency is load-bearing, not an optimization: the server's merge
-    needs the head event of *every* source before it can emit anything,
-    so a sequential publish of a trace larger than one queue bound would
-    deadlock against backpressure.  Returns ``{source: events_sent}``;
-    re-raises the first failure after all threads have stopped.
-    ``stats``, when given, gains one per-source sub-dict of client
-    retry/recovery telemetry (see :func:`publish_events`).
+    Each trace is read by the columnar chunk reader the file-fed server
+    uses (:attr:`ReliableEventStream.SOURCES`), its chunks cut to at
+    most ``batch_size`` rows; ``batch_size=0`` sends them row by row as
+    v1 event frames.  Concurrency is load-bearing, not an optimization:
+    the server's merge needs the head event of *every* source before it
+    can emit anything, so a sequential publish of a trace larger than
+    one queue bound would deadlock against backpressure.  Returns
+    ``{source: events_sent}``; re-raises the first failure after all
+    threads have stopped.  ``stats``, when given, gains one per-source
+    sub-dict of client retry/recovery telemetry (see
+    :func:`publish_events`).
     """
+    readers = {name: (filename, reader)
+               for name, filename, reader, _ in ReliableEventStream.SOURCES}
+    sources = list(sources)
+    for name in sources:
+        if name not in readers:
+            raise ValueError(f"unknown workspace source {name!r} "
+                             f"(expected one of {DEFAULT_SOURCES})")
+
+    def chunks(name: str) -> Iterator[EventBatch]:
+        filename, reader = readers[name]
+        for chunk in reader(os.path.join(directory, filename)):
+            if batch_size <= 0 or chunk.n <= batch_size:
+                yield chunk
+                continue
+            for lo in range(0, chunk.n, batch_size):
+                keep = np.zeros(chunk.n, dtype=bool)
+                keep[lo:lo + batch_size] = True
+                yield chunk.subset(keep)
+
     results: dict[str, int] = {}
     errors: list[BaseException] = []
 
     def worker(name: str) -> None:
         try:
-            source_stats: dict | None = None
-            if stats is not None:
-                source_stats = stats.setdefault(name, {})
-            results[name] = publish_events(
-                address, name, workspace_source_factory(directory, name),
-                producer=f"{producer}:{name}", batch_size=batch_size,
-                compress=compress, retry_for=retry_for,
-                retry_interval=retry_interval, retry_cap=retry_cap,
-                retry_seed=retry_seed, auth_token=auth_token,
-                ssl_context=ssl_context, stats=source_stats)
+            results[name] = _publish(
+                address, name, lambda: chunks(name), _send_items,
+                retry_for=retry_for, retry_interval=retry_interval,
+                retry_cap=retry_cap, retry_seed=retry_seed,
+                stats=None if stats is None else stats.setdefault(name, {}),
+                producer=f"{producer}:{name}", batch=batch_size > 0,
+                compress=compress, auth_token=auth_token,
+                ssl_context=ssl_context)
         except BaseException as exc:
             errors.append(exc)
 

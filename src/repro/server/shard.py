@@ -67,7 +67,7 @@ import hashlib
 import json
 import os
 import queue
-import socket
+import random
 import subprocess
 import threading
 import time
@@ -87,11 +87,10 @@ from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
 from ..stream.checkpoint import reports_from_jsonable
 from ..vfs.file_meta import DAY_SECONDS
 from .admin import AdminSocket, admin_request
-from .ingest import DEFAULT_SOURCES, PublishRefused, SocketListener
+from .ingest import (DEFAULT_SOURCES, ProducerSession, PublishRefused,
+                     SocketListener, _backoff_delays)
 from .metrics import Counter, _Exposition
-from .protocol import (BATCH_MAX_FRAME_BYTES, CAP_BATCH, CAP_ZLIB,
-                       PROTOCOL_V2, FrameError, FrameReader, connect_socket,
-                       encode_batch, encode_batch_frame, write_frame)
+from .protocol import BATCH_MAX_FRAME_BYTES, FrameError
 from .supervisor import BackoffPolicy, Supervisor
 
 __all__ = ["HashRing", "splitmix64", "ShardLane", "ShardRouter",
@@ -349,7 +348,9 @@ class ShardLane:
     :meth:`trim` -- fed by the fleet's durability poll of the worker's
     checkpointed ingest cursors -- releases them; a lane built with
     ``retain=False`` (benchmarks without checkpoints, where the durable
-    cursor would never advance) keeps nothing.
+    cursor would never advance) keeps nothing.  Each (re)connection is
+    one :class:`~repro.server.ingest.ProducerSession`, so frames are
+    split to the worker's granted cap.
 
     The send queue is bounded in rows, not items: :meth:`submit` blocks
     while ``queue_rows`` or more rows wait, so a lane holds at most
@@ -451,11 +452,11 @@ class ShardLane:
     # -- sender thread --------------------------------------------------
 
     def _run(self) -> None:
-        delay = self.retry_interval
+        delays = None
         while not self._stop.is_set():
             try:
                 self._session_once()
-                delay = self.retry_interval
+                delays = None
                 # Clean end-of-session: idle until the fleet reopens the
                 # lane (worker restarted before our rows were durable).
                 while not self._stop.is_set():
@@ -467,46 +468,27 @@ class ShardLane:
                     self.last_error = f"fatal: {exc}"
                     return
                 self.last_error = f"{type(exc).__name__}: {exc}"
-                if self._stop.wait(delay):
+                if delays is None:
+                    delays = _backoff_delays(self.retry_interval,
+                                             self.retry_cap, random.Random())
+                if self._stop.wait(next(delays)):
                     return
-                delay = min(delay * 2, self.retry_cap)
 
     def _session_once(self) -> None:
-        sock = connect_socket(self.address, timeout=self.connect_timeout)
-        try:
-            reader = FrameReader(sock)
-            hello = {"type": "hello", "source": self.source,
-                     "producer": f"shard-router:{self.worker}",
-                     "session": self.session, "protocol": PROTOCOL_V2,
-                     "capabilities": ([CAP_BATCH, CAP_ZLIB]
-                                      if self.compress else [CAP_BATCH]),
-                     "max_frame_bytes": self.frame_cap}
-            if self.auth_token is not None:
-                hello["auth"] = self.auth_token
-            write_frame(sock, hello)
-            ack = reader.read_message()
-            if ack is None or ack.get("type") != "ok":
-                raise PublishRefused(
-                    f"worker {self.worker!r} refused lane "
-                    f"{self.session!r}: "
-                    f"{(ack or {}).get('reason', 'connection closed')}")
-            try:
-                cap = int(ack.get("max_frame_bytes", self.frame_cap))
-            except (TypeError, ValueError):
-                cap = self.frame_cap
-            use_zlib = self.compress and CAP_ZLIB in (
-                ack.get("capabilities") or ())
-            sock.settimeout(None)
+        with ProducerSession(self.address, self.source,
+                             producer=f"shard-router:{self.worker}",
+                             session=self.session, compress=self.compress,
+                             frame_cap=self.frame_cap,
+                             auth_token=self.auth_token,
+                             connect_timeout=self.connect_timeout) as session:
             self.connects += 1
             with self._rlock:
                 backlog = list(self._retained)
-            for entry in backlog:
-                self._send(sock, entry, cap, use_zlib)
-                self.rows_resent += entry[1]
-            if self._end_pending:
-                self._send_end(sock, reader)
-                return
-            while True:
+            for first_seq, n_rows, item in backlog:
+                session.send_batch(item, first_seq)
+                self.rows_sent += n_rows
+                self.rows_resent += n_rows
+            while not self._end_pending:
                 try:
                     entry = self._queue.get(timeout=0.2)
                 except queue.Empty:
@@ -515,37 +497,18 @@ class ShardLane:
                     continue
                 if entry is None:
                     self._end_pending = True
-                    self._send_end(sock, reader)
-                    return
+                    break
+                first_seq, n_rows, item = entry
                 with self._room:
-                    self._queued_rows -= entry[1]
+                    self._queued_rows -= n_rows
                     self._room.notify_all()
                 with self._rlock:
                     if self.retain:
                         self._retained.append(entry)
-                self._send(sock, entry, cap, use_zlib)
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _send(self, sock: socket.socket, entry, cap: int,
-              use_zlib: bool) -> None:
-        first_seq, n_rows, item = entry
-        sock.sendall(encode_batch_frame(
-            encode_batch(item, compress=use_zlib, seq=first_seq), cap))
-        self.rows_sent += n_rows
-
-    def _send_end(self, sock: socket.socket, reader: FrameReader) -> None:
-        write_frame(sock, {"type": "end"})
-        ack = reader.read_message()
-        if ack is None or ack.get("type") != "ok":
-            raise PublishRefused(
-                f"worker {self.worker!r} did not ack end of lane "
-                f"{self.session!r}: "
-                f"{(ack or {}).get('reason', 'connection closed')}")
-        self.end_acked.set()
+                session.send_batch(item, first_seq)
+                self.rows_sent += n_rows
+            session.end()
+            self.end_acked.set()
 
     def describe(self) -> dict:
         return {"worker": self.worker, "source": self.source,

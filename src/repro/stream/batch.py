@@ -493,16 +493,11 @@ class BatchBuilder:
     """Producer-side accumulator: events in, :class:`EventBatch` out.
 
     :meth:`extend` appends to plain lists (the producer hot loop);
-    ``build`` converts to columns in bulk.  ``approx_bytes`` tracks a
-    conservative wire-size estimate so the publisher can flush before a
-    frame would exceed the negotiated cap.
+    ``build`` converts to columns in bulk.
     """
 
     __slots__ = ("_kinds", "_ts", "_jobs", "_pubs", "_acc",
-                 "_pool", "_pool_index", "approx_bytes")
-
-    #: Rough per-row wire cost (kind byte + ts + payload columns).
-    _ROW_COST = 40
+                 "_pool", "_pool_index")
 
     def __init__(self) -> None:
         self._kinds = bytearray()
@@ -512,7 +507,6 @@ class BatchBuilder:
         self._acc: list[tuple[int, int, int]] = []
         self._pool: list[str] = []
         self._pool_index: dict[str, int] = {}
-        self.approx_bytes = 64
 
     def __len__(self) -> int:
         return len(self._ts)
@@ -522,8 +516,7 @@ class BatchBuilder:
 
         The publisher hot loop spends its time here, competing with the
         engine thread for the interpreter, so every loop iteration
-        avoids attribute lookups and defers the wire-size accounting to
-        one arithmetic update at the end.
+        avoids attribute lookups.
         """
         kinds_append = self._kinds.append
         ts_append = self._ts.append
@@ -533,9 +526,6 @@ class BatchBuilder:
         pool_index = self._pool_index
         pool = self._pool
         op_codes = OP_CODES
-        n0 = len(self._ts)
-        n_jobs0, n_auth0 = len(self._jobs), 0
-        pool_chars = 0
         for event in events:
             kind = event.kind
             p = event.payload
@@ -547,7 +537,6 @@ class BatchBuilder:
                     idx = len(pool)
                     pool_index[p.path] = idx
                     pool.append(p.path)
-                    pool_chars += len(p.path) + 8
                 acc_append((p.uid, op_codes[p.op], idx))
             elif kind == EVENT_JOB:
                 kinds_append(KIND_JOB_CODE)
@@ -556,13 +545,9 @@ class BatchBuilder:
             elif kind == EVENT_PUBLICATION:
                 kinds_append(KIND_PUB_CODE)
                 pubs_append((p.pub_id, p.citations, list(p.author_uids)))
-                n_auth0 += len(p.author_uids)
             else:
                 raise ValueError(
                     f"cannot batch stream event of kind {kind!r}")
-        self.approx_bytes += (
-            (len(self._ts) - n0) * self._ROW_COST + pool_chars
-            + (len(self._jobs) - n_jobs0) * 24 + 8 * n_auth0)
 
     def build(self) -> EventBatch:
         jobs = self._jobs

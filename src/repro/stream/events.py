@@ -73,12 +73,6 @@ def access_events(accesses: Iterable[AppAccessRecord],
         yield StreamEvent(rec.ts, EVENT_ACCESS, rec)
 
 
-# Backwards-compatible private aliases (pre-reliability callers).
-_job_events = job_events
-_pub_events = publication_events
-_access_events = access_events
-
-
 def _validated(events: Iterator[StreamEvent], source: str,
                ) -> Iterator[StreamEvent]:
     last = None
@@ -104,9 +98,9 @@ def merge_event_streams(jobs: Iterable[JobRecord] = (),
     contract, and within one source the original order is kept.
     """
     return heapq.merge(
-        _validated(_job_events(jobs), "job"),
-        _validated(_pub_events(publications), "publication"),
-        _validated(_access_events(accesses), "access"),
+        _validated(job_events(jobs), "job"),
+        _validated(publication_events(publications), "publication"),
+        _validated(access_events(accesses), "access"),
         key=lambda ev: ev.ts)
 
 

@@ -26,9 +26,10 @@ import pytest
 
 from repro.emulation import replay_bounds
 from repro.faults import corrupt_frame_bytes
-from repro.server import (AdminServer, MultiTenantService,
-                          NetworkEventStream, SocketListener, TenantSpec,
-                          admin_request, publish_batches, publish_events)
+from repro.server import (AdminServer, HashRing, MultiTenantService,
+                          NetworkEventStream, ShardRouter, SocketListener,
+                          TenantSpec, admin_request, publish_batches,
+                          publish_events)
 from repro.server.ingest import PublishRefused
 from repro.server.protocol import (BATCH_MAX_FRAME_BYTES, CAP_BATCH,
                                    CAP_ZLIB, PROTOCOL_V2, FrameError,
@@ -152,6 +153,38 @@ def test_v2_publisher_falls_back_to_v1_only_server(tmp_path, events, known):
         assert stream.quarantine.total == 0
 
 
+def test_publish_batches_refuses_a_server_granting_no_batch_frames(
+        tmp_path, events):
+    import socket as socketlib
+    import threading
+
+    address = _sock(tmp_path, "nobatch.sock")
+    server = socketlib.socket(socketlib.AF_UNIX)
+    server.bind(address[len("unix:"):])
+    server.listen(1)
+
+    def ack_without_batch():
+        conn, _ = server.accept()
+        with conn:
+            hello = FrameReader(conn).read_message()
+            write_frame(conn, {"type": "ok", "protocol": PROTOCOL_V2,
+                               "source": hello["source"], "cursor": 0,
+                               "capabilities": [],
+                               "max_frame_bytes": 4096})
+
+    thread = threading.Thread(target=ack_without_batch, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(PublishRefused, match="no batch frames") as exc:
+            publish_batches(address, "jobs", [encode_events(events[:10])],
+                            retry_for=30.0)
+        assert not exc.value.retryable
+    finally:
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
+
+
 def test_publish_batches_refuses_v1_only_server(tmp_path, events):
     address = _sock(tmp_path, "refuse.sock")
     payload = encode_events(events[:10])
@@ -181,6 +214,95 @@ def test_oversized_length_prefix_refused_not_allocated(tmp_path, known):
               "the oversized frame to be diverted")
         sock.close()
         assert stream.quarantine.by_reason == {REASON_UNPARSABLE: 1}
+
+
+#: A small listener ceiling keeps the split tests fast.
+SMALL_CAP = 64 << 10
+
+
+def _wide_paths(n, width):
+    """``n`` access rows, each path ``width`` four-byte UTF-8 characters."""
+    return [StreamEvent(1_000 + i, EVENT_ACCESS,
+                        AppAccessRecord(1_000 + i, 7,
+                                        f"/p{i}/" + "\U0001F600" * width,
+                                        "access"))
+            for i in range(n)]
+
+
+def _publish_through(producer, address, rows, **kwargs):
+    """Publish ``rows`` as one producer of ``accesses`` to ``address``
+    (for ``"router"``, through a one-worker router in front of it);
+    returns the router, or None."""
+    builder = BatchBuilder()
+    builder.extend(rows)
+    if producer == "publish_events":
+        assert publish_events(address, "accesses", rows,
+                              **kwargs) == len(rows)
+        return None
+    if producer == "publish_batches":
+        assert publish_batches(address, "accesses", [builder.build()],
+                               **kwargs) == len(rows)
+        return None
+    # The router's front grants the default ceiling, so it accepts the
+    # batch whole; its lane must fit the worker's small cap.
+    router = ShardRouter("127.0.0.1:0", {"w0": address}, HashRing(["w0"]),
+                         expected={"accesses": 1}, retain=False)
+    assert publish_batches(router.address, "accesses",
+                           [encode_batch(builder.build())]) == len(rows)
+    return router
+
+
+@pytest.mark.parametrize("producer",
+                         ["publish_events", "publish_batches", "router"])
+def test_every_producer_splits_batches_to_the_granted_cap(producer):
+    rows = _wide_paths(200, 100)
+    assert len(encode_events(rows)) > SMALL_CAP
+    with SocketListener("127.0.0.1:0", expected={"accesses": 1},
+                        max_batch_frame_bytes=SMALL_CAP) as worker:
+        router = _publish_through(producer, worker.address, rows)
+        if router is not None:
+            try:
+                assert router.join(timeout=30)
+                lane = router.lane("accesses", "w0")
+                assert lane.last_error is None
+                assert int(lane.connects) == 1
+            finally:
+                router.close()
+        source = worker.sources()[0]
+        got = [ev for batch in source for ev in batch.iter_events()]
+    assert got == rows                       # every row, once, in order
+    assert source.duplicate_rows == 0
+    assert worker.batches_received > 1       # split, not refused
+    assert worker.decode_errors == 0
+
+
+@pytest.mark.parametrize("producer",
+                         ["publish_events", "publish_batches", "router"])
+def test_a_row_over_the_granted_cap_fails_at_once(producer):
+    rows = [StreamEvent(1_000, EVENT_ACCESS,
+                        AppAccessRecord(1_000, 7, "/" + "x" * SMALL_CAP,
+                                        "access"))]
+    with SocketListener("127.0.0.1:0", expected={"accesses": 1},
+                        max_batch_frame_bytes=SMALL_CAP) as worker:
+        if producer != "router":
+            # A retry window far longer than the refusal may take: it
+            # must not be retried.
+            with pytest.raises(PublishRefused, match="cannot be split") \
+                    as exc:
+                _publish_through(producer, worker.address, rows,
+                                 retry_for=30.0)
+            assert not exc.value.retryable
+            return
+        router = _publish_through(producer, worker.address, rows)
+        try:
+            lane = router.lane("accesses", "w0")
+            _wait(lambda: lane.last_error is not None, 30,
+                  "the lane to give up")
+            assert lane.last_error.startswith("fatal:"), lane.last_error
+            assert int(lane.connects) == 1   # no reconnect loop
+        finally:
+            router.close()
+    assert worker.batches_received == 0
 
 
 def test_frame_reader_refuses_oversized_prefix_without_body():

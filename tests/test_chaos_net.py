@@ -35,15 +35,17 @@ import pytest
 
 from repro.faults import ChaosProxy, FaultPlan
 from repro.server import (NetworkEventStream, PublishRefused,
-                          SocketListener, publish_events)
-from repro.server.ingest import _backoff_delays, workspace_source_factory
+                          SocketListener, publish_batches, publish_events)
+from repro.server.ingest import _backoff_delays
 from repro.server.protocol import (BinaryFrame, FrameError, FrameReader,
                                    connect_socket, encode_batch,
                                    encode_batch_frame, encode_frame,
                                    write_frame)
 from repro.stream.batch import BatchBuilder
-from repro.stream.events import EVENT_JOB, StreamEvent, job_events
+from repro.stream.events import (EVENT_JOB, StreamEvent, access_events,
+                                 job_events, publication_events)
 from repro.traces import JobRecord
+from repro.traces.io import read_app_log, read_jobs, read_publications
 from repro.synth import TitanConfig, generate_dataset
 
 from conftest import as_runs, expand_events
@@ -71,6 +73,17 @@ def _drain(stream):
 
 def _payloads(events):
     return [ev.payload for ev in events]
+
+
+def workspace_source_factory(directory, source):
+    """A replayable event factory for one of a workspace's trace files."""
+    read, to_events, filename = {
+        "jobs": (read_jobs, job_events, "jobs.txt.gz"),
+        "publications": (read_publications, publication_events,
+                         "publications.txt.gz"),
+        "accesses": (read_app_log, access_events, "app_log.txt.gz"),
+    }[source]
+    return lambda: to_events(read(os.path.join(directory, filename)))
 
 
 class _ScriptedSocket:
@@ -187,8 +200,19 @@ def test_backoff_deterministic_jittered_capped():
     assert a[1] != a[0] * 2            # jittered, not fixed doubling
 
 
-def test_publish_backoff_schedule_used(jobs_events, tmp_path):
-    """The retry loop sleeps exactly the seeded backoff schedule."""
+def _batched(events):
+    builder = BatchBuilder()
+    builder.extend(events)
+    return [builder.build()]
+
+
+@pytest.mark.parametrize("publish, to_items",
+                         [(publish_events, list), (publish_batches, _batched)],
+                         ids=["publish_events", "publish_batches"])
+def test_publish_backoff_schedule_used(jobs_events, tmp_path, publish,
+                                       to_items):
+    """Both publishers' retry loop sleeps exactly the seeded backoff
+    schedule."""
     import random
 
     slept = []
@@ -204,9 +228,9 @@ def test_publish_backoff_schedule_used(jobs_events, tmp_path):
 
     dead = _sock(tmp_path, "nobody.sock")
     with pytest.raises((OSError, ConnectionError)):
-        publish_events(dead, "jobs", jobs_events[:5], retry_for=2.0,
-                       retry_interval=0.2, retry_cap=5.0, retry_seed=11,
-                       sleep=fake_sleep, clock=fake_clock)
+        publish(dead, "jobs", to_items(jobs_events[:5]), retry_for=2.0,
+                retry_interval=0.2, retry_cap=5.0, retry_seed=11,
+                sleep=fake_sleep, clock=fake_clock)
     expected = list(itertools.islice(
         _backoff_delays(0.2, 5.0, random.Random(11)), len(slept)))
     assert slept == expected and len(slept) >= 2
@@ -285,6 +309,23 @@ def test_republish_same_session_is_idempotent(jobs_events):
         assert _payloads(got) == _payloads(jobs_events[:30])
         source = listener.sources()[0]
         assert source.acked_seq == 30
+    finally:
+        listener.close()
+
+
+def test_republished_raw_payloads_are_discarded_at_the_edge(jobs_events):
+    """Raw payloads travel verbatim, never skipped client-side: a second
+    session resending the same sequenced payloads is deduped by the
+    edge, row for row."""
+    payloads = [encode_batch(_batched(jobs_events[:20])[0], seq=1),
+                encode_batch(_batched(jobs_events[20:40])[0], seq=21)]
+    listener = SocketListener("127.0.0.1:0", expected={"jobs": 2})
+    try:
+        publish_batches(listener.address, "jobs", payloads)
+        publish_batches(listener.address, "jobs", payloads)
+        source = listener.sources()[0]
+        assert source.acked_seq == 40
+        assert source.duplicate_rows == 40
     finally:
         listener.close()
 

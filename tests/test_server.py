@@ -416,12 +416,18 @@ def test_socket_ingest_matches_batch(dataset, compiled, tmp_path):
         for spec in specs:
             assert_results_equal(results[spec.name],
                                  batch_result(dataset, compiled, spec))
+        _wait_for(lambda: not listener.describe()["active_connections"],
+                  10, "the producer connections to close")
         report = stream.report()
         assert report["quarantine"]["quarantined"] == 0
         listing = listener.describe()
         for info in listing["sources"].values():
             assert info["finished"] and info["health"] == "ok"
         assert listing["connections_accepted"] == 3
+        # The report's listener block is the listener's own description,
+        # minus the per-source blocks the report already holds.
+        listing.pop("sources")
+        assert report["listener"] == listing
 
 
 def test_socket_out_of_order_event_is_quarantined(dataset, compiled,
