@@ -127,7 +127,6 @@ from ..analysis import (
 )
 from ..core import (
     ActiveDRPolicy,
-    ActivenessEvaluator,
     ActivenessParams,
     ColumnarActivityStore,
     ExemptionList,
@@ -772,29 +771,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         return 1
     factory = _fleet_policy_factory(args.workspace)
 
-    # Shard-worker mode (spawned by `serve --shards N`): this process
-    # owns one consistent-hash slice of the users.  The authoritative
-    # ring for a resumed worker is the one in its checkpoint manifest
-    # (it may be newer than the file after a rebalance).
-    shard_name = args.shard_name
-    shard_ring = None
-    shard_ring_json = None
-    if shard_name:
-        from ..server import HashRing
-        if not args.shard_ring:
-            print("--shard-name requires --shard-ring", file=sys.stderr)
-            return 1
-        with open(args.shard_ring) as f:
-            shard_ring_json = json.load(f)
-        shard_ring = HashRing.from_jsonable(shard_ring_json)
-        if shard_name not in shard_ring.shards and not args.resume:
-            # On --resume the checkpoint manifest's ring wins (it may
-            # be newer than the file -- e.g. a rebalance clone), so the
-            # membership check moves past the resume override below.
-            print(f"shard {shard_name!r} is not in the ring "
-                  f"({shard_ring.shards})", file=sys.stderr)
-            return 1
-
     plan = FaultPlan.from_json(args.fault_plan) if args.fault_plan else None
     opener = None
     if plan is not None and plan.has_target("checkpoint"):
@@ -820,10 +796,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     history = MetricsHistory(history_path) if history_path else None
 
     listener = None
-    stream = None
-
     try:
-        service = None
         resumed = False
         if args.resume:
             if manager is None:
@@ -850,6 +823,12 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
                     checkpoint_every_days=args.checkpoint_every,
                     checkpoint_manager=manager,
                     metrics_history=history)
+                # A shard worker's slice comes from its link (the ring
+                # file may predate a rebalance), which must be its own.
+                held = service.shard[0] if service.shard else None
+                if args.shard_name and held != args.shard_name:
+                    raise ValueError(f"the link's shard is {held!r}, "
+                                     f"not {args.shard_name!r}")
             except (CheckpointCorruption, ValueError) as exc:
                 print(f"cannot resume from {newest}: {exc}",
                       file=sys.stderr)
@@ -865,38 +844,38 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
                       f"not the command line's "
                       f"{json.dumps([s.to_jsonable() for s in specs])}",
                       file=sys.stderr)
-            if service.resumed_shard is not None:
-                # The checkpointed shard section wins over --shard-ring:
-                # a rebalance may have narrowed this worker after the
-                # ring file was written (donor), or this may be the
-                # first resume of a rebalance clone (seed pending).
-                from ..server import HashRing
-                shard_name = service.resumed_shard["name"]
-                shard_ring_json = service.resumed_shard["ring"]
-                shard_ring = HashRing.from_jsonable(shard_ring_json)
-            if service.resumed_seed_pending:
-                dropped = service.restrict_users(
-                    shard_ring.keep_mask(shard_name))
-                service.reset_measurements()
-                print(f"seeded shard {shard_name} from rebalance clone "
-                      f"(shed {dropped['dropped_users']} users, "
-                      f"{dropped['dropped_files']} files)",
-                      file=sys.stderr)
+            for entry in service.op_log:  # a seeded rebalance clone
+                if entry["op"] == "seed":
+                    print(f"seeded shard {entry['shard']} from rebalance "
+                          f"clone (shed {entry['dropped_users']} users, "
+                          f"{entry['dropped_files']} files)", file=sys.stderr)
         else:
+            # Shard-worker mode (spawned by `serve --shards N`): this
+            # process owns one consistent-hash slice of the users.
+            shard = None
+            if args.shard_name:
+                from ..server import HashRing
+                if not args.shard_ring:
+                    print("--shard-name requires --shard-ring",
+                          file=sys.stderr)
+                    return 1
+                with open(args.shard_ring) as f:
+                    ring = HashRing.from_jsonable(json.load(f))
+                if args.shard_name not in ring.shards:
+                    print(f"shard {args.shard_name!r} is not in the ring "
+                          f"({ring.shards})", file=sys.stderr)
+                    return 1
+                shard = (args.shard_name, ring)
             with open(os.path.join(args.workspace, "meta.json")) as f:
                 meta = json.load(f)
-            fs = load_filesystem(os.path.join(args.workspace, "snapshot"),
-                                 size_seed=int(meta.get("size_seed", 2021)),
-                                 capacity_bytes=None,
-                                 uid_filter=(shard_ring.uid_filter(shard_name)
-                                             if shard_ring else None))
+            fs = load_filesystem(
+                os.path.join(args.workspace, "snapshot"),
+                size_seed=int(meta.get("size_seed", 2021)),
+                capacity_bytes=None,
+                uid_filter=(None if shard is None else
+                            lambda uid: ring.owner(uid) == args.shard_name))
             known = [u.uid for u in read_users(
                 os.path.join(args.workspace, "users.txt.gz"))]
-            if shard_ring is not None:
-                import numpy as np
-                uids = np.asarray(known, dtype=np.int64)
-                mask = shard_ring.member_mask(shard_name, uids)
-                known = [int(u) for u in uids[mask].tolist()]
             service = MultiTenantService(
                 [(spec, factory(spec)) for spec in specs],
                 snapshot_fs=fs,
@@ -906,17 +885,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
                 checkpoint_every_days=args.checkpoint_every,
                 checkpoint_manager=manager,
                 policy_factory=factory,
-                metrics_history=history)
-
-        if shard_ring is not None:
-            if shard_name not in shard_ring.shards:
-                print(f"shard {shard_name!r} is not in the ring "
-                      f"({shard_ring.shards})", file=sys.stderr)
-                return 1
-            ring, name, ring_json = shard_ring, shard_name, shard_ring_json
-            service.owned_filter = ring.owned_filter(name)
-            service.manifest_extra = lambda: {
-                "shard": {"name": name, "ring": ring_json}}
+                metrics_history=history, shard=shard)
 
         # The event feed is built AFTER the service so a listening
         # server can seed its per-source edge cursors from the resumed
@@ -924,13 +893,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         # the durable cursor in their hello ack and resend only the
         # suffix the crash lost, with the edge discarding any overlap.
         if args.listen:
-            cursors = {}
-            if (resumed and service.resumed_ingest is not None
-                    and not service.resumed_seed_pending):
-                # A rebalance clone's ingest section belongs to the
-                # DONOR's lane sequence domain; the seeded worker's
-                # lanes start a fresh one, so its edge starts empty.
-                cursors = ingest_cursors({"ingest": service.resumed_ingest})
             try:
                 expected = _parse_expect_producers(args.expect_producers)
             except ValueError as exc:
@@ -942,43 +904,34 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
                 ssl_context = make_server_ssl_context(args.tls_cert,
                                                       args.tls_key)
             listener = SocketListener(
-                args.listen,
-                expected=expected,
-                initial_cursors=cursors,
+                args.listen, expected=expected,
+                initial_cursors=ingest_cursors(
+                    {"ingest": service.resumed_ingest}),
                 auth_token=args.auth_token,
                 max_connections=args.max_connections,
                 write_deadline=(args.write_deadline
                                 if args.write_deadline > 0 else None),
                 ssl_context=ssl_context)
             stream = NetworkEventStream(listener, dead_letter=dead_letter)
-            events = iter(stream)
-            if resumed:
-                if dead_letter is not None:
-                    stream.quarantine.resume_from(dead_letter)
-                if service.resumed_ingest is not None:
-                    # Exactly-once resume: the edge discards replayed
-                    # rows by sequence number, so no global skip -- and
-                    # the ledger must count from the resumed cursor.
-                    stream.origin = service.cursor
-                else:
-                    # Pre-sequencing checkpoint: fall back to the global
-                    # skip (producers must republish from the start).
-                    events = skip_stream_items(events, service.cursor)
-            if service.resumed_ingest is not None or not resumed:
-                service.ingest_snapshot = stream.sequence_snapshot
         else:
             stream = ReliableEventStream(args.workspace, plan=plan,
                                          dead_letter=dead_letter)
-            events = iter(stream)
-            if resumed:
-                if dead_letter is not None:
-                    # Continue the crashed daemon's quarantine totals
-                    # instead of restarting the forensic counters.
-                    stream.quarantine.resume_from(dead_letter)
-                # skip_stream_items counts batch runs by their row
-                # width, so the binary wire path resumes at the exact
-                # same cursor a per-event stream would.
-                events = skip_stream_items(events, service.cursor)
+        events = iter(stream)
+        if resumed and dead_letter is not None:
+            # Continue the crashed daemon's quarantine totals instead of
+            # restarting the forensic counters.
+            stream.quarantine.resume_from(dead_letter)
+        if listener is not None and (service.resumed_ingest is not None
+                                     or not resumed):
+            # Exactly-once resume: the edge discards replayed rows by
+            # sequence number, so no global skip -- and the ledger must
+            # count from the resumed cursor.
+            stream.origin = service.cursor
+            service.ingest_snapshot = stream.sequence_snapshot
+        elif resumed:
+            # A file feed, or a pre-sequencing link (producers must
+            # republish from the start): skip the merge's consumed rows.
+            events = skip_stream_items(events, service.cursor)
 
         if history is not None:
             def sample_extra(stream=stream, listener=listener):
@@ -995,49 +948,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
 
             service.sample_extra = sample_extra
 
-        extra_commands = None
-        if shard_name:
-            def _shard_split(request: dict,
-                             service=service) -> dict:
-                from ..server import HashRing
-                try:
-                    boundary = int(request["at_boundary"])
-                    dest_dir = request["dest_dir"]
-                    new_ring_json = request["ring"]
-                    new_shard = request["new_shard"]
-                except (KeyError, TypeError, ValueError) as exc:
-                    return {"ok": False,
-                            "error": f"bad shard-split request: {exc}"}
-                if boundary < service.next_boundary:
-                    return {"ok": False,
-                            "error": f"boundary {boundary} already "
-                                     f"passed (next is "
-                                     f"{service.next_boundary})"}
-                if boundary >= service.n_days:
-                    return {"ok": False,
-                            "error": f"boundary {boundary} is past the "
-                                     f"{service.n_days}-day window"}
-                new_ring = HashRing.from_jsonable(new_ring_json)
-                if (shard_name not in new_ring.shards
-                        or new_shard not in new_ring.shards):
-                    return {"ok": False,
-                            "error": "post-split ring must contain both "
-                                     "the donor and the new shard"}
-                service.request_split(
-                    at_boundary=boundary, dest_dir=dest_dir,
-                    keep_mask=new_ring.keep_mask(shard_name),
-                    owned_filter=new_ring.owned_filter(shard_name),
-                    extra={"shard": {"name": new_shard,
-                                     "ring": new_ring_json}},
-                    donor_extra={"shard": {"name": shard_name,
-                                           "ring": new_ring_json}})
-                return {"ok": True, "queued": True,
-                        "at_boundary": boundary, "dest_dir": dest_dir}
-
-            extra_commands = {"shard-split": _shard_split}
-
-        admin = (AdminServer(args.admin, service, stream=stream,
-                             extra_commands=extra_commands)
+        admin = (AdminServer(args.admin, service, stream=stream)
                  if args.admin else None)
         try:
             results = service.run(events,
@@ -1062,8 +973,9 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
               f"({stats['activeness_evals']} evaluations so far){where}")
         return 0
     if args.result_json:
+        from ..server.shard import result_to_jsonable
         payload = {"tenants": {
-            t.name: _result_to_jsonable(results[t.name])
+            t.name: result_to_jsonable(results[t.name])
             for t in service.tenants}}
         tmp = f"{args.result_json}.tmp"
         with open(tmp, "w") as fh:
@@ -1082,30 +994,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
               f"[{tenant.spec.policy}] ===")
         print(render_emulation_summary(results[tenant.name]))
     return 0
-
-
-def _result_to_jsonable(result) -> dict:
-    """The mergeable subset of an :class:`EmulationResult` as JSON.
-
-    Everything here is either additive across user-disjoint shards
-    (daily ledgers, totals) or mergeable by trigger time (reports); see
-    ``repro.server.shard.merge_tenant_results`` for the inverse.
-    """
-    from ..stream.checkpoint import reports_to_jsonable
-
-    metrics = result.metrics
-    return {
-        "policy": result.policy,
-        "lifetime_days": result.lifetime_days,
-        "n_days": int(metrics.n_days),
-        "accesses": metrics.accesses.tolist(),
-        "misses": metrics.misses.tolist(),
-        "group_misses": {str(cls.value): series.tolist()
-                         for cls, series in metrics.group_misses.items()},
-        "reports": reports_to_jsonable(result.reports),
-        "final_total_bytes": int(result.final_total_bytes),
-        "final_file_count": int(result.final_file_count),
-    }
 
 
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
@@ -1361,10 +1249,8 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
-    import glob
-    import os
-
     from ..server import BackoffPolicy, Supervisor
+    from ..stream import CheckpointManager
 
     child = list(args.child)
     if child and child[0] == "--":
@@ -1379,8 +1265,7 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     command = [sys.executable, "-m", "repro"] + child
 
     def should_resume() -> bool:
-        pattern = os.path.join(args.checkpoint_dir, "checkpoint-*.npz")
-        return bool(glob.glob(pattern))
+        return CheckpointManager.holds_link(args.checkpoint_dir)
 
     supervisor = Supervisor(
         command,

@@ -29,7 +29,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core.activeness import ActivenessEvaluator, ActivenessParams, UserActiveness
+from ..core.activeness import ActivenessParams
 from ..core.classification import UserClass, classify_all, group_counts
 from ..core.incremental import ColumnarActivityStore, build_activity_store
 from ..core.policy import RetentionPolicy
@@ -122,8 +122,7 @@ class Emulator:
                  config: EmulatorConfig | None = None,
                  exemptions: ExemptionList | None = None) -> None:
         self.policy = policy
-        self.evaluator = ActivenessEvaluator(
-            activeness_params or policy.config.activeness)
+        self.params = activeness_params or policy.config.activeness
         self.config = config or EmulatorConfig()
         self.exemptions = exemptions
 
@@ -156,7 +155,7 @@ class Emulator:
         store = activity_store
         if store is None:
             store = build_activity_store(jobs, publications)
-        params = self.evaluator.params
+        params = self.params
 
         activeness = store.evaluate(replay_start, params, known_uids)
         classes = classify_all(activeness)

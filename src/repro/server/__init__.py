@@ -13,11 +13,12 @@ from local trace files; this package turns that daemon into a *server*:
   quarantined merge the file sources use;
 * :mod:`~repro.server.tenants` -- :class:`MultiTenantService`, N policy
   configurations sharing ONE event feed and ONE activity store, each
-  bit-identical to an independent batch ``FastEmulator``;
+  bit-identical to an independent batch ``FastEmulator``; given
+  ``shard=(name, ring)`` it is a shard worker owning one ring slice;
 * :mod:`~repro.server.admin` -- the admin/query plane (``status``,
   ``health``, ``tenants``, ``metrics``, ``activity``, ``export``,
-  ``query user``), whose socket doubles as a Prometheus ``GET /metrics``
-  scrape target;
+  ``query user``, and a shard worker's ``shard-split``), whose socket
+  doubles as a Prometheus ``GET /metrics`` scrape target;
 * :mod:`~repro.server.metrics` -- the observability substrate:
   thread-safe :class:`Counter`, the rotating crash-safe
   :class:`MetricsHistory` ring of per-boundary samples, and the
@@ -28,11 +29,14 @@ from local trace files; this package turns that daemon into a *server*:
 * :mod:`~repro.server.supervisor` -- a supervised restart loop with
   auto-resume from the newest verifying checkpoint and crash-loop
   exponential backoff;
-* :mod:`~repro.server.shard` -- the horizontally sharded fleet: a
-  consistent-hash :class:`HashRing` over users, the
+* :mod:`~repro.server.ring` -- the consistent-hash :class:`HashRing`
+  over users that partitions a fleet, read by the router, the worker's
+  service and its admin plane alike;
+* :mod:`~repro.server.shard` -- the horizontally sharded fleet: the
   :class:`ShardRouter` forwarding ingest to owning workers with
-  exactly-once lanes, the scatter/gather :class:`FleetAdmin` plane, and
-  :class:`ShardFleet` orchestration including day-boundary rebalances.
+  exactly-once lanes, the scatter/gather :class:`FleetAdmin` plane,
+  :class:`ShardFleet` orchestration including day-boundary rebalances,
+  and the fleet's result JSON.
 """
 
 from .admin import AdminServer, admin_request, scrape_metrics
@@ -50,9 +54,9 @@ from .protocol import (PROTOCOL_VERSION, SUPPORTED_PROTOCOLS,
                        write_frame)
 from .metrics import (Counter, MetricsHistory, render_prometheus,
                       tail_stats)
-from .shard import (FleetAdmin, HashRing, ShardFleet, ShardLane,
-                    ShardRouter, WorkerSpec, merge_tenant_results,
-                    splitmix64)
+from .ring import HashRing, splitmix64
+from .shard import (FleetAdmin, ShardFleet, ShardLane, ShardRouter,
+                    WorkerSpec, merge_tenant_results)
 from .supervisor import (EXIT_GIVE_UP, BackoffPolicy, Supervisor,
                          SupervisorReport)
 from .tenants import MultiTenantService, Tenant, TenantSpec

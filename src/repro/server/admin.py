@@ -38,8 +38,10 @@ Commands: ``status``, ``health``, ``tenants`` (list/add/remove),
 returns the newest N ring samples), ``activity`` (rank distributions +
 class counts for the dashboard), ``export`` (the Prometheus text body
 in a frame, for ``repro admin export --prom``), ``query`` (per-user
-activeness + per-tenant verdicts).  :func:`admin_request` is the
-one-call client used by ``repro admin``.
+activeness + per-tenant verdicts), ``shard-split`` (a shard worker's
+side of a fleet rebalance: queue a split at a day boundary, see
+:meth:`MultiTenantService.request_split`).  :func:`admin_request` is
+the one-call client used by ``repro admin``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .metrics import (Counter, MetricsHistory, render_prometheus,
 from .protocol import (FrameError, FrameReader, close_listener,
                        create_listener, connect_socket, format_address,
                        parse_address, write_frame)
+from .ring import HashRing
 from .tenants import MultiTenantService, TenantSpec
 
 __all__ = ["AdminServer", "admin_request", "scrape_metrics"]
@@ -253,15 +256,9 @@ class AdminServer(AdminSocket):
 
     def __init__(self, address: str, service: MultiTenantService, *,
                  stream=None,
-                 extra_commands: dict[str, Callable[[dict], dict]]
-                 | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.service = service
         self.stream = stream
-        #: Deployment-specific verbs (e.g. the shard fleet's
-        #: ``shard-split``) merged into dispatch -- the admin plane
-        #: stays ignorant of what registered them.
-        self.extra_commands = dict(extra_commands or {})
         self._clock = clock
         self._started = clock()
         # Immutable fallback rate anchor: before the first boundary
@@ -281,7 +278,7 @@ class AdminServer(AdminSocket):
             "metrics": self._cmd_metrics,
             "activity": self._cmd_activity,
             "query": self._cmd_query,
-            **self.extra_commands,
+            "shard-split": self._cmd_shard_split,
         }
 
     def _cmd_status(self, request: dict) -> dict:
@@ -413,6 +410,23 @@ class AdminServer(AdminSocket):
         out = {"ok": True}
         out.update(self.service.query_user(int(request["uid"])))
         return out
+
+    def _cmd_shard_split(self, request: dict) -> dict:
+        try:
+            boundary = int(request["at_boundary"])
+            dest_dir = request["dest_dir"]
+            ring = HashRing.from_jsonable(request["ring"])
+            new_shard = request["new_shard"]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return {"ok": False, "error": f"bad shard-split request: {exc}"}
+        try:
+            self.service.request_split(at_boundary=boundary,
+                                       dest_dir=dest_dir, ring=ring,
+                                       new_shard=new_shard)
+        except ValueError as exc:
+            return {"ok": False, "error": str(exc)}
+        return {"ok": True, "queued": True, "at_boundary": boundary,
+                "dest_dir": dest_dir}
 
 
 def admin_request(address: str, request: dict, *,

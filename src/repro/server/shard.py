@@ -1,4 +1,4 @@
-"""Horizontally sharded fleet: ring, router, scatter/gather, rebalance.
+"""Horizontally sharded fleet: router, scatter/gather, rebalance.
 
 One :class:`~repro.server.tenants.MultiTenantService` process tops out
 at a few hundred thousand events per second; the paper's target systems
@@ -11,26 +11,29 @@ answer as a plain union -- provided routing is consistent, sequencing
 survives the extra hop, and rebalances only happen at day boundaries
 (the only quiescent instant of the engine).
 
-Pieces, front to back:
+A shard worker is the service given one argument,
+``MultiTenantService(shard=(name, ring))``: the service keeps and
+classifies only the users the :class:`~repro.server.ring.HashRing`
+(``server/ring.py``) gives ``name``, stamps that ``shard`` section on
+every link, seeds itself when resumed from a rebalance clone, and
+splits itself when its :class:`~repro.server.admin.AdminServer` is
+asked ``shard-split``.  Pieces, front to back:
 
-* :class:`HashRing` -- consistent hashing with explicit ring points
-  (``blake2b(name#i)``), user keys placed by ``splitmix64(uid)``.
-  Adding or removing a shard moves ~K/N keys; :meth:`HashRing.split`
-  reassigns alternating points of one donor so *only donor keys move*.
 * :class:`ShardRouter` -- a full :class:`SocketListener` front (same
   auth/TLS/sequencing/backpressure as a single server) whose sources
   are drained by pump threads instead of the merge.  Every source
   yields batches (v1 frames are batched at the edge); rows are
   classified per user (publications are duplicated to every shard
-  owning a co-author; the worker-side ``owned_filter`` keeps foreign
-  authors out of that shard's classification) and forwarded as v2
-  batch frames on per-``(source, worker)`` :class:`ShardLane`\\ s with
-  deterministic forwarded sequence numbers.
+  owning a co-author; the worker's service classifies only the users
+  its ring slice owns, so foreign authors stay out of that shard's
+  classification) and forwarded as v2 batch frames on
+  per-``(source, worker)`` :class:`ShardLane`\\ s with deterministic
+  forwarded sequence numbers.
 * Exactly-once across the hop: each lane retains sent items until the
   owning worker reports them *durable* (its last checkpoint's ingest
-  cursors, polled off ``admin health``).  A worker kill -9 costs a
-  reconnect and a resend of the retained tail; the worker's edge
-  dedupe drops anything it already holds.
+  cursors, polled off ``admin health``).  A lost connection or a
+  worker kill -9 costs a reconnect and a resend of the retained tail;
+  the worker's edge dedupe drops anything it already holds.
 * :class:`FleetAdmin` -- one admin socket for the fleet: ``status`` /
   ``health`` / ``metrics`` / ``activity`` / ``query`` fan out to every
   worker and merge (per-shard trigger-latency and per-tenant miss
@@ -41,7 +44,8 @@ Pieces, front to back:
   :class:`~repro.server.supervisor.Supervisor`\\ s, the durability
   polling loop, the day-boundary rebalance protocol (gate ->
   ``shard-split`` -> ring epoch flip -> clone-seeded worker), and the
-  result merge that reconstructs per-tenant
+  result JSON: :func:`result_to_jsonable` on each worker and
+  :func:`merge_tenant_results`, which reconstructs per-tenant
   :class:`~repro.emulation.emulator.EmulationResult`\\ s bit-identical
   to a single-process run.
 
@@ -54,16 +58,14 @@ clone itself into the new worker's checkpoint directory at boundary
 post-split ring; flip the ring epoch (rows route by ``(uid, ts)``,
 so replayed gated rows and everything after land on the new owner);
 spawn the new worker with ``--resume`` once the clone appears.  The
-clone's manifest carries ``shard_seed_pending``: the resuming worker
-restricts itself to its own keys, resets its additive measurement
+clone's manifest carries ``shard_seed_pending``: ``resume`` restricts
+the new worker to its own keys, resets its additive measurement
 ledgers (the donor keeps the pre-cut history), and starts a fresh lane
 sequence domain.
 """
 
 from __future__ import annotations
 
-import glob
-import hashlib
 import json
 import os
 import queue
@@ -77,203 +79,26 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.activeness import ActivenessTable
 from ..core.classification import UserClass
 from ..core.report import RetentionReport
 from ..emulation.emulator import EmulationResult
 from ..emulation.metrics import DailyMetrics
 from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
                             EventBatch)
-from ..stream.checkpoint import reports_from_jsonable
+from ..stream.checkpoint import (CheckpointManager, reports_from_jsonable,
+                                 reports_to_jsonable)
 from ..vfs.file_meta import DAY_SECONDS
 from .admin import AdminSocket, admin_request
 from .ingest import (DEFAULT_SOURCES, ProducerSession, PublishRefused,
                      SocketListener, _backoff_delays)
 from .metrics import Counter, _Exposition
 from .protocol import BATCH_MAX_FRAME_BYTES, FrameError
+from .ring import HashRing
 from .supervisor import BackoffPolicy, Supervisor
 
-__all__ = ["HashRing", "splitmix64", "ShardLane", "ShardRouter",
-           "FleetAdmin", "ShardFleet", "WorkerSpec",
-           "batch_worker_masks", "merge_tenant_results"]
-
-
-# ---------------------------------------------------------------------------
-# the ring
-
-
-_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM_M2 = np.uint64(0x94D049BB133111EB)
-
-
-def splitmix64(values) -> np.ndarray:
-    """Vectorized splitmix64 finalizer: the uid -> ring-key hash.
-
-    Stable across processes and Python versions (never ``hash()``),
-    cheap enough to run per row on the routing hot path.
-    """
-    z = np.atleast_1d(np.asarray(values)).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = z + _SM_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _SM_M1
-        z = (z ^ (z >> np.uint64(27))) * _SM_M2
-        return z ^ (z >> np.uint64(31))
-
-
-class HashRing:
-    """Consistent-hash ring over named shards.
-
-    Every shard owns ``replicas`` explicit ring points derived from
-    ``blake2b("<name>#<i>")``; a uid belongs to the owner of the first
-    point at or clockwise-after ``splitmix64(uid)``.  Placement is a
-    pure function of the *point assignment*, which is why the ring
-    serializes the assignment explicitly: after :meth:`split` the
-    points of the donor are shared with the new shard in a way no
-    name-derived reconstruction would reproduce.
-    """
-
-    def __init__(self, shards: Iterable[str] = (), *, replicas: int = 64,
-                 _assignment: Mapping[int, str] | None = None) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = int(replicas)
-        self._assign: dict[int, str] = dict(_assignment or {})
-        for name in shards:
-            self.add(name)
-        self._rebuild()
-
-    # -- construction ---------------------------------------------------
-
-    @staticmethod
-    def _point(name: str, i: int) -> int:
-        digest = hashlib.blake2b(f"{name}#{i}".encode("utf-8"),
-                                 digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    def _rebuild(self) -> None:
-        items = sorted(self._assign.items())
-        self._points = np.asarray([p for p, _ in items], dtype=np.uint64)
-        self._point_owner = [o for _, o in items]
-        self.shards: list[str] = sorted(set(self._point_owner))
-        index = {name: i for i, name in enumerate(self.shards)}
-        self._owner_idx = np.asarray(
-            [index[o] for o in self._point_owner], dtype=np.int64)
-
-    def add(self, name: str) -> None:
-        if not name:
-            raise ValueError("shard names must be non-empty")
-        if any(o == name for o in self._assign.values()):
-            raise ValueError(f"shard {name!r} already on the ring")
-        for i in range(self.replicas):
-            p = self._point(name, i)
-            while p in self._assign:   # 64-bit collision: deterministic probe
-                p = (p + 1) % (1 << 64)
-            self._assign[p] = name
-        self._rebuild()
-
-    def remove(self, name: str) -> None:
-        points = [p for p, o in self._assign.items() if o == name]
-        if not points:
-            raise ValueError(f"shard {name!r} is not on the ring")
-        if len(set(self._assign.values())) == 1:
-            raise ValueError("cannot remove the last shard")
-        for p in points:
-            del self._assign[p]
-        self._rebuild()
-
-    def split(self, donor: str, new_name: str) -> "HashRing":
-        """A new ring where ``new_name`` takes alternate points of
-        ``donor`` -- every moved key was a donor key, nothing else
-        shifts.  ``self`` is unchanged (rings are epoch values)."""
-        donor_points = sorted(p for p, o in self._assign.items()
-                              if o == donor)
-        if not donor_points:
-            raise ValueError(f"shard {donor!r} is not on the ring")
-        if any(o == new_name for o in self._assign.values()):
-            raise ValueError(f"shard {new_name!r} already on the ring")
-        if len(donor_points) < 2:
-            raise ValueError(f"shard {donor!r} has too few points to split")
-        assignment = dict(self._assign)
-        for p in donor_points[1::2]:
-            assignment[p] = new_name
-        return HashRing(replicas=self.replicas, _assignment=assignment)
-
-    # -- placement ------------------------------------------------------
-
-    def owner_indices(self, uids) -> np.ndarray:
-        """Index into :attr:`shards` of each uid's owner."""
-        h = splitmix64(uids)
-        slot = np.searchsorted(self._points, h, side="left")
-        slot[slot == self._points.size] = 0      # clockwise wraparound
-        return self._owner_idx[slot]
-
-    def owner(self, uid: int) -> str:
-        return self.shards[int(self.owner_indices([int(uid)])[0])]
-
-    def member_mask(self, name: str, uids) -> np.ndarray:
-        """Bool mask of the uids owned by shard ``name``."""
-        try:
-            idx = self.shards.index(name)
-        except ValueError:
-            raise ValueError(f"shard {name!r} is not on the ring") from None
-        return self.owner_indices(np.asarray(uids, dtype=np.int64)) == idx
-
-    def keep_mask(self, name: str) -> Callable[[np.ndarray], np.ndarray]:
-        """``uids array -> bool mask`` closure for
-        :meth:`MultiTenantService.restrict_users`."""
-        return lambda uids: self.member_mask(name, uids)
-
-    def uid_filter(self, name: str) -> Callable[[int], bool]:
-        """Scalar membership test for snapshot loading."""
-        idx = self.shards.index(name)
-
-        def check(uid: int) -> bool:
-            return int(self.owner_indices([int(uid)])[0]) == idx
-
-        return check
-
-    def owned_filter(self, name: str,
-                     ) -> Callable[[ActivenessTable], ActivenessTable]:
-        """Restrict an activeness evaluation to this shard's users.
-
-        Publication rows are duplicated to co-author shards so scores
-        fold identically everywhere, but only the owner may *classify*
-        a user -- otherwise a co-author would be counted (and purged)
-        on several shards at once.  The filter masks the table's rows.
-        """
-
-        def filt(table: ActivenessTable) -> ActivenessTable:
-            keep = self.member_mask(name, table.uids)
-            return table if keep.all() else table.rows(keep)
-
-        return filt
-
-    # -- serialization --------------------------------------------------
-
-    def to_jsonable(self) -> dict:
-        return {"replicas": self.replicas,
-                "points": [[int(p), o]
-                           for p, o in sorted(self._assign.items())]}
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping) -> "HashRing":
-        return cls(replicas=int(data.get("replicas", 64)),
-                   _assignment={int(p): str(o)
-                                for p, o in data["points"]})
-
-    def digest(self) -> str:
-        text = json.dumps(self.to_jsonable(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-    def describe(self) -> dict:
-        counts = {name: 0 for name in self.shards}
-        for o in self._point_owner:
-            counts[o] += 1
-        return {"shards": list(self.shards), "replicas": self.replicas,
-                "points": int(self._points.size),
-                "points_per_shard": counts, "digest": self.digest()}
+__all__ = ["ShardLane", "ShardRouter", "FleetAdmin", "ShardFleet",
+           "WorkerSpec", "batch_worker_masks", "merge_tenant_results",
+           "result_to_jsonable"]
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +169,13 @@ class ShardLane:
     row routed to this worker from this source is always wire seq ``k``
     (routing is a pure function of ``(uid, ts, ring epochs)``), which
     is what lets a restarted worker's edge dedupe make the resend of
-    the retained tail exactly-once.  Items stay in ``_retained`` until
-    :meth:`trim` -- fed by the fleet's durability poll of the worker's
-    checkpointed ingest cursors -- releases them; a lane built with
-    ``retain=False`` (benchmarks without checkpoints, where the durable
-    cursor would never advance) keeps nothing.  Each (re)connection is
-    one :class:`~repro.server.ingest.ProducerSession`, so frames are
-    split to the worker's granted cap.
+    the retained tail exactly-once.  Every item is retained before it
+    is sent and stays in ``_retained`` until :meth:`trim` -- fed by the
+    fleet's durability poll of the worker's checkpointed ingest cursors
+    -- releases it, so a connection lost mid-send costs a reconnect and
+    a resend, never the in-flight batch.  Each (re)connection is one
+    :class:`~repro.server.ingest.ProducerSession`, so frames are split
+    to the worker's granted cap.
 
     The send queue is bounded in rows, not items: :meth:`submit` blocks
     while ``queue_rows`` or more rows wait, so a lane holds at most
@@ -360,8 +185,6 @@ class ShardLane:
     """
 
     def __init__(self, source: str, worker: str, address: str, *,
-                 auth_token: str | None = None, compress: bool = False,
-                 retain: bool = True,
                  frame_cap: int = BATCH_MAX_FRAME_BYTES,
                  connect_timeout: float = 10.0,
                  retry_interval: float = 0.2, retry_cap: float = 2.0,
@@ -370,9 +193,6 @@ class ShardLane:
         self.worker = worker
         self.address = address
         self.session = f"router:{source}->{worker}"
-        self.auth_token = auth_token
-        self.compress = compress
-        self.retain = retain
         self.frame_cap = int(frame_cap)
         self.connect_timeout = connect_timeout
         self.retry_interval = retry_interval
@@ -477,9 +297,8 @@ class ShardLane:
     def _session_once(self) -> None:
         with ProducerSession(self.address, self.source,
                              producer=f"shard-router:{self.worker}",
-                             session=self.session, compress=self.compress,
+                             session=self.session,
                              frame_cap=self.frame_cap,
-                             auth_token=self.auth_token,
                              connect_timeout=self.connect_timeout) as session:
             self.connects += 1
             with self._rlock:
@@ -503,8 +322,7 @@ class ShardLane:
                     self._queued_rows -= n_rows
                     self._room.notify_all()
                 with self._rlock:
-                    if self.retain:
-                        self._retained.append(entry)
+                    self._retained.append(entry)
                 session.send_batch(item, first_seq)
                 self.rows_sent += n_rows
             session.end()
@@ -542,11 +360,7 @@ class ShardRouter:
     def __init__(self, address: str, workers: Mapping[str, str],
                  ring: HashRing, *,
                  expected: Mapping[str, int] | Iterable[str] | None = None,
-                 queue_size: int = 10_000,
-                 auth_token: str | None = None,
-                 worker_auth_token: str | None = None,
-                 ssl_context=None, compress: bool = False,
-                 retain: bool = True, lane_queue_rows: int = 512,
+                 auth_token: str | None = None, ssl_context=None,
                  max_connections: int | None = None,
                  write_deadline: float | None = 30.0) -> None:
         if not workers:
@@ -557,10 +371,6 @@ class ShardRouter:
         self.ring = ring
         self._order: list[str] = list(workers)
         self._addresses: dict[str, str] = dict(workers)
-        self._worker_auth_token = worker_auth_token
-        self._compress = compress
-        self._retain = retain
-        self._lane_queue_rows = lane_queue_rows
         #: Epochs ascending by cut; the first covers all history.
         self._epochs: list[tuple[int, HashRing]] = [(-(1 << 62), ring)]
         self._remaps: dict[int, np.ndarray] = {}
@@ -578,9 +388,8 @@ class ShardRouter:
         self.watermarks: dict[str, int] = {}
         self.listener = SocketListener(
             address, expected=expected or DEFAULT_SOURCES,
-            queue_size=queue_size, auth_token=auth_token,
-            ssl_context=ssl_context, max_connections=max_connections,
-            write_deadline=write_deadline)
+            auth_token=auth_token, ssl_context=ssl_context,
+            max_connections=max_connections, write_deadline=write_deadline)
         self.address = self.listener.address
         self._lanes: dict[tuple[str, str], ShardLane] = {}
         self._source_names = [s.name for s in self.listener.sources()]
@@ -594,10 +403,7 @@ class ShardRouter:
             t.start()
 
     def _make_lane(self, source: str, worker: str) -> ShardLane:
-        return ShardLane(source, worker, self._addresses[worker],
-                         auth_token=self._worker_auth_token,
-                         compress=self._compress, retain=self._retain,
-                         queue_rows=self._lane_queue_rows)
+        return ShardLane(source, worker, self._addresses[worker])
 
     def lane(self, source: str, worker: str) -> ShardLane:
         return self._lanes[(source, worker)]
@@ -1186,8 +992,7 @@ class ShardFleet:
             return proc
 
         def should_resume() -> bool:
-            return bool(glob.glob(os.path.join(
-                spec.checkpoint_dir, "checkpoint-*.npz")))
+            return CheckpointManager.holds_link(spec.checkpoint_dir)
 
         supervisor = Supervisor(spec.command, backoff=self.backoff,
                                 should_resume=should_resume, spawn=spawn,
@@ -1355,8 +1160,7 @@ class ShardFleet:
             self._persist_ring(cut_ts, new_ring)
             entry["status"] = "waiting-for-clone"
             while not self._stop.is_set():
-                if glob.glob(os.path.join(spec.checkpoint_dir,
-                                          "checkpoint-*.npz")):
+                if CheckpointManager.holds_link(spec.checkpoint_dir):
                     break
                 donor_thread = self._threads.get(donor)
                 if donor_thread is not None and not donor_thread.is_alive():
@@ -1452,7 +1256,29 @@ class ShardFleet:
 
 
 # ---------------------------------------------------------------------------
-# result merging
+# result JSON: each worker writes it, the fleet merges it
+
+
+def result_to_jsonable(result: EmulationResult) -> dict:
+    """The mergeable subset of an :class:`EmulationResult` as JSON.
+
+    Everything here is either additive across user-disjoint shards
+    (daily ledgers, totals) or mergeable by trigger time (reports);
+    :func:`merge_tenant_results` is the inverse.
+    """
+    metrics = result.metrics
+    return {
+        "policy": result.policy,
+        "lifetime_days": result.lifetime_days,
+        "n_days": int(metrics.n_days),
+        "accesses": metrics.accesses.tolist(),
+        "misses": metrics.misses.tolist(),
+        "group_misses": {str(cls.value): series.tolist()
+                         for cls, series in metrics.group_misses.items()},
+        "reports": reports_to_jsonable(result.reports),
+        "final_total_bytes": int(result.final_total_bytes),
+        "final_file_count": int(result.final_file_count),
+    }
 
 
 def merge_tenant_results(payloads: Sequence[Mapping],

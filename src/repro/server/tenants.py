@@ -106,6 +106,7 @@ from ..stream.batch import (KIND_ACC_CODE, KIND_JOB_CODE, KIND_PUB_CODE,
                             BatchRun, EventBatch)
 from ..traces.schema import PublicationRecord
 from .metrics import MetricsHistory, tail_stats
+from .ring import HashRing
 
 __all__ = ["TenantSpec", "Tenant", "MultiTenantService", "POLICY_KINDS"]
 
@@ -321,6 +322,17 @@ class MultiTenantService:
     and dropped, as batch compilation does; activity never is.  With a
     checkpoint directory a link is written after each trigger boundary
     whose day is a multiple of ``checkpoint_every_days``.
+
+    ``shard=(name, ring)`` makes the service a shard worker owning the
+    users the :class:`~repro.server.ring.HashRing` gives ``name``: it
+    keeps only those of ``known_uids``, classifies only those (the
+    router duplicates a publication to every co-author's shard, so
+    foreign authors acquire activity here), stamps ``{"shard": {"name",
+    "ring"}}`` on every link, and can be split (:meth:`request_split`).
+    It takes ``snapshot_fs`` as given, so the caller loads only the
+    slice's files (``load_filesystem(uid_filter=...)``): the slice's
+    usage, frozen when that file system is loaded, is the worker's
+    capacity.
     """
 
     def __init__(self, tenants: Sequence[tuple[TenantSpec, RetentionPolicy]],
@@ -339,6 +351,7 @@ class MultiTenantService:
                                           RetentionPolicy] | None = None,
                  metrics_history: MetricsHistory | None = None,
                  wall: Callable[[], float] = time.time,
+                 shard: tuple[str, HashRing] | None = None,
                  ) -> None:
         if replay_end <= replay_start:
             raise ValueError("replay_end must exceed replay_start")
@@ -351,6 +364,14 @@ class MultiTenantService:
         self.config = config or EmulatorConfig()
         self.exemptions = exemptions
         self.known_uids = [int(u) for u in known_uids]
+        if shard is not None:
+            name, ring = shard
+            if name not in ring.shards:
+                raise ValueError(f"shard {name!r} is not in the ring "
+                                 f"({ring.shards})")
+            uids = np.asarray(self.known_uids, dtype=np.int64)
+            self.known_uids = uids[ring.member_mask(name, uids)].tolist()
+        self.shard = shard
         self.policy_factory = policy_factory
 
         self.replay_start = int(replay_start)
@@ -379,31 +400,15 @@ class MultiTenantService:
         #: producer cursors durable across kill -9 + resume).
         self.ingest_snapshot: Callable[[int], dict] | None = None
         #: The ``ingest`` section of the manifest this service was
-        #: resumed from (None on a fresh service or an old checkpoint):
-        #: the CLI seeds the listener's initial cursors from it.
+        #: resumed from (None on a fresh service or an old checkpoint;
+        #: empty cursors for a seeded rebalance clone): the CLI seeds
+        #: the listener's initial cursors from it.
         self.resumed_ingest: dict | None = None
         #: The newest *durable* per-source ingest cursors -- what the
         #: last checkpoint on our own chain recorded.  A shard router
         #: polls this (via ``admin health``) to trim its resend-retention
         #: lanes: rows at or below these cursors survive a kill -9.
         self.last_durable_ingest: dict | None = None
-        #: Optional hook returning extra manifest keys for every
-        #: checkpoint (shard workers stamp a ``shard`` provenance
-        #: section: shard name + ring digest).
-        self.manifest_extra: Callable[[], dict] | None = None
-        #: Optional post-evaluation filter ``table -> table`` keeping
-        #: only the rows of the users this shard owns (publication rows
-        #: are duplicated to every co-author's shard, so un-owned authors
-        #: acquire activity here; without the filter they would be
-        #: classified on several shards at once).
-        self.owned_filter: Callable[[ActivenessTable],
-                                    ActivenessTable] | None = None
-        #: True when this service was resumed from a donor's rebalance
-        #: clone that has not yet been narrowed to this shard's users
-        #: (manifest flag ``shard_seed_pending``); the serve wiring then
-        #: calls :meth:`restrict_users` + :meth:`reset_measurements`.
-        self.resumed_seed_pending = False
-        self.resumed_shard: dict | None = None
         #: The current day's in-window accesses as column slices
         #: ``(pid, uid, ts, op)``, concatenated when the day flushes.
         self._day_buf: list[tuple[np.ndarray, ...]] = []
@@ -492,28 +497,45 @@ class MultiTenantService:
         self._pending_ops.append(("remove", name, None))
 
     def request_split(self, *, at_boundary: int, dest_dir: str,
-                      keep_mask, owned_filter=None,
-                      extra: Mapping | None = None,
-                      donor_extra: Mapping | None = None) -> None:
+                      ring: HashRing, new_shard: str) -> None:
         """Enqueue a shard split, applied exactly at ``at_boundary``.
 
-        At that boundary -- after the previous day's flush, before the
-        boundary's own triggers, with the engine quiescent -- the full
-        service state is checkpointed into ``dest_dir`` (the *new*
-        worker's chain; the manifest carries ``shard_seed_pending`` plus
-        ``extra``), then this service is narrowed in place to the users
-        ``keep_mask`` retains and ``owned_filter`` (the post-split
-        ownership filter) is installed.  The seeded worker resumes the
-        clone with ``next_boundary == at_boundary``, so it re-fires the
-        boundary's triggers for *its* users while the donor's cover only
-        the kept ones: every user triggers exactly once.
+        ``ring`` is the post-split ring, giving some of this shard's
+        users to ``new_shard``.  At that boundary -- after the previous
+        day's flush, before the boundary's own triggers, with the engine
+        quiescent -- the full service state is checkpointed into
+        ``dest_dir`` (the new worker's chain, stamped with the new
+        shard's section and ``shard_seed_pending``), then this service
+        narrows itself to the users ``ring`` leaves it and adopts
+        ``ring``.  The seeded worker resumes the clone with
+        ``next_boundary == at_boundary``, so it re-fires the boundary's
+        triggers for *its* users while the donor's cover only the kept
+        ones: every user triggers exactly once.
+
+        Raises ``ValueError``, on the caller's (admin) thread, unless
+        this is a shard worker, ``dest_dir`` is a non-empty path, the
+        boundary has neither passed nor left the window, and ``ring``
+        holds both shards.
         """
+        if self.shard is None:
+            raise ValueError("this service is not a shard worker")
+        if not isinstance(dest_dir, str) or not dest_dir:
+            raise ValueError(f"dest_dir must be a non-empty path, not "
+                             f"{dest_dir!r}")
+        name = self.shard[0]
+        boundary = int(at_boundary)
+        if boundary < self.next_boundary:
+            raise ValueError(f"boundary {boundary} already passed (next is "
+                             f"{self.next_boundary})")
+        if boundary >= self.n_days:
+            raise ValueError(f"boundary {boundary} is past the "
+                             f"{self.n_days}-day window")
+        if name not in ring.shards or new_shard not in ring.shards:
+            raise ValueError("post-split ring must contain both the donor "
+                             "and the new shard")
         self._pending_ops.append(("split", {
-            "at_boundary": int(at_boundary), "dest_dir": dest_dir,
-            "keep_mask": keep_mask, "owned_filter": owned_filter,
-            "extra": dict(extra or {}),
-            "donor_extra": (dict(donor_extra)
-                            if donor_extra is not None else None)}, None))
+            "at_boundary": boundary, "dest_dir": dest_dir,
+            "ring": ring, "new_shard": new_shard}, None))
 
     def _apply_pending_ops(self, boundary: int) -> None:
         deferred = []
@@ -552,26 +574,25 @@ class MultiTenantService:
             self._pending_ops.appendleft(item)
 
     def _apply_split(self, payload: Mapping) -> None:
-        key = (int(payload["at_boundary"]), payload["dest_dir"])
+        key = (payload["at_boundary"], payload["dest_dir"])
         if key == self._last_applied_split:
             # Duplicate of a split this incarnation already applied
             # (fleet re-issue racing the original ack).  Applying it
             # again would clone the already-narrowed donor state over
             # the seed checkpoint in ``dest_dir``.
             return
-        extra = dict(payload["extra"])
-        extra["shard_seed_pending"] = True
-        dest = CheckpointManager(payload["dest_dir"])
-        self.save_checkpoint(manager=dest, extra=extra)
-        self.restrict_users(payload["keep_mask"])
-        if payload.get("owned_filter") is not None:
-            self.owned_filter = payload["owned_filter"]
-        if payload.get("donor_extra") is not None:
-            # The donor's own manifests must stamp the *post-split*
-            # shard section from this boundary on, or a donor crash
-            # after the split would resume with pre-split ownership.
-            donor_extra = dict(payload["donor_extra"])
-            self.manifest_extra = lambda: dict(donor_extra)
+        name = self.shard[0]
+        ring: HashRing = payload["ring"]
+        self.save_checkpoint(
+            manager=CheckpointManager(payload["dest_dir"]),
+            extra={"shard": {"name": payload["new_shard"],
+                             "ring": ring.to_jsonable()},
+                   "shard_seed_pending": True})
+        self.restrict_users(lambda uids: ring.member_mask(name, uids))
+        # From this boundary on the donor classifies, and stamps its own
+        # links, under the post-split ring: a donor crash after the
+        # split resumes with post-split ownership.
+        self.shard = (name, ring)
         self._last_applied_split = key
 
     # ------------------------------------------------------------------
@@ -920,10 +941,11 @@ class MultiTenantService:
                 continue
             result = self.activity.evaluate(t_c, tenant.params,
                                             self.known_uids)
-            if self.owned_filter is not None:
-                # Shard workers classify only the users they own; see
-                # the ``owned_filter`` attribute doc.
-                result = self.owned_filter(result)
+            if self.shard is not None:
+                # A shard worker classifies only the users it owns; see
+                # the class doc.
+                name, ring = self.shard
+                result = ring.owned_filter(name)(result)
             self.stats["activeness_evals"] += 1
             self.stats["eval_users"] += self.activity.last_eval_users
             self.stats["eval_refolded"] += self.activity.last_eval_refolded
@@ -1122,7 +1144,8 @@ class MultiTenantService:
         ``manager`` redirects the write to a foreign chain (the
         rebalance clone into a new worker's directory) without touching
         this service's own chain bookkeeping; ``extra`` merges extra
-        manifest keys on top of ``manifest_extra``.
+        manifest keys on top of the ``shard`` section a shard worker
+        writes.
         """
         own_chain = manager is None
         manager = self.checkpoints if manager is None else manager
@@ -1152,8 +1175,9 @@ class MultiTenantService:
             # reconnecting producers resume mid-stream instead of
             # replaying (exactly-once across kill -9).
             manifest["ingest"] = self.ingest_snapshot(self._consumed)
-        if self.manifest_extra is not None:
-            manifest.update(self.manifest_extra())
+        if self.shard is not None:
+            name, ring = self.shard
+            manifest["shard"] = {"name": name, "ring": ring.to_jsonable()}
         if extra:
             manifest.update(extra)
         arrays = catalog_to_arrays(self.catalog)
@@ -1252,6 +1276,11 @@ class MultiTenantService:
         ``loaded`` is the link's verified ``(manifest, arrays)`` when the
         caller has already read it (:meth:`CheckpointManager.load_newest`);
         without it the link is loaded and verified here.
+
+        A link with a ``shard`` section resumes a shard worker on that
+        section's name and ring, the ring it last classified under (a
+        donor's post-split ring, say).  A rebalance clone
+        (``shard_seed_pending``) is seeded here -- see :meth:`_seed`.
         """
         manifest, arrays = (loaded if loaded is not None
                             else load_checkpoint(checkpoint_path))
@@ -1261,6 +1290,13 @@ class MultiTenantService:
                 f"{checkpoint_path} is a {manifest.get('format')!r} "
                 f"checkpoint, not a multi-tenant server checkpoint "
                 f"(expected {SERVER_CHECKPOINT_FORMAT!r})")
+        section = manifest.get("shard")
+        shard = (None if section is None else
+                 (section["name"], HashRing.from_jsonable(section["ring"])))
+        seed = bool(manifest.get("shard_seed_pending"))
+        if seed and section is None:
+            raise ValueError(f"{checkpoint_path} is a rebalance clone "
+                             f"without a shard section")
         specs = [TenantSpec.from_jsonable(t["spec"])
                  for t in manifest["tenants"]]
         pairs = [(spec, policy_factory(spec)) for spec in specs]
@@ -1275,7 +1311,8 @@ class MultiTenantService:
                       checkpoint_retain=checkpoint_retain,
                       checkpoint_manager=checkpoint_manager,
                       policy_factory=policy_factory,
-                      metrics_history=metrics_history, wall=wall)
+                      metrics_history=metrics_history, wall=wall,
+                      shard=shard)
 
         service.catalog = catalog_from_arrays(arrays)
         n = service.catalog.n_paths
@@ -1323,24 +1360,14 @@ class MultiTenantService:
         service._next_boundary = int(manifest["next_boundary"])
         service._consumed = int(manifest["cursor"])
         service.resumed_ingest = manifest.get("ingest")
-        service.resumed_seed_pending = bool(
-            manifest.get("shard_seed_pending"))
-        # A rebalance clone's ingest section belongs to the DONOR's
-        # lane sequence domain.  Advertising it as *our* durable
-        # cursors (admin health -> fleet lane trim) would trim the
-        # seeded worker's fresh lanes -- whose seq domain starts at 1
-        # -- against the donor's much larger cursors, discarding
-        # retained rows that are not durable here yet.  Stay None
-        # until the first checkpoint written on our own chain.
-        service.last_durable_ingest = (
-            None if service.resumed_seed_pending
-            else manifest.get("ingest"))
-        service.resumed_shard = manifest.get("shard")
+        service.last_durable_ingest = manifest.get("ingest")
         service.dropped_accesses = int(manifest["dropped_accesses"])
         saved_stats = dict(manifest.get("stats", {}))
         saved_stats.pop("checkpoints_written", None)
         saved_stats.pop("checkpoint_failures", None)
         service.stats.update(saved_stats)
+        if seed:
+            service._seed()
         if metrics_history is not None:
             # History must not fork from the checkpoint chain: drop every
             # sample the rollback un-happened; the resumed engine re-fires
@@ -1348,6 +1375,26 @@ class MultiTenantService:
             metrics_history.rewind(service._consumed,
                                    service._next_boundary)
         return service
+
+    def _seed(self) -> None:
+        """Admit a service resumed from a donor's rebalance clone as the
+        worker of its own shard: narrow the donor's state to this
+        shard's users, and zero the additive measurements the donor
+        keeps reporting (the fleet merge sums per-shard ledgers).  The
+        clone's ``ingest`` cursors are the DONOR's lane sequence domain:
+        this worker's edge starts a fresh one, and it advertises no
+        durable cursors (admin health -> fleet lane trim) until its
+        first own link, or the donor's larger cursors would trim rows
+        not durable here yet.
+        """
+        name, ring = self.shard
+        dropped = self.restrict_users(
+            lambda uids: ring.member_mask(name, uids))
+        self.reset_measurements()
+        self.last_durable_ingest = None
+        self.resumed_ingest = {"source_seqs": {}}
+        self.op_log.append({"op": "seed", "boundary": self._next_boundary,
+                            "ok": True, "shard": name, **dropped})
 
     # ------------------------------------------------------------------
     # introspection (read by the admin thread; point-in-time reads only)

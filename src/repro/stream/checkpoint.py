@@ -511,6 +511,14 @@ class CheckpointManager:
         entries.sort()
         return entries
 
+    @classmethod
+    def holds_link(cls, directory: str) -> bool:
+        """Whether ``directory`` holds a link of a chain, by the chain's
+        own file-name rule (a missing directory holds none).  Unlike
+        constructing a manager, this never creates the directory."""
+        return os.path.isdir(directory) and any(
+            map(cls._NAME_RE.match, os.listdir(directory)))
+
     def paths(self) -> list[str]:
         """Retained checkpoint paths, oldest first."""
         return [path for _seq, path in self._entries()]

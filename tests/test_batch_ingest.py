@@ -246,7 +246,7 @@ def _publish_through(producer, address, rows, **kwargs):
     # The router's front grants the default ceiling, so it accepts the
     # batch whole; its lane must fit the worker's small cap.
     router = ShardRouter("127.0.0.1:0", {"w0": address}, HashRing(["w0"]),
-                         expected={"accesses": 1}, retain=False)
+                         expected={"accesses": 1})
     assert publish_batches(router.address, "accesses",
                            [encode_batch(builder.build())]) == len(rows)
     return router

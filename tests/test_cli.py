@@ -250,6 +250,30 @@ def test_serve_resume_refuses_a_stream_checkpoint_chain(ws_dir, capsys,
     assert "failed verification" not in err
 
 
+@pytest.mark.parametrize("written_as", [None, "s01"])
+def test_serve_resume_refuses_a_link_of_another_shard(ws_dir, capsys,
+                                                      tmp_path, written_as):
+    # A resumed shard worker takes its slice from its link, never from
+    # the ring file: a link that is not --shard-name's (a plain serve's,
+    # or another shard's) cannot be resumed (exit 3).
+    from repro.server import HashRing
+
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(HashRing(["s00", "s01"]).to_jsonable()))
+    ck = str(tmp_path / "ck")
+    shard = ([] if written_as is None else
+             ["--shard-name", written_as, "--shard-ring", str(ring)])
+    assert main(["serve", "--workspace", ws_dir, "--policy", "flt",
+                 "--checkpoint-dir", ck, "--stop-after-events", "5000",
+                 *shard]) == 0
+    capsys.readouterr()
+    assert main(["serve", "--workspace", ws_dir, "--policy", "flt",
+                 "--checkpoint-dir", ck, "--resume", "--shard-name", "s00",
+                 "--shard-ring", str(ring)]) == 3
+    assert (f"the link's shard is {written_as!r}, not 's00'"
+            in capsys.readouterr().err)
+
+
 def test_serve_resume_keeps_the_checkpoint_tenants(ws_dir, capsys,
                                                    tmp_path):
     # On --resume the chain's tenant specs are authoritative (runtime

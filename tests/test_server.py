@@ -365,8 +365,7 @@ def test_owned_filter_classifies_only_owned_users(dataset, compiled,
     owned = {uid: cls for uid, cls in whole.final_classes.items()
              if ring.owner(uid) == "s00"}
     assert 0 < len(owned) < len(whole.final_classes)
-    service = make_fleet(dataset, [spec])
-    service.owned_filter = ring.owned_filter("s00")
+    service = make_fleet(dataset, [spec], shard=("s00", ring))
     result = service.run(as_runs(events))["activedr"]
     assert result.final_classes == owned
     assert service.tenants[0].stats["triggers"] > 10
@@ -921,18 +920,21 @@ def test_seed_pending_resume_leaves_durable_ingest_unset(dataset, tmp_path):
     newest, failures = own.latest_verified()
     assert newest and not failures
     resumed = MultiTenantService.resume(newest, policy_factory=factory)
-    assert not resumed.resumed_seed_pending
+    assert resumed.shard is None and not resumed.op_log  # not seeded
     # An own-chain checkpoint's cursors ARE durable here.
     assert resumed.last_durable_ingest["source_seqs"]["jobs"] == 5000
 
     clone = CheckpointManager(str(tmp_path / "clone"))
-    service.save_checkpoint(manager=clone,
-                            extra={"shard_seed_pending": True})
+    ring = HashRing(["s00"]).split("s00", "s01")
+    service.save_checkpoint(manager=clone, extra={
+        "shard": {"name": "s01", "ring": ring.to_jsonable()},
+        "shard_seed_pending": True})
     newest, failures = clone.latest_verified()
     assert newest and not failures
     seeded = MultiTenantService.resume(newest, policy_factory=factory)
-    assert seeded.resumed_seed_pending
-    assert seeded.resumed_ingest is not None   # CLI gates listener seeding
+    assert seeded.shard[0] == "s01"
+    # The listener's edge starts a fresh lane sequence domain.
+    assert seeded.resumed_ingest == {"source_seqs": {}}
     assert seeded.last_durable_ingest is None  # donor's domain, not ours
 
 
@@ -944,10 +946,11 @@ def test_duplicate_split_request_applies_once(dataset, events, tmp_path):
     queued, and a second application would checkpoint the already-
     restricted donor state over the seed clone in ``dest_dir``.
     """
-    service = make_fleet(dataset, HETERO[:1])
+    ring = HashRing(["s00"])
+    service = make_fleet(dataset, HETERO[:1], shard=("s00", ring))
     dest = str(tmp_path / "seed")
     payload = dict(at_boundary=1, dest_dir=dest,
-                   keep_mask=lambda uids: uids % 2 == 0)
+                   ring=ring.split("s00", "s01"), new_shard="s01")
     service.request_split(**payload)
     service.request_split(**payload)
     service.run(as_runs(events))
@@ -955,6 +958,102 @@ def test_duplicate_split_request_applies_once(dataset, events, tmp_path):
     assert len(splits) == 2 and all(e["ok"] for e in splits)
     # Exactly one clone checkpoint: the duplicate was a no-op.
     assert len(glob.glob(os.path.join(dest, "checkpoint-*.npz"))) == 1
+
+
+SPLIT_REFUSALS = {
+    "missing_field": "bad shard-split request: 'dest_dir'",
+    "bad_dest_dir": "dest_dir must be a non-empty path, not 5",
+    "boundary_passed": "boundary {passed} already passed (next is {next})",
+    "past_the_window": "boundary {n_days} is past the {n_days}-day window",
+    "ring_without_new_shard": "post-split ring must contain both the "
+                              "donor and the new shard",
+    "not_a_shard_worker": "this service is not a shard worker",
+}
+
+
+@pytest.mark.parametrize("case", [*SPLIT_REFUSALS, "valid"])
+def test_admin_shard_split(dataset, events, tmp_path, case):
+    """A shard worker's admin plane answers ``shard-split`` itself: a
+    bad request or one the service cannot honour is refused with the
+    reason and queues nothing; a valid one is queued and applied
+    exactly at its boundary."""
+    ring = HashRing(["s00"])
+    shard = None if case == "not_a_shard_worker" else ("s00", ring)
+    service = make_fleet(dataset, HETERO[:1], shard=shard)
+    service.run(as_runs(events), stop_after_events=len(events) // 2)
+    at = service.next_boundary + 2
+    assert 2 < at < service.n_days
+    dest = str(tmp_path / "seed")
+    request = {"cmd": "shard-split", "at_boundary": at, "dest_dir": dest,
+               "ring": ring.split("s00", "s01").to_jsonable(),
+               "new_shard": "s01"}
+    if case == "missing_field":
+        del request["dest_dir"]
+    elif case == "bad_dest_dir":
+        request["dest_dir"] = 5
+    elif case == "boundary_passed":
+        request["at_boundary"] = service.next_boundary - 1
+    elif case == "past_the_window":
+        request["at_boundary"] = service.n_days
+    elif case == "ring_without_new_shard":
+        request["ring"] = ring.to_jsonable()
+    with AdminServer(_sock(tmp_path, "admin.sock"), service) as admin:
+        response = admin.handle(request)
+    if case != "valid":
+        assert response == {"ok": False, "error": SPLIT_REFUSALS[case].format(
+            passed=service.next_boundary - 1, next=service.next_boundary,
+            n_days=service.n_days)}
+        assert not service._pending_ops
+        return
+    assert response == {"ok": True, "queued": True, "at_boundary": at,
+                        "dest_dir": dest}
+    service.run(skip_stream_items(as_runs(events), service.cursor))
+    assert [e for e in service.op_log if e["op"] == "split"] == [
+        {"op": "split", "boundary": at, "ok": True, "dest": dest}]
+    manifest, _arrays = load_checkpoint(CheckpointManager(dest).latest())
+    assert manifest["next_boundary"] == at
+    assert manifest["shard"]["name"] == "s01"
+
+
+def test_split_clone_resumes_as_the_seeded_new_shard(dataset, events,
+                                                     tmp_path):
+    """A split leaves the donor on the post-split ring (its users, its
+    links) and a clone that ``resume`` seeds as the new shard: its users
+    only, zeroed ledgers, a fresh lane sequence domain."""
+    split = HashRing(["s00"]).split("s00", "s01")
+    own, dest = str(tmp_path / "own"), str(tmp_path / "seed")
+    service = make_fleet(dataset, HETERO[:1],
+                         shard=("s00", HashRing(["s00"])),
+                         checkpoint_dir=own)
+    service.request_split(at_boundary=30, dest_dir=dest, ring=split,
+                          new_shard="s01")
+    service.run(as_runs(events))
+    assert service.shard[0] == "s00"
+    assert service.shard[1].digest() == split.digest()
+    assert service.known_uids == [u.uid for u in dataset.users
+                                  if split.owner(u.uid) == "s00"]
+    manifest, _arrays = load_checkpoint(CheckpointManager(own).latest())
+    assert manifest["shard"]["name"] == "s00"
+    assert HashRing.from_jsonable(
+        manifest["shard"]["ring"]).digest() == split.digest()
+
+    seeded = MultiTenantService.resume(
+        CheckpointManager(dest).latest(),
+        policy_factory=lambda spec: build_policy(spec, dataset))
+    assert seeded.next_boundary == 30
+    assert seeded.shard[0] == "s01"
+    assert seeded.known_uids
+    assert split.member_mask("s01", seeded.known_uids).all()
+    for tenant in seeded.tenants:
+        owners = tenant.state.owner[tenant.state.live]
+        assert owners.size and split.member_mask("s01", owners).all()
+        metrics = tenant.metrics
+        assert not metrics.accesses.any() and not metrics.misses.any()
+        assert not any(s.any() for s in metrics.group_misses.values())
+        assert tenant.reports == []
+    assert seeded.op_log[-1]["op"] == "seed"
+    assert seeded.op_log[-1]["shard"] == "s01"
+    assert seeded.last_durable_ingest is None
 
 
 def test_restrict_users_counts_each_dropped_user_once(dataset, events):

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.classification import UserClass
 from repro.emulation.emulator import EmulationResult
+from repro.faults import ChaosProxy, FaultPlan
 from repro.server import (AdminServer, FleetAdmin, HashRing, ShardRouter,
                           SocketListener, TenantSpec, admin_request,
                           merge_tenant_results, publish_batches,
@@ -72,8 +73,7 @@ def test_router_routes_interleaved_producers_to_ring_owners():
             SocketListener("127.0.0.1:0", expected=expected_worker) as l1:
         router = ShardRouter(
             "127.0.0.1:0", {"w0": l0.address, "w1": l1.address}, ring,
-            expected={"jobs": 2, "publications": 1, "accesses": 1},
-            retain=False)
+            expected={"jobs": 2, "publications": 1, "accesses": 1})
         try:
             all_jobs = _job_events(range(800), ts0=1_000)
             # Two sequenced slices of one source, published concurrently:
@@ -177,7 +177,7 @@ def test_router_forwards_a_pool_path_that_is_not_utf8(n_workers):
     try:
         router = ShardRouter(
             "127.0.0.1:0", {n: w.address for n, w in workers.items()},
-            HashRing(names), expected={"accesses": 1}, retain=False)
+            HashRing(names), expected={"accesses": 1})
         try:
             publish_batches(router.address, "accesses", [payload])
             assert router.join(timeout=30)
@@ -215,7 +215,7 @@ def test_router_diverts_a_v1_int_outside_int64(n_workers):
     try:
         router = ShardRouter(
             "127.0.0.1:0", {n: w.address for n, w in workers.items()},
-            HashRing(names), expected={"jobs": 1}, retain=False)
+            HashRing(names), expected={"jobs": 1})
         try:
             sock = connect_socket(router.address, timeout=30)
             reader = FrameReader(sock)
@@ -253,7 +253,7 @@ def test_lane_queue_is_bounded_in_rows(tmp_path):
         builder = BatchBuilder()
         builder.extend(events)
         batches.append(builder.build())
-    lane = ShardLane("jobs", "w0", address, retain=False, queue_rows=10,
+    lane = ShardLane("jobs", "w0", address, queue_rows=10,
                      retry_interval=0.05, retry_cap=0.1)
     worker = None
     interval = sys.getswitchinterval()
@@ -281,6 +281,32 @@ def test_lane_queue_is_bounded_in_rows(tmp_path):
         if worker is not None:
             worker.close()
     assert got == [ev.ts for events in chunks for ev in events]
+
+
+def test_lane_resends_a_batch_lost_to_a_severed_connection():
+    """A lane keeps every batch until its worker holds it durably, so a
+    connection severed mid-frame costs a reconnect and a resend, never
+    the batch: the worker ends with every row exactly once."""
+    jobs = _job_events(range(500), 3_000)
+    builder = BatchBuilder()
+    builder.extend(jobs)
+    plan = FaultPlan([{"target": "net:jobs", "kind": "sever", "at": 2000}])
+    with SocketListener("127.0.0.1:0", expected={"jobs": 1}) as worker, \
+            ChaosProxy("127.0.0.1:0", worker.address, plan) as proxy:
+        router = ShardRouter("127.0.0.1:0", {"w0": proxy.address},
+                             HashRing(["w0"]), expected={"jobs": 1})
+        try:
+            assert publish_batches(router.address, "jobs",
+                                   [builder.build()]) == len(jobs)
+            assert router.join(timeout=60)
+            lane = router.lane("jobs", "w0")
+            got = [ev.payload.job_id for batch in worker.sources()[0]
+                   for ev in batch.iter_events()]
+        finally:
+            router.close()
+    assert proxy.severed == 1
+    assert int(lane.connects) == 2 and int(lane.rows_resent) == len(jobs)
+    assert got == [ev.payload.job_id for ev in jobs]
 
 
 def _tenant_payload(accesses, misses, *, n_days=4, cls=UserClass.BOTH_INACTIVE,
