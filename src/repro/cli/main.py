@@ -51,10 +51,11 @@ converted by writing the four trace files plus a snapshot -- see
 ``replay`` covers the full retention spectrum: the two related-work
 baselines ride along as ``--policy value`` (lowest-value-first) and
 ``--policy cache`` (scratch-as-a-cache), and ``--policy spectrum`` runs
-all four policies over identical replicas.  Multi-policy selections
-(``both``/``spectrum``) go through :class:`ComparisonRunner`, so the
-policies share one compiled trace and one activeness evaluation per
-trigger instead of redoing that work per policy.  ``sweep --spectrum``
+all four policies over identical replicas.  Every selection goes
+through :class:`ComparisonRunner`, so the policies of a multi-policy
+replay (``both``/``spectrum``) share one compiled trace and one
+activeness evaluation per trigger instead of redoing that work per
+policy.  ``sweep --spectrum``
 adds the two baselines' miss columns to the lifetime table.
 
 ``serve`` runs the retention server (``repro.server.MultiTenantService``,
@@ -134,16 +135,13 @@ from ..core import (
     FixedLifetimePolicy,
     JobResidencyIndex,
     RetentionConfig,
-    ScratchAsCachePolicy,
     UserClass,
-    ValueBasedPolicy,
     classify,
     classify_all,
     group_counts,
 )
 from ..emulation import (ACTIVEDR, FLT, SCRATCHCACHE, VALUEBASED,
-                         ComparisonRunner, Emulator, FastEmulator,
-                         advance_filesystem, compile_dataset,
+                         ComparisonRunner, advance_filesystem,
                          run_lifetime_sweep)
 from ..synth import (TitanConfig, generate_dataset,
                      generate_workspace_streamed)
@@ -534,56 +532,28 @@ def _cmd_retain(args: argparse.Namespace) -> int:
     return 0 if report.target_met else 2
 
 
-def _replay_policy(ws: Workspace, policy, config: RetentionConfig,
-                   engine: str, known: list[int], compiled=None):
-    if engine == "fast":
-        if compiled is None:
-            compiled = compile_dataset(ws)
-        return FastEmulator(policy, config.activeness).run(
-            compiled, known_uids=known), compiled
-    emulator = Emulator(policy, config.activeness)
-    fs = ws.fresh_filesystem()
-    return emulator.run(fs, ws.accesses, ws.jobs, ws.publications,
-                        ws.replay_start, ws.replay_end,
-                        known_uids=known), compiled
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     ws = load_workspace(args.workspace)
     config = RetentionConfig(lifetime_days=args.lifetime,
                              purge_target_utilization=args.target)
-    known = [u.uid for u in ws.users]
-
-    if args.policy in ("both", "spectrum"):
-        # Multi-policy replays go through the ComparisonRunner so the
-        # policies share one compiled trace and one activeness
-        # evaluation per trigger (the standalone per-policy path used to
-        # redo both for every policy).
-        selection = ((FLT, ACTIVEDR) if args.policy == "both"
-                     else "spectrum")
-        comparison = ComparisonRunner(ws, config, engine=args.engine,
-                                      policies=selection).run()
-        for result in comparison.results.values():
-            print(render_emulation_summary(result))
-            print()
-        flt_m = comparison.total_misses(FLT)
-        adr_m = comparison.total_misses(ACTIVEDR)
-        if flt_m:
-            print(f"ActiveDR miss reduction vs FLT: "
-                  f"{percent(1.0 - adr_m / flt_m)}")
+    # Every replay goes through the ComparisonRunner, so the policies of
+    # a multi-policy replay share one compiled trace and one activeness
+    # evaluation per trigger.
+    selection = (FLT, ACTIVEDR) if args.policy == "both" else args.policy
+    comparison = ComparisonRunner(ws, config, engine=args.engine,
+                                  policies=selection).run()
+    if len(comparison.results) == 1:
+        (result,) = comparison.results.values()
+        print(render_emulation_summary(result))
         return 0
-
-    if args.policy == "flt":
-        policy = FixedLifetimePolicy(config)
-    elif args.policy == "activedr":
-        policy = ActiveDRPolicy(config)
-    elif args.policy == "value":
-        policy = ValueBasedPolicy(config)
-    else:
-        policy = ScratchAsCachePolicy(
-            config, residency=JobResidencyIndex(ws.jobs))
-    result, _ = _replay_policy(ws, policy, config, args.engine, known)
-    print(render_emulation_summary(result))
+    for result in comparison.results.values():
+        print(render_emulation_summary(result))
+        print()
+    flt_m = comparison.total_misses(FLT)
+    adr_m = comparison.total_misses(ACTIVEDR)
+    if flt_m:
+        print(f"ActiveDR miss reduction vs FLT: "
+              f"{percent(1.0 - adr_m / flt_m)}")
     return 0
 
 
@@ -933,21 +903,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
             # republish from the start): skip the merge's consumed rows.
             events = skip_stream_items(events, service.cursor)
 
-        if history is not None:
-            def sample_extra(stream=stream, listener=listener):
-                extra = {"quarantined": int(stream.quarantine.total)}
-                if listener is not None:
-                    extra.update(
-                        decode_errors=int(listener.decode_errors),
-                        batches_received=int(listener.batches_received),
-                        batch_rows_received=int(
-                            listener.batch_rows_received),
-                        queued={src.name: src.queue.qsize()
-                                for src in listener.sources()})
-                return extra
-
-            service.sample_extra = sample_extra
-
+        service.sample_extra = stream.gauges
         admin = (AdminServer(args.admin, service, stream=stream)
                  if args.admin else None)
         try:

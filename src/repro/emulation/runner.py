@@ -43,7 +43,7 @@ from .compiled import CompiledTrace, FastEmulator, compile_dataset, replay_bound
 from .emulator import Emulator, EmulatorConfig, EmulationResult
 
 __all__ = ["ComparisonResult", "ComparisonRunner", "run_lifetime_sweep",
-           "single_snapshot_comparison", "normalize_policies",
+           "single_snapshot_comparison", "normalize_policies", "build_policy",
            "FLT", "ACTIVEDR", "VALUEBASED", "SCRATCHCACHE", "SPECTRUM"]
 
 FLT = "FLT"
@@ -86,6 +86,30 @@ def normalize_policies(policies: str | Iterable[str]) -> tuple[str, ...]:
     if not out:
         raise ValueError("policy selection is empty")
     return tuple(out)
+
+
+def build_policy(name: str, config: RetentionConfig, *,
+                 enforce_target: bool = False,
+                 residency: JobResidencyIndex | None = None,
+                 ) -> RetentionPolicy:
+    """The policy object for ``name`` (any one name
+    :func:`normalize_policies` accepts) under ``config``.
+
+    ``enforce_target`` makes FLT stop at the purge target, as the other
+    policies always do; ``residency`` is required by ScratchAsCache and
+    ignored by the rest.
+    """
+    (name,) = normalize_policies(name)
+    if name == FLT:
+        return FixedLifetimePolicy(config, enforce_target=enforce_target)
+    if name == ACTIVEDR:
+        return ActiveDRPolicy(config)
+    if name == VALUEBASED:
+        return ValueBasedPolicy(config)
+    if residency is None:
+        raise ValueError("the ScratchAsCache policy needs a job-residency "
+                         "index")
+    return ScratchAsCachePolicy(config, residency=residency)
 
 
 @dataclass(slots=True)
@@ -154,18 +178,13 @@ class ComparisonRunner:
         self.residency = residency
 
     def _make_policy(self, name: str) -> RetentionPolicy:
-        if name == FLT:
-            return FixedLifetimePolicy(
-                self.config, enforce_target=self.flt_enforce_target)
-        if name == ACTIVEDR:
-            return ActiveDRPolicy(self.config)
-        if name == VALUEBASED:
-            return ValueBasedPolicy(self.config)
         # ScratchAsCache: the residency index is trace-derived, so one
         # instance serves every lifetime of a sweep.
-        if self.residency is None:
+        if name == SCRATCHCACHE and self.residency is None:
             self.residency = JobResidencyIndex(self.dataset.jobs)
-        return ScratchAsCachePolicy(self.config, residency=self.residency)
+        return build_policy(name, self.config,
+                            enforce_target=self.flt_enforce_target,
+                            residency=self.residency)
 
     def run(self) -> ComparisonResult:
         ds = self.dataset

@@ -34,9 +34,10 @@ anchor and therefore consistent ``events_per_second`` -- the old shared
 other's window and report garbage.
 
 Commands: ``status``, ``health``, ``tenants`` (list/add/remove),
-``metrics`` (ingest rate, refold fraction, checkpoint age; ``history``
-returns the newest N ring samples), ``activity`` (rank distributions +
-class counts for the dashboard), ``export`` (the Prometheus text body
+``metrics`` (the engine's gauges plus ingest rate, checkpoint age and
+latency tails; ``history`` returns the newest N ring samples),
+``activity`` (rank distributions + class counts for the dashboard),
+``export`` (the Prometheus text body
 in a frame, for ``repro admin export --prom``), ``query`` (per-user
 activeness + per-tenant verdicts), ``shard-split`` (a shard worker's
 side of a fleet rebalance: queue a split at a day boundary, see
@@ -348,22 +349,9 @@ class AdminServer(AdminSocket):
 
     def _cmd_metrics(self, request: dict) -> dict:
         service = self.service
-        cursor = service.cursor
-        stats = service.stats
-        eval_users = stats["eval_users"]
         rate, window = self.ingest_rate()
-        out = {
-            "ok": True,
-            "cursor": cursor,
-            "next_boundary": service.next_boundary,
-            "events_per_second": rate,
-            "rate_window_seconds": window,
-            "activeness_evals": stats["activeness_evals"],
-            "refold_fraction": (stats["eval_refolded"] / eval_users
-                                if eval_users else 0.0),
-            "checkpoints_written": stats["checkpoints_written"],
-            "checkpoint_failures": stats["checkpoint_failures"],
-        }
+        out = {"ok": True, **service.gauges(), "events_per_second": rate,
+               "rate_window_seconds": window}
         age = service.checkpoint_age()
         if age is not None:
             out["checkpoint_age_seconds"] = age
@@ -380,7 +368,7 @@ class AdminServer(AdminSocket):
         # TARE-style daily-miss tails per tenant over *settled* days
         # only; the fleet admin merges these per shard so hot shards
         # stay visible behind fleet-level means.
-        settled = min(service.next_boundary, service.n_days)
+        settled = min(out["next_boundary"], service.n_days)
         out["miss_tails"] = {
             t.name: tail_stats(t.metrics.misses[:settled].tolist())
             for t in list(service.tenants)}

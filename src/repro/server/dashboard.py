@@ -3,11 +3,12 @@
 Two data paths feed one pair of renderers:
 
 * **live** -- :func:`fetch_dashboard_data` asks a running server's admin
-  socket for ``status``, ``metrics`` (with the newest N history-ring
-  samples) and ``activity`` and fuses them into one dict;
-* **offline** -- :func:`load_history_data` rebuilds the same dict shape
-  from a metrics-history JSONL file (plus its rotated backups), so a
-  dead server's last written samples render identically.
+  socket for ``metrics`` (the engine's gauges, with the newest N
+  history-ring samples) and ``activity``;
+* **offline** -- :func:`load_history_data` reads a metrics-history JSONL
+  file (plus its rotated backups): its newest sample has the shape of
+  the ``metrics`` answer, so a dead server's last written samples
+  render the same way.
 
 :func:`render_terminal` prints an ASCII view (ingest sparkline, tenant
 table, activeness-rank percentiles, class-distribution bars, capacity
@@ -38,18 +39,15 @@ def fetch_dashboard_data(address: str, *, samples: int = DEFAULT_SAMPLES,
     """One dashboard snapshot from a live server's admin socket."""
     from .admin import admin_request
 
-    status = admin_request(address, {"cmd": "status"}, timeout=timeout)
     metrics = admin_request(address, {"cmd": "metrics",
                                       "history": samples}, timeout=timeout)
     activity = admin_request(address, {"cmd": "activity"}, timeout=timeout)
-    for part, name in ((status, "status"), (metrics, "metrics"),
-                       (activity, "activity")):
+    for part, name in ((metrics, "metrics"), (activity, "activity")):
         if not part.get("ok"):
             raise ConnectionError(f"admin {name} against {address} failed: "
                                   f"{part.get('error')}")
     return {
         "source": f"live admin socket {address}",
-        "status": status,
         "metrics": metrics,
         "activity": activity,
         "history": metrics.get("history") or [],
@@ -62,33 +60,15 @@ def load_history_data(path: str, *, samples: int = DEFAULT_SAMPLES) -> dict:
     Reads the log the way :class:`~repro.server.metrics.MetricsHistory`
     does (:func:`~repro.stream.reliability.jsonl.read_records`): up to
     nine rotated backups, oldest first, then the live file, skipping torn
-    lines, so the file of a crashed server still renders.
+    lines, so the file of a crashed server still renders.  The newest
+    sample stands in for the live ``metrics`` answer.
     """
     rows = list(read_records(path, 9))
     if not rows:
         raise FileNotFoundError(f"no metrics-history samples under {path}")
     rows = rows[-samples:]
-    newest = rows[-1]
-    tenants = newest.get("tenants") or {}
-    # Synthesize the live-view dict shape from the newest sample.
-    status = {"ok": True, "cursor": newest.get("cursor", 0),
-              "next_boundary": newest.get("boundary", 0) + 1,
-              "stats": {k: newest.get(k, 0)
-                        for k in ("events_job", "events_publication",
-                                  "events_access", "activeness_evals",
-                                  "checkpoints_written",
-                                  "checkpoint_failures")},
-              "tenants": {name: {"triggers": info.get("triggers", 0),
-                                 "live_files": info.get("live_files", 0),
-                                 "live_bytes": info.get("live_bytes", 0)}
-                          for name, info in tenants.items()}}
-    metrics = {"ok": True, "cursor": newest.get("cursor", 0),
-               "refold_fraction": newest.get("refold_fraction", 0.0),
-               "checkpoints_written": newest.get("checkpoints_written", 0),
-               "checkpoint_failures": newest.get("checkpoint_failures", 0)}
-    return {"source": f"history file {path}", "status": status,
-            "metrics": metrics, "activity": {"params": {}, "tenants": {}},
-            "history": rows}
+    return {"source": f"history file {path}", "metrics": rows[-1],
+            "activity": {"params": {}, "tenants": {}}, "history": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +114,11 @@ def _fmt_bytes(n: float) -> str:
 
 def _tenant_rows(data: dict) -> list[dict]:
     history = data["history"]
-    newest = history[-1] if history else {}
-    sample_tenants = newest.get("tenants") or {}
-    status_tenants = (data["status"].get("tenants") or {})
+    # Forecasts live in the samples only (they compare two of them).
+    sampled = (history[-1].get("tenants") or {}) if history else {}
     rows = []
-    for name in sorted(set(sample_tenants) | set(status_tenants)):
-        info = dict(status_tenants.get(name) or {})
-        info.update(sample_tenants.get(name) or {})
+    for name, info in sorted((data["metrics"].get("tenants") or {}).items()):
+        info = info or {}
         rows.append({
             "name": name,
             "triggers": info.get("triggers", 0),
@@ -149,7 +127,8 @@ def _tenant_rows(data: dict) -> list[dict]:
             "utilization": info.get("utilization"),
             "purged_bytes": info.get("purged_bytes", 0),
             "target_misses": info.get("target_misses", 0),
-            "forecast": info.get("forecast_days_to_capacity"),
+            "forecast": (sampled.get(name) or {}).get(
+                "forecast_days_to_capacity"),
             "latency": (info.get("trigger_latency") or {}),
         })
     return rows
@@ -174,20 +153,18 @@ def _class_bars(activity: dict, width: int = 30) -> list[str]:
 
 def render_terminal(data: dict) -> str:
     """The dashboard as plain text for a terminal."""
-    status = data["status"]
     metrics = data["metrics"]
     history = data["history"]
-    stats = status.get("stats") or {}
     rates = _ingest_series(history)
     lines = [
         f"repro retention dashboard -- {data['source']}",
         "=" * 64,
-        f"cursor {status.get('cursor', 0):,}   "
-        f"next boundary day {status.get('next_boundary', 0)}   "
+        f"cursor {metrics.get('cursor', 0):,}   "
+        f"next boundary day {metrics.get('next_boundary', 0)}   "
         f"samples {len(history)}",
-        f"events: job {stats.get('events_job', 0):,}  "
-        f"pub {stats.get('events_publication', 0):,}  "
-        f"access {stats.get('events_access', 0):,}",
+        f"events: job {metrics.get('events_job', 0):,}  "
+        f"pub {metrics.get('events_publication', 0):,}  "
+        f"access {metrics.get('events_access', 0):,}",
         f"checkpoints {metrics.get('checkpoints_written', 0)} written / "
         f"{metrics.get('checkpoint_failures', 0)} failed   "
         f"refold fraction {metrics.get('refold_fraction', 0.0):.3f}",
@@ -236,7 +213,7 @@ def render_terminal(data: dict) -> str:
 
 def render_html(data: dict) -> str:
     """The dashboard as one static self-contained HTML page."""
-    status = data["status"]
+    metrics = data["metrics"]
     history = data["history"]
     rates = _ingest_series(history)
     esc = html.escape
@@ -296,7 +273,6 @@ def render_html(data: dict) -> str:
                 f"<td><div class='bar' style='width:{width}px'></div>"
                 f" {n}</td></tr>")
 
-    stats = status.get("stats") or {}
     return f"""<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
 <title>repro retention dashboard</title>
@@ -313,11 +289,11 @@ def render_html(data: dict) -> str:
 </style></head><body>
 <h1>repro retention dashboard</h1>
 <p class="dim">{esc(str(data['source']))} &middot;
-cursor {status.get('cursor', 0):,} &middot;
-next boundary day {status.get('next_boundary', 0)} &middot;
-events: job {stats.get('events_job', 0):,} /
-pub {stats.get('events_publication', 0):,} /
-access {stats.get('events_access', 0):,}</p>
+cursor {metrics.get('cursor', 0):,} &middot;
+next boundary day {metrics.get('next_boundary', 0)} &middot;
+events: job {metrics.get('events_job', 0):,} /
+pub {metrics.get('events_publication', 0):,} /
+access {metrics.get('events_access', 0):,}</p>
 <h2>Ingest rate</h2>
 {svg_sparkline(rates)}
 <h2>Tenants</h2>

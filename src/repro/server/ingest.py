@@ -932,6 +932,17 @@ class NetworkEventStream(ReliableEventStream):
                            if key != "sources"}
         return out
 
+    def gauges(self) -> dict:
+        """The stream's counters plus the listener's decode and batch
+        counters and each source's queue depth."""
+        listener = self.listener
+        return {**super().gauges(),
+                "decode_errors": int(listener.decode_errors),
+                "batches_received": int(listener.batches_received),
+                "batch_rows_received": int(listener.batch_rows_received),
+                "queued": {src.name: src.queue.qsize()
+                           for src in listener.sources()}}
+
 
 # ---------------------------------------------------------------------------
 # the producing side: one session, one retry loop

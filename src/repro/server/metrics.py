@@ -342,48 +342,49 @@ def render_prometheus(service, *, stream=None, admin=None,
                       uptime: float | None = None) -> str:
     """The ``GET /metrics`` text body for one scrape.
 
-    ``service`` is the :class:`~repro.server.tenants.MultiTenantService`;
+    ``service`` is the :class:`~repro.server.tenants.MultiTenantService`,
+    rendered from its :meth:`~repro.server.tenants.MultiTenantService.gauges`;
     ``stream``/``admin`` enrich with listener/quarantine and admin-plane
     counters; ``rate`` is the history-derived events/s the caller
     already computed (the admin server owns the anchor logic).
     """
     exp = _Exposition()
-    stats = service.stats
+    gauges = service.gauges()
     exp.emit("repro_up", 1, help="The retention server is answering.")
     if uptime is not None:
         exp.emit("repro_uptime_seconds", max(0.0, uptime),
                  help="Seconds since the admin plane started.")
-    exp.emit("repro_cursor_events", service.cursor,
+    exp.emit("repro_cursor_events", gauges["cursor"],
              help="Merged events fully consumed (the resume cursor).")
-    exp.emit("repro_next_boundary_day", service.next_boundary,
+    exp.emit("repro_next_boundary_day", gauges["next_boundary"],
              help="The next day boundary the engine will fire.")
     if rate is not None:
         exp.emit("repro_ingest_events_per_second", max(0.0, rate),
                  help="Ingest rate derived from the metrics history ring.")
     for kind in ("job", "publication", "access"):
-        exp.emit("repro_events_total", stats[f"events_{kind}"],
+        exp.emit("repro_events_total", gauges[f"events_{kind}"],
                  {"kind": kind}, type="counter",
                  help="Merged events consumed, by kind.")
-    exp.emit("repro_dropped_accesses_total", service.dropped_accesses,
+    exp.emit("repro_dropped_accesses_total", gauges["dropped_accesses"],
              type="counter",
              help="Out-of-window access events dropped.")
-    exp.emit("repro_activeness_evals_total", stats["activeness_evals"],
+    exp.emit("repro_activeness_evals_total", gauges["activeness_evals"],
              type="counter",
              help="Distinct-parameter activeness folds performed.")
-    exp.emit("repro_eval_users_total", stats["eval_users"], type="counter",
+    exp.emit("repro_eval_users_total", gauges["eval_users"], type="counter",
              help="User-type histories visited across evaluations.")
-    exp.emit("repro_eval_refolded_total", stats["eval_refolded"],
+    exp.emit("repro_eval_refolded_total", gauges["eval_refolded"],
              type="counter",
              help="User-type histories actually refolded (cache misses).")
-    eval_users = stats["eval_users"]
-    exp.emit("repro_refold_fraction",
-             (stats["eval_refolded"] / eval_users) if eval_users else 0.0,
+    exp.emit("repro_refold_fraction", gauges["refold_fraction"],
              help="Refolded share of evaluated user-type histories.")
 
     # -- checkpoint chain health --------------------------------------
-    exp.emit("repro_checkpoints_written_total", stats["checkpoints_written"],
+    exp.emit("repro_checkpoints_written_total",
+             gauges["checkpoints_written"],
              type="counter", help="Checkpoint links written.")
-    exp.emit("repro_checkpoint_failures_total", stats["checkpoint_failures"],
+    exp.emit("repro_checkpoint_failures_total",
+             gauges["checkpoint_failures"],
              type="counter", help="Checkpoint writes that failed.")
     age = service.checkpoint_age()
     if age is not None:
@@ -427,31 +428,29 @@ def render_prometheus(service, *, stream=None, admin=None,
                          help="Backpressure queue depth per source.")
 
     # -- per-tenant ----------------------------------------------------
-    capacity = service.capacity_bytes
-    for tenant in list(service.tenants):
-        label = {"tenant": tenant.name}
-        live_bytes = tenant.state.total_bytes
-        exp.emit("repro_tenant_triggers_total", tenant.stats["triggers"],
+    for name, tenant in gauges["tenants"].items():
+        label = {"tenant": name}
+        exp.emit("repro_tenant_triggers_total", tenant["triggers"],
                  label, type="counter",
                  help="Purge triggers fired per tenant.")
-        exp.emit("repro_tenant_live_files", tenant.state.file_count, label,
+        exp.emit("repro_tenant_live_files", tenant["live_files"], label,
                  help="Live files in the tenant's replay state.")
-        exp.emit("repro_tenant_live_bytes", live_bytes, label,
+        exp.emit("repro_tenant_live_bytes", tenant["live_bytes"], label,
                  help="Live bytes in the tenant's replay state.")
-        if capacity:
-            exp.emit("repro_tenant_utilization", live_bytes / capacity,
+        if service.capacity_bytes:
+            exp.emit("repro_tenant_utilization", tenant["utilization"],
                      label, help="Live bytes over filesystem capacity.")
-        exp.emit("repro_tenant_purged_bytes_total",
-                 tenant.stats.get("purged_bytes", 0), label, type="counter",
+        exp.emit("repro_tenant_purged_bytes_total", tenant["purged_bytes"],
+                 label, type="counter",
                  help="Bytes purged by the tenant's triggers.")
-        exp.emit("repro_tenant_purged_files_total",
-                 tenant.stats.get("purged_files", 0), label, type="counter",
+        exp.emit("repro_tenant_purged_files_total", tenant["purged_files"],
+                 label, type="counter",
                  help="Files purged by the tenant's triggers.")
-        exp.emit("repro_tenant_target_misses_total",
-                 tenant.stats.get("target_misses", 0), label, type="counter",
+        exp.emit("repro_tenant_target_misses_total", tenant["target_misses"],
+                 label, type="counter",
                  help="Triggers that failed to reach the purge target.")
         exp.summary("repro_trigger_latency_seconds",
-                    tenant.trigger_latency, label,
+                    tenant["trigger_latency"], label,
                     help="Per-trigger wall seconds (recent window).")
 
     # -- forecasts (from the newest history sample) --------------------

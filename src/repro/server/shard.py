@@ -732,7 +732,7 @@ class FleetAdmin(AdminSocket):
                  for r in ok.values()), default=0.0),
             "shards": shards,
             # A fleet has no single boundary-sample ring; dashboards
-            # render the merged activity + status instead.
+            # render the summed cursor and the merged activity instead.
             "history": [],
             "history_samples": 0,
         }

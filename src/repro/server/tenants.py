@@ -92,6 +92,7 @@ from ..core.report import RetentionReport
 from ..emulation.compiled import (DayPlan, GroupLookup, PathCatalog,
                                   PolicyReplay, ReplayState, TriggerEngine)
 from ..emulation.emulator import EmulationResult, EmulatorConfig
+from ..emulation.runner import build_policy
 from ..emulation.metrics import DailyMetrics
 from ..vfs.file_meta import DAY_SECONDS
 from ..vfs.filesystem import VirtualFileSystem
@@ -151,23 +152,10 @@ class TenantSpec:
         ``residency`` (a :class:`~repro.core.JobResidencyIndex`) is
         required for ``cache`` tenants and ignored by the rest.
         """
-        from ..core import (ActiveDRPolicy, FixedLifetimePolicy,
-                            ScratchAsCachePolicy, ValueBasedPolicy)
-
-        config = self.retention_config()
-        if self.policy == "flt":
-            return FixedLifetimePolicy(config)
-        if self.policy == "flt-target":
-            return FixedLifetimePolicy(config, enforce_target=True)
-        if self.policy == "activedr":
-            return ActiveDRPolicy(config)
-        if self.policy == "value":
-            return ValueBasedPolicy(config)
-        if residency is None:
-            raise ValueError(
-                f"tenant {self.name!r} uses the cache policy, which needs "
-                f"a job-residency index")
-        return ScratchAsCachePolicy(config, residency=residency)
+        return build_policy(self.policy.removesuffix("-target"),
+                            self.retention_config(),
+                            enforce_target=self.policy == "flt-target",
+                            residency=residency)
 
     # -- serialization -------------------------------------------------
 
@@ -299,15 +287,36 @@ class Tenant(PolicyReplay):
         p = self.params
         return (p.period_days, p.empty_period, p.epsilon, p.max_periods)
 
+    def gauges(self) -> dict:
+        """This tenant's share of :meth:`MultiTenantService.gauges`:
+        triggers, live files and bytes, utilization, purge totals, target
+        misses, trigger-latency tails and, once it has triggered, whether
+        its newest trigger met the purge target."""
+        stats, state = self.stats, self.state
+        live_bytes = state.total_bytes
+        capacity = state.capacity_bytes
+        out = {
+            "triggers": stats["triggers"],
+            "live_files": state.file_count,
+            "live_bytes": live_bytes,
+            "utilization": (live_bytes / capacity) if capacity else 0.0,
+            "purged_bytes": stats["purged_bytes"],
+            "purged_files": stats["purged_files"],
+            "target_misses": stats["target_misses"],
+            "trigger_latency": dict(self.trigger_latency),
+        }
+        reports = self.reports
+        if reports:
+            out["target_met"] = bool(reports[-1].target_met)
+        return out
+
     def describe(self) -> dict:
         return {
             "spec": self.spec.to_jsonable(),
             "policy": self.policy.name,
             "admitted_boundary": self.admitted_boundary,
-            "triggers": self.stats["triggers"],
             "reports": len(self.reports),
-            "live_files": self.state.file_count,
-            "live_bytes": self.state.total_bytes,
+            **self.gauges(),
         }
 
 
@@ -444,8 +453,8 @@ class MultiTenantService:
         self._last_eval: dict[tuple, tuple[int, ActivenessTable]] = {}
 
         #: The observability plane's sample store: one sample appended at
-        #: every day boundary.  ``sample_extra`` (set by the serve
-        #: wiring) merges stream/listener counters into each sample.
+        #: every day boundary.  ``sample_extra`` (``serve`` sets the
+        #: stream's ``gauges``) supplies each sample's ``stream`` section.
         self.metrics_history = metrics_history
         self.sample_extra: Callable[[], dict] | None = None
         self.last_metrics_error: str | None = None
@@ -902,18 +911,14 @@ class MultiTenantService:
                 started = time.perf_counter()
                 report = tenant.trigger(self.catalog, t_c,
                                         evals[tenant.params_key], exempt)
-                tenant.stats["triggers"] += 1
-                tenant.stats["purged_bytes"] = (
-                    tenant.stats.get("purged_bytes", 0)
-                    + report.purged_bytes_total)
-                tenant.stats["purged_files"] = (
-                    tenant.stats.get("purged_files", 0)
-                    + report.purged_files_total)
+                stats = tenant.stats
+                stats["triggers"] += 1
+                stats["purged_bytes"] += report.purged_bytes_total
+                stats["purged_files"] += report.purged_files_total
                 if not report.target_met:
-                    tenant.stats["target_misses"] = (
-                        tenant.stats.get("target_misses", 0) + 1)
+                    stats["target_misses"] += 1
                 elapsed = time.perf_counter() - started
-                tenant.stats["trigger_seconds"] += elapsed
+                stats["trigger_seconds"] += elapsed
                 tenant.note_trigger_latency(elapsed)
             triggered = True
         self._next_boundary = boundary + 1
@@ -971,75 +976,66 @@ class MultiTenantService:
     # ------------------------------------------------------------------
     # observability sampling
 
-    def _sample_metrics(self, boundary: int) -> None:
-        """Append one observability sample for a just-fired boundary.
+    def gauges(self) -> dict:
+        """The engine's observable state in one read.
 
-        Samples carry the engine cursor and boundary (the rewind keys a
-        resume uses to keep history and checkpoint chain in agreement),
-        cumulative event/eval/checkpoint counters, and a per-tenant
-        block with live state, cumulative purge totals, trigger-latency
-        tails, and a linear days-to-capacity forecast against the
-        previous sample.  A failed append never stops the engine: the
-        history is evidence, not state.
+        The cursor and next boundary, the event, evaluation and
+        checkpoint counters with the refold fraction, and per tenant
+        :meth:`Tenant.gauges`.  Every reader renders this dict: the
+        boundary sample, ``/metrics``, ``admin metrics`` and the tenant
+        entries of ``admin tenants``/``status``.  Point-in-time reads
+        only, so the admin thread may call it during ingest.
         """
-        history = self.metrics_history
-        if history is None:
-            return
         stats = self.stats
         eval_users = stats["eval_users"]
-        prev = history.last()
-        prev_tenants = (prev.get("tenants") or {}) if prev else {}
-        prev_boundary = prev.get("boundary") if prev else None
-        capacity = self.capacity_bytes
-        tenants: dict = {}
-        for tenant in self.tenants:
-            live_bytes = tenant.state.total_bytes
-            info: dict = {
-                "triggers": tenant.stats["triggers"],
-                "live_files": tenant.state.file_count,
-                "live_bytes": live_bytes,
-                "utilization": ((live_bytes / capacity)
-                                if capacity else 0.0),
-                "purged_bytes": tenant.stats.get("purged_bytes", 0),
-                "purged_files": tenant.stats.get("purged_files", 0),
-                "target_misses": tenant.stats.get("target_misses", 0),
-                "trigger_latency": dict(tenant.trigger_latency),
-            }
-            if tenant.reports:
-                info["target_met"] = bool(tenant.reports[-1].target_met)
-            prev_info = prev_tenants.get(tenant.name)
-            if (capacity and prev_info
-                    and isinstance(prev_boundary, int)
-                    and boundary > prev_boundary):
-                growth = (live_bytes
-                          - prev_info.get("live_bytes", live_bytes)
-                          ) / (boundary - prev_boundary)
-                if growth > 0:
-                    info["forecast_days_to_capacity"] = max(
-                        0.0, (capacity - live_bytes) / growth)
-            tenants[tenant.name] = info
-        sample = {
-            "boundary": boundary,
+        return {
             "cursor": self._consumed,
+            "next_boundary": self._next_boundary,
             "events_job": stats["events_job"],
             "events_publication": stats["events_publication"],
             "events_access": stats["events_access"],
             "dropped_accesses": self.dropped_accesses,
             "activeness_evals": stats["activeness_evals"],
+            "eval_users": eval_users,
+            "eval_refolded": stats["eval_refolded"],
             "refold_fraction": (stats["eval_refolded"] / eval_users
                                 if eval_users else 0.0),
             "checkpoints_written": stats["checkpoints_written"],
             "checkpoint_failures": stats["checkpoint_failures"],
-            "tenants": tenants,
+            # list() snapshot: the engine adds/removes tenants at a
+            # boundary while the admin thread reads.
+            "tenants": {t.name: t.gauges() for t in list(self.tenants)},
         }
+
+    def _sample_metrics(self, boundary: int) -> None:
+        """Append ``{"boundary": B, **gauges()}`` plus each tenant's
+        linear days-to-capacity forecast against the previous sample,
+        the exempt path count and ``sample_extra``'s ``stream`` section.
+        A failed append never stops the engine (evidence, not state)."""
+        history = self.metrics_history
+        if history is None:
+            return
+        sample = {"boundary": boundary, **self.gauges()}
+        prev = history.last() or {}
+        prev_boundary = prev.get("boundary")
+        capacity = self.capacity_bytes
+        if (capacity and isinstance(prev_boundary, int)
+                and boundary > prev_boundary):
+            prev_tenants = prev.get("tenants") or {}
+            for name, info in sample["tenants"].items():
+                prev_info, live = prev_tenants.get(name), info["live_bytes"]
+                growth = ((live - prev_info.get("live_bytes", live))
+                          / (boundary - prev_boundary)) if prev_info else 0
+                if growth > 0:
+                    info["forecast_days_to_capacity"] = max(
+                        0.0, (capacity - live) / growth)
         if self.exemptions is not None:
             self._exempt_flags = self.catalog.exempt_mask(
                 self.exemptions, self._exempt_flags)
             sample["exempt_paths"] = int(np.count_nonzero(
                 self._exempt_flags))
-        extra = self.sample_extra
-        if extra is not None:
-            sample["stream"] = extra()
+        if self.sample_extra is not None:
+            sample["stream"] = self.sample_extra()
         try:
             history.append(sample)
         except (OSError, ValueError) as exc:
@@ -1380,8 +1376,10 @@ class MultiTenantService:
         """Admit a service resumed from a donor's rebalance clone as the
         worker of its own shard: narrow the donor's state to this
         shard's users, and zero the additive measurements the donor
-        keeps reporting (the fleet merge sums per-shard ledgers).  The
-        clone's ``ingest`` cursors are the DONOR's lane sequence domain:
+        keeps reporting (the fleet merge sums per-shard ledgers and
+        cursors), the cursor and the event and evaluation counters
+        included: this worker counts only its own rows.  The clone's
+        ``ingest`` cursors are the DONOR's lane sequence domain:
         this worker's edge starts a fresh one, and it advertises no
         durable cursors (admin health -> fleet lane trim) until its
         first own link, or the donor's larger cursors would trim rows
@@ -1391,6 +1389,10 @@ class MultiTenantService:
         dropped = self.restrict_users(
             lambda uids: ring.member_mask(name, uids))
         self.reset_measurements()
+        self._consumed = 0
+        for key in ("events_job", "events_publication", "events_access",
+                    "activeness_evals", "eval_users", "eval_refolded"):
+            self.stats[key] = 0
         self.last_durable_ingest = None
         self.resumed_ingest = {"source_seqs": {}}
         self.op_log.append({"op": "seed", "boundary": self._next_boundary,

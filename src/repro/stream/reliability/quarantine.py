@@ -179,17 +179,9 @@ class EventQuarantine:
         (compacted when any were diverted) or ``None`` when nothing
         survived.
 
-        Equivalence argument for the vectorized regression check: the
-        sequential clock only advances on *accepted* rows, and
-        any row rejected for regression has ``ts`` strictly below the
-        running maximum -- so including rejected rows in a running
-        maximum cannot change it, and ``ts[i] >= max(last, ts[:i])``
-        over all prior rows equals the sequential accept decision.
-        Batches carrying identities (jobs/publications) additionally
-        need the duplicate check's interaction with the clock, which is
-        order-sensitive; those take a bulk set test in the common
-        all-clean case and fall back to an exact sequential pass
-        otherwise.
+        The clock and identity check is one bulk test for the common
+        case (rows in time order, every id fresh) and an exact pass
+        over the surviving rows, one at a time, otherwise.
         """
         n = batch.n
         if n == 0:
@@ -200,13 +192,11 @@ class EventQuarantine:
         keep = np.ones(n, dtype=bool)
         reasons: dict[int, tuple[str, str]] = {}
 
-        def mark(rows: np.ndarray, reason: str, detail) -> None:
-            """Divert ``rows``; ``detail`` is one text or one per row."""
-            details = ([detail] * rows.size if isinstance(detail, str)
-                       else detail)
-            for r, text in zip(rows.tolist(), details):
+        def mark(rows: np.ndarray, reason: str, detail: str) -> None:
+            """Divert ``rows`` not already diverted, with one ``detail``."""
+            for r in rows.tolist():
                 if r not in reasons:
-                    reasons[r] = (reason, text)
+                    reasons[r] = (reason, detail)
                     keep[r] = False
 
         jidx = pidx = None
@@ -286,75 +276,55 @@ class EventQuarantine:
                     mark(pidx[pu], REASON_UNKNOWN_UID,
                          "publication row author outside the known set")
 
-        # 3. time regression (+ duplicates for identity-carrying rows).
+        # 3. time regression, and duplicates for identity-carrying rows:
+        #    one bulk accept for an in-order batch of fresh ids, else an
+        #    exact row-by-row pass.
         last = self._last_ts.get(source)
         sidx = np.flatnonzero(keep)
         if sidx.size:
             sts = ts[sidx]
-            monotone = bool((sts[1:] >= sts[:-1]).all()) and \
-                (last is None or int(sts[0]) >= last)
-            if not (batch.n_jobs or batch.n_pubs):
-                if monotone:
+            seen_jobs = self._seen(source, EVENT_JOB)
+            seen_pubs = self._seen(source, EVENT_PUBLICATION)
+            accepted_all = False
+            if bool((sts[1:] >= sts[:-1]).all()) and \
+                    (last is None or int(sts[0]) >= last):
+                jids = (batch.job_id[keep[jidx]].tolist()
+                        if batch.n_jobs else [])
+                pids = (batch.pub_id[keep[pidx]].tolist()
+                        if batch.n_pubs else [])
+                if (len(set(jids)) == len(jids)
+                        and len(set(pids)) == len(pids)
+                        and seen_jobs.isdisjoint(jids)
+                        and seen_pubs.isdisjoint(pids)):
+                    seen_jobs.update(jids)
+                    seen_pubs.update(pids)
                     self._last_ts[source] = int(sts[-1])
-                else:
-                    run = np.maximum.accumulate(sts)
-                    prev = np.empty_like(sts)
-                    prev[0] = sts[0] if last is None else last
-                    prev[1:] = run[:-1]
-                    if last is not None:
-                        np.maximum(prev, last, out=prev)
-                    ok = sts >= prev
-                    # ``prev`` is the clock the sequential check would
-                    # hold at each row, so the details match it too.
-                    mark(sidx[~ok], REASON_REGRESSION,
-                         [f"ts {t} after {c} from {source}" for t, c in
-                          zip(sts[~ok].tolist(), prev[~ok].tolist())])
-                    if ok.any():
-                        self._last_ts[source] = int(sts[np.flatnonzero(ok)[-1]])
-            else:
-                seen_jobs = self._seen(source, EVENT_JOB)
-                seen_pubs = self._seen(source, EVENT_PUBLICATION)
-                accepted_all = False
-                if monotone:
-                    jids = (batch.job_id[keep[jidx]].tolist()
-                            if batch.n_jobs else [])
-                    pids = (batch.pub_id[keep[pidx]].tolist()
-                            if batch.n_pubs else [])
-                    if (len(set(jids)) == len(jids)
-                            and len(set(pids)) == len(pids)
-                            and seen_jobs.isdisjoint(jids)
-                            and seen_pubs.isdisjoint(pids)):
-                        seen_jobs.update(jids)
-                        seen_pubs.update(pids)
-                        self._last_ts[source] = int(sts[-1])
-                        accepted_all = True
-                if not accepted_all:
-                    # Exact sequential replay of the guard's clock and
-                    # identity logic over the surviving rows.
-                    kpos = batch.kpos()
-                    for r in sidx.tolist():
-                        t = int(ts[r])
-                        if last is not None and t < last:
-                            reasons[r] = (REASON_REGRESSION,
-                                          f"ts {t} after {last} from {source}")
+                    accepted_all = True
+            if not accepted_all:
+                kpos = batch.kpos()
+                for r in sidx.tolist():
+                    t = int(ts[r])
+                    if last is not None and t < last:
+                        reasons[r] = (REASON_REGRESSION,
+                                      f"ts {t} after {last} from {source}")
+                        keep[r] = False
+                        continue
+                    code = int(kinds[r])
+                    seen = None
+                    if code == KIND_JOB_CODE:
+                        ident, seen = int(batch.job_id[kpos[r]]), seen_jobs
+                    elif code == KIND_PUB_CODE:
+                        ident, seen = int(batch.pub_id[kpos[r]]), seen_pubs
+                    if seen is not None:
+                        if ident in seen:
+                            reasons[r] = (REASON_DUPLICATE,
+                                          f"id {ident} redelivered")
                             keep[r] = False
                             continue
-                        code = int(kinds[r])
-                        seen = None
-                        if code == KIND_JOB_CODE:
-                            ident, seen = int(batch.job_id[kpos[r]]), seen_jobs
-                        elif code == KIND_PUB_CODE:
-                            ident, seen = int(batch.pub_id[kpos[r]]), seen_pubs
-                        if seen is not None:
-                            if ident in seen:
-                                reasons[r] = (REASON_DUPLICATE,
-                                              f"id {ident} redelivered")
-                                keep[r] = False
-                                continue
-                            seen.add(ident)
-                        last = t
-                    if last is not None:
-                        self._last_ts[source] = last
+                        seen.add(ident)
+                    last = t
+                if last is not None:
+                    self._last_ts[source] = last
 
         if reasons:
             for r in sorted(reasons):

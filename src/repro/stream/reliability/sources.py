@@ -429,6 +429,11 @@ class ReliableEventStream:
             "quarantine": self.quarantine.summary(),
         }
 
+    def gauges(self) -> dict:
+        """The stream's counters, the ``stream`` section of every
+        boundary sample (``MultiTenantService.sample_extra``)."""
+        return {"quarantined": int(self.quarantine.total)}
+
     @property
     def degraded(self) -> bool:
         """True when any source is not (or was not always) healthy."""

@@ -636,7 +636,7 @@ def test_dashboard_offline_reads_rotated_torn_history(tmp_path):
         range(expected[0]["seq"], 31))
     assert offline["history"] == expected
     assert tail["history"] == expected[-5:]
-    assert offline["status"]["cursor"] == 290
+    assert offline["metrics"]["cursor"] == 290
     assert "repro retention dashboard" in render_terminal(tail)
     assert render_html(offline).startswith("<!DOCTYPE html>")
 
@@ -725,6 +725,99 @@ def test_sampled_trigger_tails_equal_the_log_at_each_boundary(
         assert (f'{{{label},quantile="0.99"}}', tails["p99"]) in \
             seen["repro_trigger_latency_seconds"]
     history.close()
+
+
+def test_every_reader_renders_the_engine_gauges(dataset, events, tmp_path,
+                                                monkeypatch):
+    # ``gauges()`` is the engine's one read of its observable state:
+    # the boundary sample, /metrics, admin metrics/tenants and the
+    # offline dashboard each show its values, not their own reads.
+    hist_path = str(tmp_path / "hist.jsonl")
+    history = MetricsHistory(hist_path)
+    service = make_fleet(dataset, HETERO[:2],
+                         checkpoint_dir=str(tmp_path / "ck"),
+                         metrics_history=history)
+    service.sample_extra = lambda: {"quarantined": 0}
+    read = []
+    append = history.append
+
+    def recording_append(sample):
+        read.append(service.gauges())
+        return append(sample)
+
+    monkeypatch.setattr(history, "append", recording_append)
+    service.run(as_runs(events))
+
+    def engine_view(sample):
+        view = {k: v for k, v in sample.items()
+                if k not in ("boundary", "stream", "seq", "mono", "wall")}
+        view["tenants"] = {
+            name: {k: v for k, v in info.items()
+                   if k != "forecast_days_to_capacity"}
+            for name, info in sample["tenants"].items()}
+        return view
+
+    samples = history.samples()
+    assert len(samples) == len(read) == service.n_days + 1
+    assert [engine_view(s) for s in samples] == read
+    assert all(s["next_boundary"] == s["boundary"] + 1 for s in samples)
+    assert any("forecast_days_to_capacity" in info
+               for s in samples for info in s["tenants"].values())
+
+    gauges = service.gauges()
+    seen = _parse_exposition(render_prometheus(service, history=history))
+
+    def value(name, labels=""):
+        (found,) = [v for lab, v in seen[name] if lab == labels]
+        return found
+
+    for name, key in (("repro_cursor_events", "cursor"),
+                      ("repro_next_boundary_day", "next_boundary"),
+                      ("repro_dropped_accesses_total", "dropped_accesses"),
+                      ("repro_activeness_evals_total", "activeness_evals"),
+                      ("repro_eval_users_total", "eval_users"),
+                      ("repro_eval_refolded_total", "eval_refolded"),
+                      ("repro_refold_fraction", "refold_fraction"),
+                      ("repro_checkpoints_written_total",
+                       "checkpoints_written"),
+                      ("repro_checkpoint_failures_total",
+                       "checkpoint_failures")):
+        assert value(name) == gauges[key], name
+    for kind in ("job", "publication", "access"):
+        assert value("repro_events_total", f'{{kind="{kind}"}}') == \
+            gauges[f"events_{kind}"]
+    assert gauges["checkpoints_written"] >= 1 and gauges["eval_users"] > 0
+    for tenant, info in gauges["tenants"].items():
+        label = f'{{tenant="{tenant}"}}'
+        for name, key in (("repro_tenant_triggers_total", "triggers"),
+                          ("repro_tenant_live_files", "live_files"),
+                          ("repro_tenant_live_bytes", "live_bytes"),
+                          ("repro_tenant_utilization", "utilization"),
+                          ("repro_tenant_purged_bytes_total",
+                           "purged_bytes"),
+                          ("repro_tenant_purged_files_total",
+                           "purged_files"),
+                          ("repro_tenant_target_misses_total",
+                           "target_misses")):
+            assert value(name, label) == info[key], (tenant, name)
+        assert value("repro_trigger_latency_seconds_count", label) == \
+            info["trigger_latency"]["count"] >= 1
+
+    with AdminServer(_sock(tmp_path, "gauges.sock"), service) as admin:
+        answer = admin.handle({"cmd": "metrics"})
+        listed = admin.handle({"cmd": "tenants"})["tenants"]
+        status = admin.handle({"cmd": "status"})["tenants"]
+    assert answer["ok"]
+    assert {k: answer[k] for k in gauges} == gauges
+    for name, info in gauges["tenants"].items():
+        assert "target_met" in info
+        for entries in (listed, status):
+            assert {k: entries[name][k] for k in info} == info
+    history.close()
+
+    offline = load_history_data(hist_path, samples=5)
+    assert offline["metrics"] == samples[-1]
+    assert offline["history"] == samples[-5:]
 
 
 def test_sampling_failure_never_stops_the_engine(dataset, events, tmp_path):

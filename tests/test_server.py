@@ -1054,6 +1054,12 @@ def test_split_clone_resumes_as_the_seeded_new_shard(dataset, events,
     assert seeded.op_log[-1]["op"] == "seed"
     assert seeded.op_log[-1]["shard"] == "s01"
     assert seeded.last_durable_ingest is None
+    # The fleet sums per-shard cursors and counters: the seeded worker
+    # counts only the rows it consumes itself.
+    assert seeded.cursor == 0
+    counters = ("events_job", "events_publication", "events_access",
+                "activeness_evals", "eval_users", "eval_refolded")
+    assert [seeded.stats[key] for key in counters] == [0] * len(counters)
 
 
 def test_restrict_users_counts_each_dropped_user_once(dataset, events):
